@@ -252,7 +252,8 @@ def points_on_rational_normal_curve(
             coords.append(v)
         pts.append(tuple(coords))
 
-    from .linalg import RowSpace, nullspace
+    from .groebner import multiples_span
+    from .linalg import nullspace
 
     gens = []
     zero = f.zero
@@ -263,7 +264,6 @@ def points_on_rational_normal_curve(
         if m > 4 * (count + d):
             raise CatalogError("point ideal did not stabilize (degenerate parameters?)")
         monos = ring.monomials_of_degree(m)
-        index = {mo: i for i, mo in enumerate(monos)}
         eval_rows = []
         for p in pts:
             row = []
@@ -276,15 +276,7 @@ def points_on_rational_normal_curve(
             eval_rows.append(row)
         kernel = nullspace(eval_rows, len(monos), f)
         hf_m = len(monos) - len(kernel)
-        span = RowSpace(len(monos), f)
-        for g in gens:
-            dg = g.homogeneous_degree()
-            for mono in ring.monomials_of_degree(m - dg):
-                prod = g.mul_term(mono, f.one)
-                vec = [zero] * len(monos)
-                for mm, c in prod.terms.items():
-                    vec[index[mm]] = c
-                span.add(vec)
+        span, _ = multiples_span(gens, m, ring)
         for v in kernel:
             if span.add(v):
                 gens.append(Polynomial(ring, {monos[i]: c for i, c in enumerate(v) if c != zero}))

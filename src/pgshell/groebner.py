@@ -1,22 +1,34 @@
 """Buchberger engine for ideals and submodules of graded free modules.
 
 Everything is built on one representation: a *vector* is a dict mapping
-(monomial, position) -> nonzero coefficient.  An ideal element is a
-vector of rank 1 (position always 0).  The same division and Buchberger
-code then powers normal forms, ideal membership, syzygy computation
-(via an elimination block order on an extended module) and chain-map
+(monomial, position) -> nonzero coefficient, inside a free module whose
+positions carry twists.  An ideal element is a vector of rank 1
+(position always 0, twist 0).  One engine, `module_groebner`, serves
+normal forms, ideal membership, minimal generating sets, syzygies (via
+an elimination block order on an extended module) and chain-map
 lifting.
 
-Determinism: input order is preserved, pair selection uses the normal
-strategy (lowest lcm degree, ties by the monomial order on the lcm,
-then by generator index), and the final interreduction yields the
-reduced Groebner basis, which is unique -- so the output is independent
-of generator permutation.
+Strategy: S-pairs sit in a heap ordered by their twisted degree, then
+by the monomial order on the lcm, then by basis index.  Input vectors
+are not all loaded at the start: each enters in increasing degree of
+its lead term, once every pair of no larger degree has been processed,
+and is kept only if its normal form against the basis so far is
+nonzero.  For homogeneous input that basis is a truncated Groebner
+basis in the input's degree, so the inputs that survive form a minimal
+generating subset (La Scala-Stillman).  The product criterion is used
+for ideals only, the chain criterion always.
+
+Determinism: ties keep input order, and the final interreduction yields
+the reduced Groebner basis, which is unique -- so the output is
+independent of generator permutation.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .errors import NotHomogeneousError, RingMismatchError
+from .linalg import RowSpace
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
 
@@ -74,6 +86,12 @@ def vector_component(v: dict, pos: int, ring: PolyRing) -> Polynomial:
 
 def vector_lead(v: dict, key):
     return max(v, key=key)
+
+
+def lead_terms(basis, key):
+    """[(lead term, lead coefficient)] of each vector, as reduce_vector takes them."""
+    leads = [vector_lead(v, key) for v in basis]
+    return [(lt, v[lt]) for lt, v in zip(leads, basis)]
 
 
 def vector_monic(v: dict, key, field) -> dict:
@@ -161,59 +179,66 @@ def _spoly(f, g, ltf, ltg, ring: PolyRing):
     return out
 
 
-def module_groebner(vectors, ring: PolyRing, rank: int, key=None, reduced: bool = True):
+def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
     """Reduced Groebner basis of the submodule generated by `vectors`.
 
-    The coprime-lead-term shortcut is only valid for ideals, so it is
-    applied only when rank == 1; the chain criterion is applied always.
+    The free module has rank len(twists); position p has twist
+    twists[p].  If `kept` is a list, the indices of the inputs that
+    survive their reduction on entry are appended to it; for
+    homogeneous input they index a minimal generating subset.
     """
     if key is None:
-        key = top_key(ring, rank)
+        key = top_key(ring, len(twists))
     field = ring.field
+    mono_degree = ring.mono_degree
     mono_lcm = ring.mono_lcm
     mono_divides = ring.mono_divides
+    sort_key = ring.sort_key
+    ideal = len(twists) == 1
+
+    inputs = []
+    for idx, v in enumerate(vectors):
+        if v:
+            mono, pos = vector_lead(v, key)
+            inputs.append((mono_degree(mono) + twists[pos], idx))
+    inputs.sort()
 
     basis = []
     leads = []
-    seen = set()
-    for v in vectors:
-        if not v:
-            continue
+    pairs = []  # heap of (degree, lcm key, i, j, lcm)
+    pending = set()
+
+    def insert(v):
         v = vector_monic(v, key, field)
-        marker = tuple(sorted(v.items(), key=lambda t: key(t[0])))
-        if marker in seen:
-            continue
-        seen.add(marker)
+        lt = vector_lead(v, key)
+        new = len(basis)
         basis.append(v)
-        leads.append((vector_lead(v, key), None))
-    leads = [(lt, basis[i][lt]) for i, (lt, _) in enumerate(leads)]
+        leads.append((lt, v[lt]))
+        mono, pos = lt
+        for t in range(new):
+            (mt, pt), _ = leads[t]
+            if pt == pos:
+                lcm = mono_lcm(mt, mono)
+                heappush(pairs, (mono_degree(lcm) + twists[pos], sort_key(lcm), t, new, lcm))
+                pending.add((t, new))
 
-    def lcm_info(i, j):
-        (mi, pi), _ = leads[i]
-        (mj, pj), _ = leads[j]
-        if pi != pj:
-            return None
-        lcm = mono_lcm(mi, mj)
-        return lcm
-
-    pending = {}
-    for j in range(len(basis)):
-        for i in range(j):
-            lcm = lcm_info(i, j)
-            if lcm is not None:
-                pending[(i, j)] = lcm
-
-    def pair_sort_key(item):
-        (i, j), lcm = item
-        return (ring.mono_degree(lcm), ring.sort_key(lcm), i, j)
-
-    while pending:
-        (i, j), lcm = min(pending.items(), key=pair_sort_key)
-        del pending[(i, j)]
+    nxt = 0
+    while pairs or nxt < len(inputs):
+        if nxt < len(inputs) and (not pairs or inputs[nxt][0] < pairs[0][0]):
+            idx = inputs[nxt][1]
+            nxt += 1
+            r = reduce_vector(vectors[idx], basis, leads, key, ring)
+            if r:
+                insert(r)
+                if kept is not None:
+                    kept.append(idx)
+            continue
+        _, _, i, j, lcm = heappop(pairs)
+        pending.discard((i, j))
         (mi, pi), _ = leads[i]
         (mj, _), _ = leads[j]
         # product criterion (ideals only: invalid for modules)
-        if rank == 1 and tuple(a + b for a, b in zip(mi, mj)) == lcm:
+        if ideal and tuple(a + b for a, b in zip(mi, mj)) == lcm:
             continue
         # chain criterion
         skip = False
@@ -223,9 +248,7 @@ def module_groebner(vectors, ring: PolyRing, rank: int, key=None, reduced: bool 
             (mk, pk), _ = leads[k]
             if pk != pi or not mono_divides(mk, lcm):
                 continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
+            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 skip = True
                 break
         if skip:
@@ -233,44 +256,24 @@ def module_groebner(vectors, ring: PolyRing, rank: int, key=None, reduced: bool 
         s = _spoly(basis[i], basis[j], leads[i], leads[j], ring)
         r = reduce_vector(s, basis, leads, key, ring)
         if r:
-            r = vector_monic(r, key, field)
-            new = len(basis)
-            basis.append(r)
-            lt = vector_lead(r, key)
-            leads.append((lt, r[lt]))
-            for t in range(new):
-                lcm2 = lcm_info(t, new)
-                if lcm2 is not None:
-                    pending[(t, new)] = lcm2
+            insert(r)
 
-    if not reduced:
-        return basis
     return _interreduce(basis, leads, key, ring)
 
 
 def _interreduce(basis, leads, key, ring: PolyRing):
-    field = ring.field
-    order = sorted(range(len(basis)), key=lambda i: key(leads[i][0]))
-    kept_idx = []
-    kept_leads = []
-    for i in order:
-        (m, p), _ = leads[i]
-        if any(
-            kp == p and ring.mono_divides(km, m) for (km, kp) in kept_leads
-        ):
-            continue
-        kept_idx.append(i)
-        kept_leads.append((m, p))
+    """Reduced basis: drop elements with a divisible lead, reduce the rest."""
+    mono_divides = ring.mono_divides
+    kept = []
+    for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0])):
+        m, p = leads[i][0]
+        if not any(leads[k][0][1] == p and mono_divides(leads[k][0][0], m) for k in kept):
+            kept.append(i)
     out = []
-    for n, i in enumerate(kept_idx):
-        others = [basis[kept_idx[t]] for t in range(len(kept_idx)) if t != n]
-        other_leads = [
-            (kept_leads[t], basis[kept_idx[t]][kept_leads[t]])
-            for t in range(len(kept_idx))
-            if t != n
-        ]
-        r = reduce_vector(basis[i], others, other_leads, key, ring)
-        out.append(vector_monic(r, key, field))
+    for i in kept:
+        others = [k for k in kept if k != i]
+        r = reduce_vector(basis[i], [basis[k] for k in others], [leads[k] for k in others], key, ring)
+        out.append(vector_monic(r, key, ring.field))
     out.sort(key=lambda v: key(vector_lead(v, key)))
     return out
 
@@ -317,7 +320,7 @@ class GroebnerBasis:
 def buchberger_list(polys, ring: PolyRing):
     """Reduced Groebner basis of arbitrary (possibly inhomogeneous) input."""
     vectors = [poly_to_vector(p) for p in polys if not p.is_zero()]
-    gb = module_groebner(vectors, ring, rank=1)
+    gb = module_groebner(vectors, ring, (0,))
     return [vector_component(v, 0, ring) for v in gb]
 
 
@@ -351,7 +354,7 @@ def normal_form(p: Polynomial, G) -> Polynomial:
         raise RingMismatchError("polynomial and basis in different rings")
     basis = [poly_to_vector(g) for g in gb.elements]
     key = top_key(gb.ring, 1)
-    leads = [(vector_lead(v, key), v[vector_lead(v, key)]) for v in basis]
+    leads = lead_terms(basis, key)
     r = reduce_vector(poly_to_vector(p), basis, leads, key, gb.ring)
     return vector_component(r, 0, gb.ring)
 
@@ -361,7 +364,7 @@ def normal_form_with_quotients(p: Polynomial, G):
     gb = _as_gb(G)
     basis = [poly_to_vector(g) for g in gb.elements]
     key = top_key(gb.ring, 1)
-    leads = [(vector_lead(v, key), v[vector_lead(v, key)]) for v in basis]
+    leads = lead_terms(basis, key)
     quots = [dict() for _ in basis]
     r = reduce_vector(poly_to_vector(p), basis, leads, key, gb.ring, quotients=quots)
     qpolys = [Polynomial(gb.ring, q) for q in quots]
@@ -377,15 +380,51 @@ def same_ideal(I: Ideal, J: Ideal) -> bool:
     return groebner_basis(I).elements == groebner_basis(J).elements
 
 
-def graded_piece_dim(gb: GroebnerBasis, m: int) -> int:
-    """dim_k I_m from the lead-term ideal (standard monomial complement)."""
+def standard_monomials(gb: GroebnerBasis, m: int) -> list:
+    """Degree-m monomials outside the lead-term ideal, largest first.
+
+    Their classes form a basis of (S/I)_m.
+    """
     ring = gb.ring
     leads = gb.lead_monomials
-    total = 0
-    for mono in ring.monomials_of_degree(m):
-        if any(ring.mono_divides(lt, mono) for lt in leads):
-            total += 1
-    return total
+    divides = ring.mono_divides
+    return [
+        mono
+        for mono in ring.monomials_of_degree(m)
+        if not any(divides(lt, mono) for lt in leads)
+    ]
+
+
+def graded_piece_dim(gb: GroebnerBasis, m: int) -> int:
+    """dim_k I_m, the complement of the standard monomials."""
+    return gb.ring.dim_degree(m) - len(standard_monomials(gb, m))
+
+
+def dense_vector(p: Polynomial, index: dict) -> list:
+    """Coefficients of p on the monomials of `index` (mono -> column)."""
+    vec = [p.ring.field.zero] * len(index)
+    for mono, c in p.terms.items():
+        vec[index[mono]] = c
+    return vec
+
+
+def multiples_span(polys, d: int, ring: PolyRing):
+    """(RowSpace, mono -> column) of the degree-d multiples of `polys`.
+
+    Only positive-degree multiples count: a polynomial of degree >= d
+    (or inhomogeneous) contributes nothing, so for generators of an
+    ideal I the span is (S_+ I)_d.
+    """
+    index = {mono: i for i, mono in enumerate(ring.monomials_of_degree(d))}
+    span = RowSpace(len(index), ring.field)
+    one = ring.field.one
+    for g in polys:
+        dg = g.homogeneous_degree()
+        if dg is None or dg >= d:
+            continue
+        for mono in ring.monomials_of_degree(d - dg):
+            span.add(dense_vector(g.mul_term(mono, one), index))
+    return span, index
 
 
 def is_minimal_generator(F: Polynomial, I: Ideal) -> bool:
@@ -402,24 +441,5 @@ def is_minimal_generator(F: Polynomial, I: Ideal) -> bool:
     gb = groebner_basis(I)
     if not membership(F, gb):
         raise ValueError("polynomial does not lie in the ideal")
-    ring = I.ring
-    monos = ring.monomials_of_degree(m)
-    index = {mono: i for i, mono in enumerate(monos)}
-    from .linalg import RowSpace
-
-    span = RowSpace(len(monos), ring.field)
-    zero = ring.field.zero
-    for g in gb.elements:
-        dg = g.homogeneous_degree()
-        if dg is None or dg >= m:
-            continue  # mono must have positive degree
-        for mono in ring.monomials_of_degree(m - dg):
-            prod = g.mul_term(mono, ring.field.one)
-            vec = [zero] * len(monos)
-            for mm, c in prod.terms.items():
-                vec[index[mm]] = c
-            span.add(vec)
-    fvec = [zero] * len(monos)
-    for mm, c in F.terms.items():
-        fvec[index[mm]] = c
-    return not span.contains(fvec)
+    span, index = multiples_span(gb.elements, m, I.ring)
+    return not span.contains(dense_vector(F, index))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import EngineError, InternalCheckError, TailNotStabilizedError
-from .groebner import groebner_basis
+from .groebner import groebner_basis, standard_monomials
 from .poly import Ideal
 
 
@@ -47,16 +47,6 @@ class HilbertData:
             if coeffs[i] != 0:
                 return i
         return -1
-
-
-def standard_monomial_count(gb, m: int) -> int:
-    ring = gb.ring
-    leads = gb.lead_monomials
-    count = 0
-    for mono in ring.monomials_of_degree(m):
-        if not any(ring.mono_divides(lt, mono) for lt in leads):
-            count += 1
-    return count
 
 
 def _interpolate(points):
@@ -98,7 +88,7 @@ def hilbert_function(I: Ideal, m_max: int) -> HilbertData:
     if gb.is_unit_ideal():
         values = {m: 0 for m in range(m_max + 1)}
         return HilbertData(values, [Fraction(0)], 0, m_max)
-    values = {m: standard_monomial_count(gb, m) for m in range(m_max + 1)}
+    values = {m: len(standard_monomials(gb, m)) for m in range(m_max + 1)}
     if not ring.standard_graded:
         return HilbertData(values, None, None, m_max)
 

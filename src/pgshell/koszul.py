@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InternalCheckError
-from .groebner import groebner_basis, normal_form
+from .groebner import groebner_basis, normal_form, standard_monomials
 from .linalg import RowSpace, nullspace, rank, solve
 from .poly import Ideal, Polynomial
 
@@ -45,13 +45,7 @@ class KoszulContext:
         cached = self._std.get(m)
         if cached is not None:
             return cached
-        ring = self.ring
-        leads = self.gb.lead_monomials
-        monos = [
-            mono
-            for mono in ring.monomials_of_degree(m)
-            if not any(ring.mono_divides(lt, mono) for lt in leads)
-        ]
+        monos = standard_monomials(self.gb, m)
         out = (monos, {mono: i for i, mono in enumerate(monos)})
         self._std[m] = out
         return out

@@ -125,19 +125,6 @@ class GradedMatrix:
             e.constant_coeff() != zero for row in self.entries for e in row
         )
 
-    def apply_to_polys(self, vec):
-        """Image of a source vector (list of polynomials) in the target."""
-        if len(vec) != self.source.rank:
-            raise EngineError("vector length mismatch")
-        out = []
-        for i in range(self.target.rank):
-            acc = Polynomial.zero(self.ring)
-            for j, p in enumerate(vec):
-                if not p.is_zero() and not self.entries[i][j].is_zero():
-                    acc = acc + self.entries[i][j] * p
-            out.append(acc)
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedMatrix)

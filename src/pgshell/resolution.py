@@ -1,14 +1,15 @@
 """Syzygies, graded minimal free resolutions, Betti tables.
 
-Kernels of graded matrices are computed with one generic device: for a
-matrix with columns c_1..c_s in S^r, run Buchberger on the vectors
-(c_j ; e_j) in S^r (+) S^s under a block order in which the first r
-positions dominate.  Basis elements whose first block vanishes are
-exactly a generating set (indeed a Groebner basis) of the syzygy
-module.  The generating set is then cut down to a minimal one by exact
-linear algebra on graded pieces, so iterating kernels yields the
-minimal resolution directly (Hilbert's bound N+1 is asserted, never
-assumed).
+Everything runs on the one module Groebner engine.  For a matrix M
+with columns c_1..c_s in S^r, a `ColumnModule` holds the Groebner
+basis of the vectors (c_j ; e_j) in S^r (+) S^s under a block order in
+which the first r positions dominate.  Basis elements whose first
+block vanishes generate (indeed form a Groebner basis of) the syzygy
+module, and reducing (u ; 0) solves M x = u.  Minimal generating sets
+come from a single degree-ordered Buchberger pass that keeps exactly
+the inputs not already in the span of the earlier ones, so iterating
+kernels yields the minimal resolution directly (Hilbert's bound N+1
+is asserted, never assumed).
 """
 
 from __future__ import annotations
@@ -16,10 +17,23 @@ from __future__ import annotations
 from math import comb
 
 from .errors import EngineError, InternalCheckError, WeightedRingError
-from .groebner import block_key, module_groebner, poly_to_vector, vector_degree
+from .groebner import (
+    block_key,
+    lead_terms,
+    module_groebner,
+    poly_to_vector,
+    reduce_vector,
+    vector_component,
+    vector_degree,
+)
 from .modules import GradedFreeModule, GradedMatrix
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
+
+
+def _column_vector(column) -> dict:
+    """Module vector of a column given as a list of polynomials."""
+    return {t: c for pos, p in enumerate(column) for t, c in poly_to_vector(p, pos).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -30,34 +44,17 @@ def minimal_generating_subset(vectors, ring: PolyRing, twists):
     """Indices of a minimal generating subset of a graded submodule.
 
     `vectors` are module vectors (dicts keyed (mono, pos)) inside the
-    free module with the given twists.  Candidates are processed in
-    increasing degree; one is kept exactly when it is not in the
-    submodule generated by the kept ones (a Groebner division), which
-    by Nakayama lifts a basis of K / S_+ K.
+    free module with the given twists.  One Groebner pass takes them in
+    increasing degree (ties in input order) and keeps one exactly when
+    it is not in the submodule generated by the kept ones, which by
+    Nakayama lifts a basis of K / S_+ K.  The indices come in that
+    order, so their degrees do not decrease.
     """
-    from .groebner import reduce_vector, top_key, vector_lead
-
-    degrees = []
     for v in vectors:
-        d = vector_degree(v, ring, twists)
-        if d is None:
+        if vector_degree(v, ring, twists) is None:
             raise EngineError("inhomogeneous vector in minimalization")
-        degrees.append(d)
-    order = sorted(range(len(vectors)), key=lambda i: degrees[i])
-    rank = len(twists)
-    key = top_key(ring, rank)
     kept: list[int] = []
-    kept_gb = []
-    kept_leads = []
-    for idx in order:
-        v = vectors[idx]
-        if kept_gb:
-            rem = reduce_vector(v, kept_gb, kept_leads, key, ring)
-            if not rem:
-                continue
-        kept.append(idx)
-        kept_gb = module_groebner([vectors[i] for i in kept], ring, rank, key=key)
-        kept_leads = [(vector_lead(g, key), g[vector_lead(g, key)]) for g in kept_gb]
+    module_groebner(vectors, ring, twists, kept=kept)
     return kept
 
 
@@ -69,50 +66,68 @@ def minimal_generators(I: Ideal):
 
 
 # ---------------------------------------------------------------------------
-# syzygies
+# column modules and syzygies
+
+
+class ColumnModule:
+    """Groebner basis of (c_j ; e_j) for the columns c_j of a matrix M."""
+
+    __slots__ = ("matrix", "key", "basis", "leads")
+
+    def __init__(self, M: GradedMatrix):
+        ring = M.ring
+        r = M.target.rank
+        vectors = []
+        for j, col in enumerate(M.columns()):
+            v = _column_vector(col)
+            v[(ring.one_mono, r + j)] = ring.field.one
+            vectors.append(v)
+        self.matrix = M
+        self.key = block_key(ring, r)
+        twists = M.target.twists + M.source.twists
+        self.basis = module_groebner(vectors, ring, twists, key=self.key)
+        self.leads = lead_terms(self.basis, self.key)
+
+    def syzygy_vectors(self):
+        """Basis elements with vanishing first block, shifted to S^s."""
+        r = self.matrix.target.rank
+        return [
+            {(m, p - r): c for (m, p), c in v.items()}
+            for v in self.basis
+            if all(p >= r for (_, p) in v)
+        ]
+
+    def solve(self, column):
+        """x with M x = column (a list of polynomials), or None."""
+        M = self.matrix
+        ring = M.ring
+        r = M.target.rank
+        rem = reduce_vector(_column_vector(column), self.basis, self.leads, self.key, ring)
+        if any(p < r for (_, p) in rem):
+            return None
+        neg = ring.field.neg
+        return [
+            Polynomial(ring, {m: neg(c) for (m, p), c in rem.items() if p == r + j})
+            for j in range(M.source.rank)
+        ]
 
 
 def syzygies(M: GradedMatrix) -> GradedMatrix:
     """A minimal generating set of ker(M), as columns of a GradedMatrix.
 
     Twists of the new source module are inferred from the homogeneous
-    column degrees; columns are sorted by (degree, lead term).
+    column degrees; columns are sorted by degree.
     """
     M.validate_degrees()
     ring = M.ring
-    r = M.target.rank
     s = M.source.rank
     if s == 0:
         return GradedMatrix(ring, GradedFreeModule(()), M.source, [])
-    extended = []
-    for j in range(s):
-        v = {}
-        for i, p in enumerate(M.column(j)):
-            for m, c in p.terms.items():
-                v[(m, i)] = c
-        v[(ring.one_mono, r + j)] = ring.field.one
-        extended.append(v)
-    key = block_key(ring, r)
-    gb = module_groebner(extended, ring, rank=r + s, key=key)
-    syz_vectors = []
-    for v in gb:
-        if any(p < r for (_, p) in v):
-            continue
-        syz_vectors.append({(m, p - r): c for (m, p), c in v.items()})
+    syz_vectors = ColumnModule(M).syzygy_vectors()
     twists = M.source.twists
-    kept = minimal_generating_subset(syz_vectors, ring, twists)
-    chosen = [syz_vectors[i] for i in kept]
-    degs = [vector_degree(v, ring, twists) for v in chosen]
-    order = sorted(range(len(chosen)), key=lambda i: degs[i])
-    chosen = [chosen[i] for i in order]
-    degs = [degs[i] for i in order]
-    columns = []
-    for v in chosen:
-        col = []
-        for pos in range(s):
-            col.append(Polynomial(ring, {m: c for (m, p), c in v.items() if p == pos}))
-        columns.append(col)
-    new_source = GradedFreeModule(degs)
+    chosen = [syz_vectors[i] for i in minimal_generating_subset(syz_vectors, ring, twists)]
+    columns = [[vector_component(v, pos, ring) for pos in range(s)] for v in chosen]
+    new_source = GradedFreeModule([vector_degree(v, ring, twists) for v in chosen])
     out = GradedMatrix.from_columns(ring, new_source, M.source, columns)
     out.validate_degrees()
     return out
@@ -332,31 +347,6 @@ class ComplexReport:
         return f"ComplexReport({body})"
 
 
-def _image_contains(M: GradedMatrix, vectors) -> bool:
-    """Do all given module vectors lie in the column module of M?"""
-    ring = M.ring
-    r = M.target.rank
-    s = M.source.rank
-    extended = []
-    for j in range(s):
-        v = {}
-        for i, p in enumerate(M.column(j)):
-            for m, c in p.terms.items():
-                v[(m, i)] = c
-        v[(ring.one_mono, r + j)] = ring.field.one
-        extended.append(v)
-    key = block_key(ring, r)
-    gb = module_groebner(extended, ring, rank=r + s, key=key)
-    from .groebner import reduce_vector, vector_lead
-
-    leads = [(vector_lead(v, key), v[vector_lead(v, key)]) for v in gb]
-    for w in vectors:
-        rem = reduce_vector(dict(w), gb, leads, key, ring)
-        if any(p < r for (_, p) in rem):
-            return False
-    return True
-
-
 def verify_complex(res: FreeResolution, oracle=None) -> ComplexReport:
     """Certify a claimed resolution: complex, exactness, minimality, Betti.
 
@@ -408,14 +398,8 @@ def verify_complex(res: FreeResolution, oracle=None) -> ComplexReport:
         for q in range(1, res.length + 1):
             syz = syzygies(res.differential(q))
             if q < res.length:
-                vectors = []
-                for j in range(syz.source.rank):
-                    v = {}
-                    for i, p in enumerate(syz.column(j)):
-                        for m, c in p.terms.items():
-                            v[(m, i)] = c
-                    vectors.append(v)
-                ok = _image_contains(res.differential(q + 1), vectors)
+                image = ColumnModule(res.differential(q + 1))
+                ok = all(image.solve(col) is not None for col in syz.columns())
                 report.add(f"exactness at F_{q}", ok)
             else:
                 ok = syz.source.rank == 0

@@ -12,14 +12,7 @@ lying inside coordinate hyperplanes.
 from __future__ import annotations
 
 from .errors import EngineError
-from .groebner import (
-    buchberger_list,
-    groebner_basis,
-    module_groebner,
-    poly_to_vector,
-    top_key,
-    vector_component,
-)
+from .groebner import buchberger_list, groebner_basis
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
 
@@ -47,11 +40,8 @@ def _eliminate_and_normalize(gens_ext, ext: PolyRing, ring: PolyRing) -> Ideal:
     homogeneous components are re-normalized through a graded reduced
     basis so the output does not depend on the elimination path.
     """
-    vectors = [poly_to_vector(g) for g in gens_ext if not g.is_zero()]
-    gb = module_groebner(vectors, ext, rank=1, key=top_key(ext, 1))
     pieces = []
-    for v in gb:
-        p = vector_component(v, 0, ext)
+    for p in buchberger_list(gens_ext, ext):
         if all(m[-1] == 0 for m in p.terms):
             pieces.extend(_homogeneous_components(_drop(p, ring)))
     reduced = buchberger_list(pieces, ring)

@@ -30,23 +30,22 @@ from .errors import (
     WeightedRingError,
 )
 from .groebner import (
-    block_key,
+    dense_vector,
     graded_piece_dim,
     groebner_basis,
     is_minimal_generator,
     membership,
-    module_groebner,
-    reduce_vector,
+    multiples_span,
     same_ideal,
-    vector_lead,
 )
 from .hilbert import dimension_degree, hilbert_function
 from .koszul import koszul_tor, taylor_degree_bound, tor_comparison
-from .linalg import RowSpace, rank
+from .linalg import rank
 from .modules import GradedFreeModule, GradedMatrix
 from .poly import Ideal, Polynomial
 from .resolution import (
     BettiTable,
+    ColumnModule,
     FreeResolution,
     betti,
     minimal_generators,
@@ -104,48 +103,6 @@ class ChainMap:
                 raise InternalCheckError(f"chain map fails to commute at q={q}")
 
 
-def _extended_column_basis(M: GradedMatrix):
-    """Groebner data for membership-with-quotients in the column module."""
-    ring = M.ring
-    r = M.target.rank
-    s = M.source.rank
-    extended = []
-    for j in range(s):
-        v = {}
-        for i, p in enumerate(M.column(j)):
-            for m, c in p.terms.items():
-                v[(m, i)] = c
-        v[(ring.one_mono, r + j)] = ring.field.one
-        extended.append(v)
-    key = block_key(ring, r)
-    gb = module_groebner(extended, ring, rank=r + s, key=key)
-    leads = [(vector_lead(v, key), v[vector_lead(v, key)]) for v in gb]
-    return gb, leads, key
-
-
-def _solve_in_image(M: GradedMatrix, target_vec, ext):
-    """x with M x = target_vec, or None; target_vec is a list of polys."""
-    ring = M.ring
-    gb, leads, key = ext
-    r = M.target.rank
-    s = M.source.rank
-    u = {}
-    for i, p in enumerate(target_vec):
-        for m, c in p.terms.items():
-            u[(m, i)] = c
-    if not u:
-        return [Polynomial.zero(ring)] * s
-    rem = reduce_vector(u, gb, leads, key, ring)
-    if any(p < r for (_, p) in rem):
-        return None
-    neg = ring.field.neg
-    cols = []
-    for j in range(s):
-        terms = {m: neg(c) for (m, p), c in rem.items() if p == r + j}
-        cols.append(Polynomial(ring, terms))
-    return cols
-
-
 def lift_chain_map(res_W: FreeResolution, res_V: FreeResolution) -> ChainMap:
     """Inductive degree-0 lift of S/I_W ->> S/I_V over minimal resolutions."""
     if res_W.ring != res_V.ring:
@@ -167,10 +124,10 @@ def lift_chain_map(res_W: FreeResolution, res_V: FreeResolution) -> ChainMap:
             maps.append(GradedMatrix(ring, f_q, g_q, []))
             continue
         d_g = res_V.differential(q)
-        ext = _extended_column_basis(d_g)
+        image = ColumnModule(d_g)
         columns = []
         for j in range(f_q.rank):
-            col = _solve_in_image(d_g, u.column(j), ext)
+            col = image.solve(u.column(j))
             if col is None:
                 raise InternalCheckError(
                     f"lift infeasible at q={q}, column {j} (should never happen)"
@@ -207,10 +164,6 @@ class TorMap:
             ]
             blocks[m] = (rows, len(src_idx), len(tgt_idx))
         return cls(q, blocks)
-
-    def injective_at(self, m: int, field) -> bool:
-        rows, src_dim, _ = self.blocks[m]
-        return rank(rows, field) == src_dim
 
 
 class ShellReport:
@@ -518,27 +471,10 @@ def part_of_minimal_generators(I_W: Ideal, I_V: Ideal) -> bool:
     by_degree: dict = {}
     for g in w_gens:
         by_degree.setdefault(g.homogeneous_degree(), []).append(g)
-    field = ring.field
-    zero = field.zero
     for d, gens in sorted(by_degree.items()):
-        monos = ring.monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(monos)}
-        span = RowSpace(len(monos), field)
-        for g in gb_v.elements:
-            dg = g.homogeneous_degree()
-            if dg is None or dg >= d:
-                continue
-            for mono in ring.monomials_of_degree(d - dg):
-                prod = g.mul_term(mono, field.one)
-                vec = [zero] * len(monos)
-                for mm, c in prod.terms.items():
-                    vec[index[mm]] = c
-                span.add(vec)
+        span, index = multiples_span(gb_v.elements, d, ring)
         for g in gens:
-            vec = [zero] * len(monos)
-            for mm, c in g.terms.items():
-                vec[index[mm]] = c
-            if not span.add(vec):
+            if not span.add(dense_vector(g, index)):
                 return False
     return True
 

@@ -1,0 +1,57 @@
+"""Property tests on small random homogeneous ideals and modules over GF(p)."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pgshell import Field, Ideal, Polynomial, betti, koszul_tor, minimal_resolution, standard_ring
+from pgshell.groebner import module_groebner
+
+RING = standard_ring(3, Field(32003))
+PROFILE = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+
+
+@st.composite
+def forms(draw, degree):
+    """A nonzero form of the given degree with a few small coefficients."""
+    monos = RING.monomials_of_degree(degree)
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    coeffs = draw(st.lists(st.integers(1, 5), min_size=len(chosen), max_size=len(chosen)))
+    return Polynomial(RING, {m: RING.field.of(c) for m, c in zip(chosen, coeffs)})
+
+
+ideals = st.lists(st.integers(1, 3).flatmap(forms), min_size=1, max_size=4).map(
+    lambda gens: Ideal(RING, gens)
+)
+
+
+@PROFILE
+@given(ideals)
+def test_betti_table_matches_koszul_oracle(ideal):
+    table = betti(minimal_resolution(ideal))
+    for q in range(table.max_q() + 1):
+        support = table.row_support(q)
+        for m in support + [support[-1] + 1]:
+            assert koszul_tor(ideal, q, m).dimension == table.get(q, m), (q, m)
+
+
+TWISTS = (0, 1)
+
+
+@st.composite
+def twisted_vectors(draw):
+    """Homogeneous vectors of S(0) + S(-1) in degrees 1..3."""
+    degree = draw(st.integers(1, 3))
+    top = draw(forms(degree))
+    vec = {(m, 0): c for m, c in top.terms.items()}
+    if draw(st.booleans()):
+        bottom = draw(forms(degree - 1))
+        vec.update({(m, 1): c for m, c in bottom.terms.items()})
+    return vec
+
+
+@PROFILE
+@given(st.lists(twisted_vectors(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_module_groebner_independent_of_input_order(vectors, rnd):
+    shuffled = list(vectors)
+    rnd.shuffle(shuffled)
+    assert module_groebner(shuffled, RING, TWISTS) == module_groebner(vectors, RING, TWISTS)

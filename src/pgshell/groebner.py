@@ -400,20 +400,13 @@ def graded_piece_dim(gb: GroebnerBasis, m: int) -> int:
     return gb.ring.dim_degree(m) - len(standard_monomials(gb, m))
 
 
-def dense_vector(p: Polynomial, index: dict) -> list:
-    """Coefficients of p on the monomials of `index` (mono -> column)."""
-    vec = [p.ring.field.zero] * len(index)
-    for mono, c in p.terms.items():
-        vec[index[mono]] = c
-    return vec
-
-
 def multiples_span(polys, d: int, ring: PolyRing):
     """(RowSpace, mono -> column) of the degree-d multiples of `polys`.
 
     Only positive-degree multiples count: a polynomial of degree >= d
     (or inhomogeneous) contributes nothing, so for generators of an
-    ideal I the span is (S_+ I)_d.
+    ideal I the span is (S_+ I)_d.  Callers test a degree-d polynomial p
+    by its sparse coordinates {index[mono]: c for mono, c in p.terms.items()}.
     """
     index = {mono: i for i, mono in enumerate(ring.monomials_of_degree(d))}
     span = RowSpace(len(index), ring.field)
@@ -423,7 +416,7 @@ def multiples_span(polys, d: int, ring: PolyRing):
         if dg is None or dg >= d:
             continue
         for mono in ring.monomials_of_degree(d - dg):
-            span.add(dense_vector(g.mul_term(mono, one), index))
+            span.add({index[t]: c for t, c in g.mul_term(mono, one).terms.items()})
     return span, index
 
 
@@ -442,4 +435,4 @@ def is_minimal_generator(F: Polynomial, I: Ideal) -> bool:
     if not membership(F, gb):
         raise ValueError("polynomial does not lie in the ideal")
     span, index = multiples_span(gb.elements, m, I.ring)
-    return not span.contains(dense_vector(F, index))
+    return not span.contains({index[t]: c for t, c in F.terms.items()})

@@ -10,6 +10,15 @@ monomial bases of the graded pieces.  Wedge factors are indexed by
 subsets of the variables in lexicographic order; on weighted rings each
 subset contributes its total weight to the internal degree.
 
+Each differential d_q is eliminated once per context and (q, m) on the
+sparse kernel `linalg.RowSpace`, its columns tagged with their indices:
+the span is the boundaries B_{q-1}(m), the tags of the dependent
+columns are a basis of the cycles Z_q(m), and
+dim Tor_q = dim C_q - dim B_{q-1} - dim B_q, so neighbouring q share
+their ranks.  Representative cycles are the cycle basis vectors that
+are independent modulo B_q, and the span they build (tagged with their
+positions) reads the homology coordinates of any cycle in one reduction.
+
 The same chain spaces realize the comparison maps mu_q between two
 quotients S/I_W -> S/I_V, giving the resolution-free route to the
 shell predicate.
@@ -21,7 +30,7 @@ from itertools import combinations
 
 from .errors import InternalCheckError
 from .groebner import groebner_basis, normal_form, standard_monomials
-from .linalg import RowSpace, nullspace, rank, solve
+from .linalg import RowSpace, nullspace
 from .poly import Ideal, Polynomial
 
 
@@ -36,7 +45,7 @@ class KoszulContext:
         self._std: dict = {}
         self._mul: dict = {}
         self._chain: dict = {}
-        self._diff: dict = {}
+        self._elim: dict = {}
 
     # -- graded pieces of S/I ----------------------------------------------
 
@@ -55,18 +64,13 @@ class KoszulContext:
             return 0
         return len(self.std_basis(m)[0])
 
-    def coords(self, p: Polynomial, m: int):
-        """Coordinates of the class of p in the standard basis of (S/I)_m."""
-        monos, index = self.std_basis(m)
-        zero = self.ring.field.zero
-        vec = [zero] * len(monos)
-        nf = normal_form(p, self.gb)
-        for mono, c in nf.terms.items():
-            vec[index[mono]] = c
-        return vec
+    def coords(self, p: Polynomial, m: int) -> dict:
+        """Sparse coordinates of the class of p in the standard basis of (S/I)_m."""
+        _, index = self.std_basis(m)
+        return {index[mono]: c for mono, c in normal_form(p, self.gb).terms.items()}
 
     def mul_var(self, i: int, m: int):
-        """Columns of multiplication by z_i: (S/I)_m -> (S/I)_{m + w_i}."""
+        """Sparse columns of multiplication by z_i: (S/I)_m -> (S/I)_{m + w_i}."""
         key = (i, m)
         cached = self._mul.get(key)
         if cached is not None:
@@ -74,19 +78,16 @@ class KoszulContext:
         ring = self.ring
         monos, _ = self.std_basis(m)
         target = m + ring.weights[i]
-        t_monos, t_index = self.std_basis(target)
-        zero = ring.field.zero
+        _, t_index = self.std_basis(target)
         one = ring.field.one
         vi = ring.variable_mono(i)
         cols = []
         for mono in monos:
             prod = ring.mono_mul(mono, vi)
             if prod in t_index:
-                vec = [zero] * len(t_monos)
-                vec[t_index[prod]] = one
+                cols.append({t_index[prod]: one})
             else:
-                vec = self.coords(Polynomial.from_term(ring, prod, one), target)
-            cols.append(vec)
+                cols.append(self.coords(Polynomial.from_term(ring, prod, one), target))
         self._mul[key] = cols
         return cols
 
@@ -127,35 +128,52 @@ class KoszulContext:
         return len(self.chain_basis(q, m)[0])
 
     def differential(self, q: int, m: int):
-        """Rows of d_q : C_q(m) -> C_{q-1}(m) over the chain bases."""
-        key = (q, m)
-        cached = self._diff.get(key)
-        if cached is not None:
-            return cached
+        """Columns of d_q : C_q(m) -> C_{q-1}(m), as sparse {row: value} dicts."""
         ring = self.ring
-        field = ring.field
-        zero = field.zero
+        neg = ring.field.neg
         labels, _ = self.chain_basis(q, m)
-        t_labels, t_layout = self.chain_basis(q - 1, m)
-        rows = [[zero] * len(labels) for _ in range(len(t_labels))]
-        for col, (T, mono) in enumerate(labels):
+        _, t_layout = self.chain_basis(q - 1, m)
+        cols = []
+        for T, mono in labels:
             src_piece = m - sum(ring.weights[t] for t in T)
+            src = self.std_basis(src_piece)[1][mono]
+            col = {}
+            # dropping different factors of T lands in different blocks
             for k, t in enumerate(T):
-                rest = T[:k] + T[k + 1 :]
-                off, _ = t_layout[rest]
-                mult = self.mul_var(t, src_piece)
-                _, src_index = self.std_basis(src_piece)
-                vec = mult[src_index[mono]]
-                if k % 2 == 0:
-                    for r, c in enumerate(vec):
-                        if c != zero:
-                            rows[off + r][col] = field.add(rows[off + r][col], c)
-                else:
-                    for r, c in enumerate(vec):
-                        if c != zero:
-                            rows[off + r][col] = field.sub(rows[off + r][col], c)
-        self._diff[key] = rows
-        return rows
+                off, _ = t_layout[T[:k] + T[k + 1 :]]
+                for r, c in self.mul_var(t, src_piece)[src].items():
+                    col[off + r] = c if k % 2 == 0 else neg(c)
+            cols.append(col)
+        return cols
+
+    def _eliminated(self, q: int, m: int):
+        """(image, kernel) of d_q in degree m, from one elimination.
+
+        The image B_{q-1}(m) is a RowSpace over C_{q-1}(m).  The kernel
+        Z_q(m) is the canonical basis of `linalg.nullspace`: each column
+        of d_q is added tagged with its index, and each one that depends
+        on the earlier columns leaves a kernel vector, 1 at its index.
+        """
+        key = (q, m)
+        cached = self._elim.get(key)
+        if cached is None:
+            n = self.chain_dim(q - 1, m)
+            span = RowSpace(n, self.ring.field)
+            one = self.ring.field.one
+            for j, col in enumerate(self.differential(q, m)):
+                col[n + j] = one
+                span.add(col)
+            kernel = [{c - n: x for c, x in rel.items()} for rel in span.relations]
+            cached = self._elim[key] = (span.untagged(), kernel)
+        return cached
+
+    def boundaries(self, q: int, m: int) -> RowSpace:
+        """B_q(m), the image of d_{q+1} in C_q(m); shared, do not add to it."""
+        return self._eliminated(q + 1, m)[0]
+
+    def cycles(self, q: int, m: int) -> list:
+        """A basis of Z_q(m) = ker d_q as sparse vectors over C_q(m)."""
+        return self._eliminated(q, m)[1]
 
 
 _CTX_CACHE: dict = {}
@@ -176,7 +194,7 @@ def clear_koszul_cache():
 class TorPiece:
     """Tor_q(S/I, k)_m: dimension plus an explicit cycle basis on demand."""
 
-    __slots__ = ("ctx", "q", "m", "dimension", "_reps")
+    __slots__ = ("ctx", "q", "m", "dimension", "_reps", "_reducer")
 
     def __init__(self, ctx: KoszulContext, q: int, m: int, dimension: int):
         self.ctx = ctx
@@ -184,32 +202,44 @@ class TorPiece:
         self.m = m
         self.dimension = dimension
         self._reps = None
+        self._reducer = None
 
     @property
     def cycle_basis(self):
-        """Representative cycles, coordinates in the chain basis."""
+        """Representative cycles, dense coordinates in the chain basis.
+
+        The kernel vectors of d_q that are independent modulo the
+        boundaries, in order.  Each is added to a copy of B_q(m) tagged
+        with its position, and that span is kept to read homology
+        coordinates from (`class_coordinates`).
+        """
         if self._reps is None:
             ctx, q, m = self.ctx, self.q, self.m
             field = ctx.ring.field
-            d_q = ctx.differential(q, m)
             ncols = ctx.chain_dim(q, m)
-            cycles = nullspace(d_q, ncols, field)
-            boundaries = ctx.differential(q + 1, m)
-            span = RowSpace(ncols, field)
-            ncols_up = ctx.chain_dim(q + 1, m)
-            for j in range(ncols_up):
-                span.add([boundaries[i][j] for i in range(ncols)])
+            span = ctx.boundaries(q, m).untagged()
             reps = []
-            for z in cycles:
-                if not span.contains(z):
-                    reps.append(z)
-                    span.add(z)
+            for z in ctx.cycles(q, m):
+                if span.add({**z, ncols + len(reps): field.one}):
+                    reps.append([z.get(i, field.zero) for i in range(ncols)])
             if len(reps) != self.dimension:
                 raise InternalCheckError(
                     f"cycle extraction found {len(reps)} classes, expected {self.dimension}"
                 )
             self._reps = reps
+            self._reducer = span
         return self._reps
+
+    def class_coordinates(self, vec):
+        """Coordinates of the class of a cycle on `cycle_basis`, or None
+        when vec (a sparse or dense chain vector) is not a cycle."""
+        h = len(self.cycle_basis)
+        ncols = self._reducer.ncols
+        rest = self._reducer.reduce(vec)
+        if any(c < ncols for c in rest):
+            return None
+        field = self.ctx.ring.field
+        return [field.neg(rest[ncols + k]) if ncols + k in rest else field.zero for k in range(h)]
 
     def labels(self):
         return self.ctx.chain_basis(self.q, self.m)[0]
@@ -229,11 +259,8 @@ def koszul_tor(I: Ideal, q: int, m: int) -> TorPiece:
     if q < 0 or q > n or m < 0:
         piece = TorPiece(ctx, q, m, 0)
     else:
-        field = ctx.ring.field
-        dim_q = ctx.chain_dim(q, m)
-        rank_down = rank(ctx.differential(q, m), field) if q >= 1 else 0
-        rank_up = rank(ctx.differential(q + 1, m), field)
-        piece = TorPiece(ctx, q, m, dim_q - rank_down - rank_up)
+        dim_z = ctx.chain_dim(q, m) - ctx.boundaries(q - 1, m).dim
+        piece = TorPiece(ctx, q, m, dim_z - ctx.boundaries(q, m).dim)
     _TOR_CACHE[key] = piece
     return piece
 
@@ -279,24 +306,22 @@ class TorComparison:
         self.witness = witness
 
 
-def _chain_map_image(ctx_w: KoszulContext, ctx_v: KoszulContext, q, m, vec):
-    """Image in C_q^V(m) of a chain vector given in C_q^W(m) coordinates."""
+def _chain_map_image(ctx_w: KoszulContext, ctx_v: KoszulContext, q, m, vec) -> dict:
+    """Image in C_q^V(m), as a sparse vector, of a dense chain vector of C_q^W(m)."""
     ring = ctx_w.ring
     field = ring.field
     zero = field.zero
     labels_w, _ = ctx_w.chain_basis(q, m)
-    labels_v, layout_v = ctx_v.chain_basis(q, m)
-    out = [zero] * len(labels_v)
+    _, layout_v = ctx_v.chain_basis(q, m)
+    out = {}
     for idx, c in enumerate(vec):
-        if c == zero:
+        if not c:
             continue
         T, mono = labels_w[idx]
         piece = m - sum(ring.weights[t] for t in T)
-        coords = ctx_v.coords(Polynomial.from_term(ring, mono, field.one), piece)
         off, _ = layout_v[T]
-        for r, x in enumerate(coords):
-            if x != zero:
-                out[off + r] = field.add(out[off + r], field.mul(c, x))
+        for r, x in ctx_v.coords(Polynomial.from_term(ring, mono, field.one), piece).items():
+            out[off + r] = field.add(out.get(off + r, zero), field.mul(c, x))
     return out
 
 
@@ -304,9 +329,10 @@ def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
     """mu_q in degree m for the surjection S/I_W ->> S/I_V (I_W <= I_V).
 
     The matrix is written in the homology representative bases of both
-    sides.  When not injective, a witness kernel class of the source
-    Tor is extracted and re-verified: nonzero as a W-class, mapped into
-    the boundaries on the V side.
+    sides; its columns are read off one reduction per source cycle
+    against the target's cycle span.  When not injective, a witness
+    kernel class of the source Tor is extracted and re-verified: nonzero
+    as a W-class, mapped into the boundaries on the V side.
     """
     ctx_w = koszul_context(I_W)
     ctx_v = koszul_context(I_V)
@@ -319,53 +345,29 @@ def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
     if h_w == 0:
         return TorComparison(q, m, 0, h_v, [], True, None)
 
-    chain_dim_v = ctx_v.chain_dim(q, m)
-    v_bound = ctx_v.differential(q + 1, m)
-    nb = ctx_v.chain_dim(q + 1, m)
-    v_reps = tgt.cycle_basis
-    # columns: target homology reps, then boundary generators
-    aug_cols = [list(r) for r in v_reps] + [
-        [v_bound[i][j] for i in range(chain_dim_v)] for j in range(nb)
-    ]
-    aug_rows = [[col[i] for col in aug_cols] for i in range(chain_dim_v)]
-
     mu_cols = []
-    images = []
     for z in src.cycle_basis:
-        img = _chain_map_image(ctx_w, ctx_v, q, m, z)
-        images.append(img)
-        x = solve(aug_rows, img, field) if aug_cols else ([] if all(c == zero for c in img) else None)
+        x = tgt.class_coordinates(_chain_map_image(ctx_w, ctx_v, q, m, z))
         if x is None:
             raise InternalCheckError(
                 f"image of a Koszul cycle is not a cycle class at (q={q}, m={m})"
             )
-        mu_cols.append(x[:h_v])
+        mu_cols.append(x)
     mu_rows = [[mu_cols[j][i] for j in range(h_w)] for i in range(h_v)]
-    injective = rank(mu_rows, field) == h_w
+    kernel = nullspace(mu_rows, h_w, field)
 
     witness = None
-    if not injective:
-        kernel = nullspace(mu_rows, h_w, field)
+    if kernel:
         c = kernel[0]
         cycle = [zero] * ctx_w.chain_dim(q, m)
-        for k, ck in enumerate(c):
-            if ck != zero:
-                for i, x in enumerate(src.cycle_basis[k]):
-                    if x != zero:
+        for ck, z in zip(c, src.cycle_basis):
+            if ck:
+                for i, x in enumerate(z):
+                    if x:
                         cycle[i] = field.add(cycle[i], field.mul(ck, x))
-        # verify: nonzero class on the W side
-        w_bound = ctx_w.differential(q + 1, m)
-        chain_dim_w = ctx_w.chain_dim(q, m)
-        span = RowSpace(chain_dim_w, field)
-        for j in range(ctx_w.chain_dim(q + 1, m)):
-            span.add([w_bound[i][j] for i in range(chain_dim_w)])
-        if span.contains(cycle):
+        if ctx_w.boundaries(q, m).contains(cycle):
             raise InternalCheckError("witness cycle is a boundary on the source side")
-        # verify: image is a boundary on the V side
-        img = _chain_map_image(ctx_w, ctx_v, q, m, cycle)
-        bound_rows = [[v_bound[i][j] for j in range(nb)] for i in range(chain_dim_v)]
-        sol = solve(bound_rows, img, field) if nb else ([] if all(x == zero for x in img) else None)
-        if sol is None:
+        if not ctx_v.boundaries(q, m).contains(_chain_map_image(ctx_w, ctx_v, q, m, cycle)):
             raise InternalCheckError("witness image is not a boundary on the target side")
         witness = {
             "q": q,
@@ -374,4 +376,4 @@ def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
             "cycle": cycle,
             "labels": src.labels(),
         }
-    return TorComparison(q, m, h_w, h_v, mu_rows, injective, witness)
+    return TorComparison(q, m, h_w, h_v, mu_rows, not kernel, witness)

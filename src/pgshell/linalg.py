@@ -1,9 +1,19 @@
-"""Exact dense linear algebra over a coefficient field.
+"""Exact sparse linear algebra over a coefficient field.
 
-Matrices are lists of row lists holding field values (Fraction or int
-mod p).  Everything is deterministic: pivots are chosen as the first
-nonzero entry in column order, so identical inputs give identical
-echelon forms, kernels and ranks.
+`RowSpace` is the one Gaussian elimination: it keeps sparse rows
+({column: value}, nonzero entries only) in reduced echelon form with
+monic pivots.  Pivots are chosen only among the columns < ncols;
+entries at columns >= ncols are tags, carried through every row
+operation but never pivoting.  Adding a vector tagged with e_j records
+where it came from, so a vector that reduces to zero in the first
+ncols columns leaves a linear relation among the tagged inputs: that
+is how kernels, solves and coordinates come out of one elimination.
+
+`rref`, `rank`, `nullspace` and `determinant` take dense matrices
+(lists of row lists of Fraction or int mod p) and run on it.
+Everything is deterministic: the pivot of a new row is its first
+nonzero column, so identical inputs give identical echelon forms,
+kernels and ranks.
 """
 
 from __future__ import annotations
@@ -11,107 +21,153 @@ from __future__ import annotations
 from .fields import Field
 
 
-def copy_matrix(rows):
-    return [list(r) for r in rows]
+class RowSpace:
+    """Incrementally maintained row space in sparse reduced echelon form.
+
+    Rows are stored by pivot column, each monic at its pivot and zero at
+    every other pivot, so reducing a vector is one pass over the pivots
+    it touches.  Vectors may be given as dense lists or as sparse dicts.
+    """
+
+    __slots__ = ("field", "ncols", "rows", "relations")
+
+    def __init__(self, ncols: int, field: Field):
+        self.field = field
+        self.ncols = ncols
+        self.rows = {}        # pivot column -> sparse row
+        self.relations = []   # remainders of tagged vectors that add() rejected
+
+    def reduce(self, vec) -> dict:
+        """vec minus the multiples of the rows that clear it at every pivot."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {c: x for c, x in items if x}
+        rows = self.rows
+        for p in [c for c in v if c in rows]:
+            _subtract(v, v[p], rows[p], self.field)
+        return v
+
+    def contains(self, vec) -> bool:
+        ncols = self.ncols
+        return not any(c < ncols for c in self.reduce(vec))
+
+    def add(self, vec) -> bool:
+        """Insert vec; returns True if it enlarged the space.
+
+        When it did not, a nonzero remainder (its tags, a relation among
+        the tagged vectors added so far) is appended to `relations`.
+        """
+        v = self.reduce(vec)
+        ncols = self.ncols
+        pivot = min((c for c in v if c < ncols), default=None)
+        if pivot is None:
+            if v:
+                self.relations.append(v)
+            return False
+        field = self.field
+        if v[pivot] != field.one:
+            inv = field.inv(v[pivot])
+            v = {c: field.mul(inv, x) for c, x in v.items()}
+        for row in self.rows.values():
+            if pivot in row:
+                _subtract(row, row[pivot], v, field)
+        self.rows[pivot] = v
+        return True
+
+    def untagged(self) -> RowSpace:
+        """A new RowSpace with the same span and the tag entries dropped."""
+        out = RowSpace(self.ncols, self.field)
+        ncols = self.ncols
+        out.rows = {p: {c: x for c, x in row.items() if c < ncols} for p, row in self.rows.items()}
+        return out
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def _subtract(v: dict, f, row: dict, field: Field):
+    """v -= f * row in place, dropping the entries that cancel."""
+    zero = field.zero
+    sub, mul = field.sub, field.mul
+    for j, x in row.items():
+        y = sub(v.get(j, zero), mul(f, x))
+        if y:
+            v[j] = y
+        else:
+            del v[j]
+
+
+def _dense(vec: dict, ncols: int, field: Field) -> list:
+    out = [field.zero] * ncols
+    for c, x in vec.items():
+        out[c] = x
+    return out
+
+
+def _row_span(rows, field: Field) -> RowSpace:
+    span = RowSpace(len(rows[0]) if rows else 0, field)
+    for row in rows:
+        span.add(row)
+    return span
 
 
 def rref(rows, field: Field):
     """Reduced row echelon form.
 
-    Returns (echelon_rows, pivot_columns).  The input is not modified.
+    Returns (echelon_rows, pivot_columns); the echelon rows are padded
+    with zero rows to the input's row count.  The input is not modified.
     """
-    m = copy_matrix(rows)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    zero = field.zero
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = field.inv(m[r][c])
-        if inv != field.one:
-            m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != zero:
-                f = m[i][c]
-                row_i, row_r = m[i], m[r]
-                for j in range(c, ncols):
-                    if row_r[j] != zero:
-                        row_i[j] = field.sub(row_i[j], field.mul(f, row_r[j]))
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    span = _row_span(rows, field)
+    pivots = sorted(span.rows)
+    ncols = span.ncols
+    echelon = [_dense(span.rows[p], ncols, field) for p in pivots]
+    echelon += [[field.zero] * ncols for _ in range(len(rows) - len(pivots))]
+    return echelon, pivots
 
 
 def rank(rows, field: Field) -> int:
-    return len(rref(rows, field)[1])
+    return _row_span(rows, field).dim
 
 
 def nullspace(rows, ncols: int, field: Field):
     """Basis of the right kernel of the matrix, as a list of vectors.
 
     The canonical rref-based basis: one vector per free column, with 1
-    in the free position.  Deterministic.
+    in the free position and zeros at the other free columns.  The
+    columns are added in order, column j tagged with e_j; each one that
+    depends on the earlier ones leaves exactly that vector in its tags.
     """
-    if not rows:
-        one, zero = field.one, field.zero
-        return [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
-    m, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    zero, one = field.zero, field.one
-    basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            if m[r][fc] != zero:
-                v[pc] = field.neg(m[r][fc])
-        basis.append(v)
-    return basis
+    nrows = len(rows)
+    span = RowSpace(nrows, field)
+    one = field.one
+    for j in range(ncols):
+        col = {i: row[j] for i, row in enumerate(rows)}
+        col[nrows + j] = one
+        span.add(col)
+    return [
+        _dense({c - nrows: x for c, x in rel.items()}, ncols, field) for rel in span.relations
+    ]
 
 
 def determinant(rows, field: Field):
-    """Exact determinant by fraction-friendly Gaussian elimination."""
+    """Exact determinant: the product of the pivots met while adding the
+    rows, times the sign of the permutation of pivot columns."""
     n = len(rows)
-    if n == 0:
-        return field.one
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    m = copy_matrix(rows)
-    zero = field.zero
+    span = RowSpace(n, field)
     det = field.one
-    sign_flip = False
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return zero
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign_flip = not sign_flip
-        det = field.mul(det, m[c][c])
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c] != zero:
-                f = field.mul(m[i][c], inv)
-                for j in range(c, n):
-                    if m[c][j] != zero:
-                        m[i][j] = field.sub(m[i][j], field.mul(f, m[c][j]))
-    return field.neg(det) if sign_flip else det
+    order = []
+    for row in rows:
+        v = span.reduce(row)
+        if not v:
+            return field.zero
+        p = min(v)
+        det = field.mul(det, v[p])
+        order.append(p)
+        span.add(v)
+    inversions = sum(1 for i in range(n) for j in range(i) if order[j] > order[i])
+    return field.neg(det) if inversions % 2 else det
 
 
 def mat_mul(a, b, field: Field):
@@ -131,85 +187,3 @@ def mat_mul(a, b, field: Field):
                     if bt[j] != zero:
                         oi[j] = field.add(oi[j], field.mul(x, bt[j]))
     return out
-
-
-def solve(rows, rhs, field: Field):
-    """One solution x of A x = b, or None if inconsistent.
-
-    Free variables are set to zero, so the solution is canonical.
-    """
-    if not rows:
-        return [] if all(x == field.zero for x in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug, field)
-    zero = field.zero
-    for r, row in enumerate(m):
-        lead = next((c for c in range(ncols + 1) if row[c] != zero), None)
-        if lead == ncols:
-            return None
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc < ncols:
-            x[pc] = m[r][ncols]
-    return x
-
-
-class RowSpace:
-    """Incrementally maintained row space in echelon (not reduced) form.
-
-    Supports adding vectors and testing membership; the workhorse for
-    graded-piece linear algebra (minimal generators, Tor quotients).
-    Rows are kept sorted by pivot column with monic pivots; membership
-    is one forward-elimination sweep.  No back-substitution is
-    performed, which keeps add() linear in the current dimension.
-    """
-
-    __slots__ = ("field", "ncols", "rows", "pivot_of_row")
-
-    def __init__(self, ncols: int, field: Field):
-        self.field = field
-        self.ncols = ncols
-        self.rows = []            # echelon rows, sorted by pivot column
-        self.pivot_of_row = []
-
-    def _reduced(self, vec):
-        field = self.field
-        zero = field.zero
-        sub, mul = field.sub, field.mul
-        v = list(vec)
-        ncols = self.ncols
-        for row, pc in zip(self.rows, self.pivot_of_row):
-            c = v[pc]
-            if c != zero:
-                for j in range(pc, ncols):
-                    rj = row[j]
-                    if rj != zero:
-                        v[j] = sub(v[j], mul(c, rj))
-        return v
-
-    def contains(self, vec) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self._reduced(vec))
-
-    def add(self, vec) -> bool:
-        """Insert vec; returns True if it enlarged the space."""
-        field = self.field
-        zero = field.zero
-        v = self._reduced(vec)
-        pivot = next((j for j, x in enumerate(v) if x != zero), None)
-        if pivot is None:
-            return False
-        inv = field.inv(v[pivot])
-        if inv != field.one:
-            v = [field.mul(inv, x) for x in v]
-        pos = 0
-        while pos < len(self.pivot_of_row) and self.pivot_of_row[pos] < pivot:
-            pos += 1
-        self.rows.insert(pos, v)
-        self.pivot_of_row.insert(pos, pivot)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)

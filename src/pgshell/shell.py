@@ -30,7 +30,6 @@ from .errors import (
     WeightedRingError,
 )
 from .groebner import (
-    dense_vector,
     graded_piece_dim,
     groebner_basis,
     is_minimal_generator,
@@ -474,7 +473,7 @@ def part_of_minimal_generators(I_W: Ideal, I_V: Ideal) -> bool:
     for d, gens in sorted(by_degree.items()):
         span, index = multiples_span(gb_v.elements, d, ring)
         for g in gens:
-            if not span.add(dense_vector(g, index)):
+            if not span.add({index[t]: c for t, c in g.terms.items()}):
                 return False
     return True
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from pgshell import (
     Ideal,
@@ -14,6 +15,11 @@ from pgshell import (
     veronese_surface,
 )
 from pgshell.linalg import determinant
+
+settings.register_profile(
+    "pgshell", derandomize=True, max_examples=30, deadline=None, database=None
+)
+settings.load_profile("pgshell")
 
 
 @pytest.fixture(scope="session")
@@ -115,3 +121,92 @@ def recombine_generators(I: Ideal, rng: random.Random) -> Ideal:
                     acc = acc + gens[j].scale(ring.field.of(m[i][j]))
             new_gens.append(acc)
     return Ideal(ring, new_gens)
+
+
+# Dense Gaussian elimination as the engine had it before the sparse
+# kernel: the reference that the kernel and oracle tests compare with.
+
+
+def dense_rref(rows, field):
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    zero = field.zero
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != zero), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = field.inv(m[r][c])
+        if inv != field.one:
+            m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != zero:
+                f = m[i][c]
+                for j in range(c, ncols):
+                    if m[r][j] != zero:
+                        m[i][j] = field.sub(m[i][j], field.mul(f, m[r][j]))
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def dense_rank(rows, field):
+    return len(dense_rref(rows, field)[1])
+
+
+def dense_nullspace(rows, ncols, field):
+    zero, one = field.zero, field.one
+    if not rows:
+        return [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
+    m, pivots = dense_rref(rows, field)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            if m[r][fc] != zero:
+                v[pc] = field.neg(m[r][fc])
+        basis.append(v)
+    return basis
+
+
+def dense_determinant(rows, field):
+    n = len(rows)
+    m = [list(r) for r in rows]
+    zero = field.zero
+    det = field.one
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c] != zero), None)
+        if pivot_row is None:
+            return zero
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = field.neg(det)
+        det = field.mul(det, m[c][c])
+        inv = field.inv(m[c][c])
+        for i in range(c + 1, n):
+            if m[i][c] != zero:
+                f = field.mul(m[i][c], inv)
+                for j in range(c, n):
+                    m[i][j] = field.sub(m[i][j], field.mul(f, m[c][j]))
+    return det
+
+
+def dense_solve(rows, rhs, field):
+    """The solution of A x = b with free variables zero, or None."""
+    if not rows:
+        return [] if all(x == field.zero for x in rhs) else None
+    ncols = len(rows[0])
+    m, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)], field)
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][ncols]
+    return x

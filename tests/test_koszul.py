@@ -1,5 +1,19 @@
-from pgshell import Ideal, betti, koszul_tor, minimal_resolution, regularity_and_depth
+import pytest
+
+from pgshell import (
+    Field,
+    Ideal,
+    Polynomial,
+    betti,
+    koszul_tor,
+    minimal_resolution,
+    rational_normal_curve,
+    regularity_and_depth,
+    standard_ring,
+)
 from pgshell.koszul import koszul_context, taylor_degree_bound, tor_comparison
+
+from conftest import dense_nullspace, dense_rank, dense_solve
 
 
 def test_tor_examples(twisted_cubic):
@@ -21,10 +35,13 @@ def test_cycle_basis_sizes(twisted_cubic):
     assert len(piece.cycle_basis) == 2
     # representatives are cycles: d_q kills them
     ctx = koszul_context(twisted_cubic)
-    rows = ctx.differential(2, 3)
+    cols = ctx.differential(2, 3)
     for z in piece.cycle_basis:
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, z)) == 0
+        image = {}
+        for j, col in enumerate(cols):
+            for i, a in col.items():
+                image[i] = image.get(i, 0) + a * z[j]
+        assert not any(image.values())
 
 
 def test_oracle_matches_resolution_on_corpus(catalog_items):
@@ -68,3 +85,113 @@ def test_tor_comparison_negative_with_verified_witness(R4, zvars, twisted_cubic,
     assert comp.witness is not None
     assert comp.witness["q"] == 1 and comp.witness["m"] == 3
     assert any(c != 0 for c in comp.witness["cycle"])
+
+
+# -- the oracle against a copy of its dense path -------------------------------
+
+
+def dense_differential(ctx, q, m):
+    """Rows of d_q, filled densely from the multiplication maps."""
+    ring = ctx.ring
+    field = ring.field
+    labels, _ = ctx.chain_basis(q, m)
+    t_labels, t_layout = ctx.chain_basis(q - 1, m)
+    rows = [[field.zero] * len(labels) for _ in t_labels]
+    for col, (T, mono) in enumerate(labels):
+        piece = m - sum(ring.weights[t] for t in T)
+        _, index = ctx.std_basis(piece)
+        for k, t in enumerate(T):
+            off, _ = t_layout[T[:k] + T[k + 1 :]]
+            op = field.add if k % 2 == 0 else field.sub
+            for r, c in ctx.mul_var(t, piece)[index[mono]].items():
+                rows[off + r][col] = op(rows[off + r][col], c)
+    return rows
+
+
+def dense_boundary_columns(ctx, q, m):
+    rows = dense_differential(ctx, q + 1, m)
+    return [[row[j] for row in rows] for j in range(ctx.chain_dim(q + 1, m))]
+
+
+def dense_cycle_basis(ctx, q, m):
+    field = ctx.ring.field
+    span = dense_boundary_columns(ctx, q, m)
+    reps = []
+    for z in dense_nullspace(dense_differential(ctx, q, m), ctx.chain_dim(q, m), field):
+        if dense_rank(span + [z], field) > dense_rank(span, field):
+            reps.append(z)
+            span.append(z)
+    return reps
+
+
+def dense_image(ctx_w, ctx_v, q, m, vec):
+    ring = ctx_w.ring
+    field = ring.field
+    labels_w, _ = ctx_w.chain_basis(q, m)
+    _, layout_v = ctx_v.chain_basis(q, m)
+    out = [field.zero] * ctx_v.chain_dim(q, m)
+    for idx, c in enumerate(vec):
+        if c != field.zero:
+            T, mono = labels_w[idx]
+            piece = m - sum(ring.weights[t] for t in T)
+            off, _ = layout_v[T]
+            for r, x in ctx_v.coords(Polynomial.from_term(ring, mono, field.one), piece).items():
+                out[off + r] = field.add(out[off + r], field.mul(c, x))
+    return out
+
+
+def dense_comparison(I_V, I_W, q, m):
+    """(source reps, target reps, mu rows, witness cycle or None)."""
+    ctx_w, ctx_v = koszul_context(I_W), koszul_context(I_V)
+    field = ctx_w.ring.field
+    src = dense_cycle_basis(ctx_w, q, m)
+    tgt = dense_cycle_basis(ctx_v, q, m)
+    aug_cols = tgt + dense_boundary_columns(ctx_v, q, m)
+    aug_rows = [[col[i] for col in aug_cols] for i in range(ctx_v.chain_dim(q, m))]
+    mu_cols = [dense_solve(aug_rows, dense_image(ctx_w, ctx_v, q, m, z), field) for z in src]
+    mu_rows = [[col[i] for col in mu_cols] for i in range(len(tgt))]
+    kernel = dense_nullspace(mu_rows, len(src), field)
+    cycle = None
+    if kernel:
+        cycle = [field.zero] * ctx_w.chain_dim(q, m)
+        for ck, z in zip(kernel[0], src):
+            cycle = [field.add(a, field.mul(ck, b)) for a, b in zip(cycle, z)]
+    return src, tgt, mu_rows, cycle
+
+
+def _tc_case(kind):
+    ring = standard_ring(4)
+    z = [Polynomial.variable(ring, i) for i in range(4)]
+    quadrics = [z[0] * z[2] - z[1] * z[1], z[1] * z[3] - z[2] * z[2], z[0] * z[3] - z[1] * z[2]]
+    w = [quadrics[0]] if kind == "positive" else [z[3] * quadrics[0]]
+    return Ideal(ring, quadrics), Ideal(ring, w)
+
+
+def _rnc4_case(kind):
+    entry = rational_normal_curve(4, field=Field(32003))
+    ring, v = entry.ring, entry.ideal
+    if kind == "W2":
+        w = [g for g in v.generators if g.homogeneous_degree() == 2][:2]
+    else:
+        w = [Polynomial.variable(ring, ring.num_vars - 1) * v.generators[0]]
+    return v, Ideal(ring, w)
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("tc", "positive"), ("tc", "z3*quadric"), ("rnc4-gf", "W2"), ("rnc4-gf", "N"),
+])
+def test_oracle_matches_dense_path(name, kind):
+    I_V, I_W = (_tc_case if name == "tc" else _rnc4_case)(kind)
+    checked = 0
+    for q in range(1, I_W.ring.num_vars + 1):
+        for m in range(taylor_degree_bound(I_W, q) + 1):
+            if koszul_tor(I_W, q, m).dimension == 0:
+                continue
+            src, tgt, mu_rows, cycle = dense_comparison(I_V, I_W, q, m)
+            assert koszul_tor(I_W, q, m).cycle_basis == src, (q, m)
+            assert koszul_tor(I_V, q, m).cycle_basis == tgt, (q, m)
+            comp = tor_comparison(I_V, I_W, q, m)
+            assert comp.matrix == mu_rows, (q, m)
+            assert (comp.witness and comp.witness["cycle"]) == cycle, (q, m)
+            checked += 1
+    assert checked

@@ -1,13 +1,24 @@
-"""Property tests on small random homogeneous ideals and modules over GF(p)."""
+"""Property tests on small random homogeneous ideals and modules over GF(p).
 
-from hypothesis import given, settings
+Examples come from the derandomized "pgshell" profile of conftest.py.
+"""
+
+from hypothesis import given
 from hypothesis import strategies as st
 
-from pgshell import Field, Ideal, Polynomial, betti, koszul_tor, minimal_resolution, standard_ring
+from pgshell import (
+    Field,
+    Ideal,
+    Polynomial,
+    betti,
+    koszul_tor,
+    minimal_resolution,
+    pgshell_report,
+    standard_ring,
+)
 from pgshell.groebner import module_groebner
 
 RING = standard_ring(3, Field(32003))
-PROFILE = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
 
 @st.composite
@@ -24,7 +35,6 @@ ideals = st.lists(st.integers(1, 3).flatmap(forms), min_size=1, max_size=4).map(
 )
 
 
-@PROFILE
 @given(ideals)
 def test_betti_table_matches_koszul_oracle(ideal):
     table = betti(minimal_resolution(ideal))
@@ -32,6 +42,15 @@ def test_betti_table_matches_koszul_oracle(ideal):
         support = table.row_support(q)
         for m in support + [support[-1] + 1]:
             assert koszul_tor(ideal, q, m).dimension == table.get(q, m), (q, m)
+
+
+@given(st.lists(st.integers(1, 3).flatmap(forms), min_size=1, max_size=4).flatmap(
+    lambda gens: st.tuples(st.just(gens), st.sets(st.sampled_from(range(len(gens))), min_size=1))
+))
+def test_chain_map_and_oracle_verdicts_agree(case):
+    gens, chosen = case
+    # "both" raises InternalCheckError when the routes disagree
+    pgshell_report(Ideal(RING, gens), Ideal(RING, [gens[i] for i in sorted(chosen)]), "both")
 
 
 TWISTS = (0, 1)
@@ -49,7 +68,6 @@ def twisted_vectors(draw):
     return vec
 
 
-@PROFILE
 @given(st.lists(twisted_vectors(), min_size=1, max_size=4), st.randoms(use_true_random=False))
 def test_module_groebner_independent_of_input_order(vectors, rnd):
     shuffled = list(vectors)

@@ -237,6 +237,23 @@ def test_verify_complex_negative_control_nonminimal(R4, zvars):
     assert all("kernel" not in n for n in names_failed)
 
 
+def test_verify_complex_negative_control_not_exact(R4, zvars):
+    z = zvars
+    f0 = GradedFreeModule((0,))
+    f1 = GradedFreeModule((1, 1, 1))
+    f2 = GradedFreeModule((2,))
+    d1 = GradedMatrix(R4, f1, f0, [[z[0], z[1], z[2]]])
+    # one Koszul relation of three: a complex, not exact at F_1
+    d2 = GradedMatrix(R4, f2, f1, [[z[1]], [-z[0]], [Polynomial.zero(R4)]])
+    from pgshell.resolution import FreeResolution
+
+    fake = FreeResolution(R4, [f0, f1, f2], [d1, d2], Ideal(R4, [z[0], z[1], z[2]]), False)
+    checks = {c["name"]: c["ok"] for c in verify_complex(fake).checks}
+    assert checks["composition d_1.d_2 = 0"]
+    assert not checks["exactness at F_1"]
+    assert checks["kernel of d_2 vanishes"]
+
+
 def test_zero_and_unit_ideal_resolutions(R4):
     res0 = minimal_resolution(Ideal(R4, []))
     assert res0.length == 0 and res0.modules[0].twists == (0,)

@@ -40,6 +40,7 @@ from .groebner import (
 )
 from .hilbert import HilbertData, dimension_degree, hilbert_function
 from .koszul import koszul_tor, tor_comparison
+from .memo import clear_caches
 from .modules import GradedFreeModule, GradedMatrix
 from .parser import parse_source, render_ideal, render_ring, render_source
 from .poly import Ideal, Polynomial, linear_substitute, substitute_ideal

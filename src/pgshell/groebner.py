@@ -29,6 +29,7 @@ from heapq import heappop, heappush
 
 from .errors import NotHomogeneousError, RingMismatchError
 from .linalg import RowSpace
+from .memo import memoized
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
 
@@ -324,21 +325,10 @@ def buchberger_list(polys, ring: PolyRing):
     return [vector_component(v, 0, ring) for v in gb]
 
 
-_GB_CACHE: dict = {}
-
-
+@memoized
 def groebner_basis(I: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of a homogeneous ideal, cached by value."""
-    cached = _GB_CACHE.get(I)
-    if cached is not None:
-        return cached
-    gb = GroebnerBasis(I.ring, buchberger_list(I.generators, I.ring))
-    _GB_CACHE[I] = gb
-    return gb
-
-
-def clear_caches():
-    _GB_CACHE.clear()
+    return GroebnerBasis(I.ring, buchberger_list(I.generators, I.ring))
 
 
 def _as_gb(ideal_or_gb) -> GroebnerBasis:

@@ -31,6 +31,7 @@ from itertools import combinations
 from .errors import InternalCheckError
 from .groebner import groebner_basis, normal_form, standard_monomials
 from .linalg import RowSpace, nullspace
+from .memo import memoized
 from .poly import Ideal, Polynomial
 
 
@@ -42,22 +43,15 @@ class KoszulContext:
         self.ideal = I
         self.ring = I.ring
         self.gb = groebner_basis(I)
-        self._std: dict = {}
-        self._mul: dict = {}
-        self._chain: dict = {}
-        self._elim: dict = {}
 
     # -- graded pieces of S/I ----------------------------------------------
+    # Memoized methods keep self alive; koszul_context makes one per ideal.
 
+    @memoized
     def std_basis(self, m: int):
         """(ordered standard monomials of degree m, mono -> index)."""
-        cached = self._std.get(m)
-        if cached is not None:
-            return cached
         monos = standard_monomials(self.gb, m)
-        out = (monos, {mono: i for i, mono in enumerate(monos)})
-        self._std[m] = out
-        return out
+        return monos, {mono: i for i, mono in enumerate(monos)}
 
     def dim(self, m: int) -> int:
         if m < 0:
@@ -69,12 +63,9 @@ class KoszulContext:
         _, index = self.std_basis(m)
         return {index[mono]: c for mono, c in normal_form(p, self.gb).terms.items()}
 
+    @memoized
     def mul_var(self, i: int, m: int):
         """Sparse columns of multiplication by z_i: (S/I)_m -> (S/I)_{m + w_i}."""
-        key = (i, m)
-        cached = self._mul.get(key)
-        if cached is not None:
-            return cached
         ring = self.ring
         monos, _ = self.std_basis(m)
         target = m + ring.weights[i]
@@ -88,21 +79,17 @@ class KoszulContext:
                 cols.append({t_index[prod]: one})
             else:
                 cols.append(self.coords(Polynomial.from_term(ring, prod, one), target))
-        self._mul[key] = cols
         return cols
 
     # -- Koszul chain spaces --------------------------------------------------
 
+    @memoized
     def chain_basis(self, q: int, m: int):
         """Basis of Wedge^q (x) (S/I) in internal degree m.
 
         Returns (labels, layout) where labels are (subset, monomial)
         pairs and layout maps subset -> (offset, piece degree).
         """
-        key = (q, m)
-        cached = self._chain.get(key)
-        if cached is not None:
-            return cached
         ring = self.ring
         n = ring.num_vars
         labels = []
@@ -120,9 +107,7 @@ class KoszulContext:
                 for mono in monos:
                     labels.append((T, mono))
                 offset += len(monos)
-        out = (labels, layout)
-        self._chain[key] = out
-        return out
+        return labels, layout
 
     def chain_dim(self, q: int, m: int) -> int:
         return len(self.chain_basis(q, m)[0])
@@ -146,6 +131,7 @@ class KoszulContext:
             cols.append(col)
         return cols
 
+    @memoized
     def _eliminated(self, q: int, m: int):
         """(image, kernel) of d_q in degree m, from one elimination.
 
@@ -154,18 +140,14 @@ class KoszulContext:
         of d_q is added tagged with its index, and each one that depends
         on the earlier columns leaves a kernel vector, 1 at its index.
         """
-        key = (q, m)
-        cached = self._elim.get(key)
-        if cached is None:
-            n = self.chain_dim(q - 1, m)
-            span = RowSpace(n, self.ring.field)
-            one = self.ring.field.one
-            for j, col in enumerate(self.differential(q, m)):
-                col[n + j] = one
-                span.add(col)
-            kernel = [{c - n: x for c, x in rel.items()} for rel in span.relations]
-            cached = self._elim[key] = (span.untagged(), kernel)
-        return cached
+        n = self.chain_dim(q - 1, m)
+        span = RowSpace(n, self.ring.field)
+        one = self.ring.field.one
+        for j, col in enumerate(self.differential(q, m)):
+            col[n + j] = one
+            span.add(col)
+        kernel = [{c - n: x for c, x in rel.items()} for rel in span.relations]
+        return span.untagged(), kernel
 
     def boundaries(self, q: int, m: int) -> RowSpace:
         """B_q(m), the image of d_{q+1} in C_q(m); shared, do not add to it."""
@@ -176,19 +158,9 @@ class KoszulContext:
         return self._eliminated(q, m)[1]
 
 
-_CTX_CACHE: dict = {}
-
-
+@memoized
 def koszul_context(I: Ideal) -> KoszulContext:
-    ctx = _CTX_CACHE.get(I)
-    if ctx is None:
-        ctx = KoszulContext(I)
-        _CTX_CACHE[I] = ctx
-    return ctx
-
-
-def clear_koszul_cache():
-    _CTX_CACHE.clear()
+    return KoszulContext(I)
 
 
 class TorPiece:
@@ -245,24 +217,15 @@ class TorPiece:
         return self.ctx.chain_basis(self.q, self.m)[0]
 
 
-_TOR_CACHE: dict = {}
-
-
+@memoized
 def koszul_tor(I: Ideal, q: int, m: int) -> TorPiece:
     """Tor_q(S/I, k)_m via Koszul homology (resolution-free)."""
-    key = (I, q, m)
-    cached = _TOR_CACHE.get(key)
-    if cached is not None:
-        return cached
     ctx = koszul_context(I)
     n = ctx.ring.num_vars
     if q < 0 or q > n or m < 0:
-        piece = TorPiece(ctx, q, m, 0)
-    else:
-        dim_z = ctx.chain_dim(q, m) - ctx.boundaries(q - 1, m).dim
-        piece = TorPiece(ctx, q, m, dim_z - ctx.boundaries(q, m).dim)
-    _TOR_CACHE[key] = piece
-    return piece
+        return TorPiece(ctx, q, m, 0)
+    dim_z = ctx.chain_dim(q, m) - ctx.boundaries(q - 1, m).dim
+    return TorPiece(ctx, q, m, dim_z - ctx.boundaries(q, m).dim)
 
 
 def taylor_degree_bound(I: Ideal, q: int) -> int:

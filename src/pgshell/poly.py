@@ -86,9 +86,6 @@ class Polynomial:
                 return None
         return deg
 
-    def is_homogeneous(self) -> bool:
-        return self.is_zero() or self.homogeneous_degree() is not None
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_ring(self, other: "Polynomial"):
@@ -270,9 +267,6 @@ class Ideal:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({gens})"
-
-    def generator_degrees(self) -> tuple:
-        return tuple(g.homogeneous_degree() for g in self.generators)
 
     def is_zero(self) -> bool:
         return not self.generators

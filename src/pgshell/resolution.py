@@ -26,6 +26,7 @@ from .groebner import (
     vector_component,
     vector_degree,
 )
+from .memo import memoized
 from .modules import GradedFreeModule, GradedMatrix
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
@@ -247,9 +248,7 @@ def betti(res: FreeResolution) -> BettiTable:
     return BettiTable(entries)
 
 
-_RES_CACHE: dict = {}
-
-
+@memoized
 def minimal_resolution(I: Ideal) -> FreeResolution:
     """Graded minimal free resolution of S/I.
 
@@ -257,21 +256,14 @@ def minimal_resolution(I: Ideal) -> FreeResolution:
     every differential has entries in S_+; a final scan re-checks that
     and the Hilbert length bound.
     """
-    cached = _RES_CACHE.get(I)
-    if cached is not None:
-        return cached
     I.require_homogeneous()
     ring = I.ring
     n = ring.num_vars
     if I.contains_unit():
-        res = FreeResolution(ring, [GradedFreeModule(())], [], I, True)
-        _RES_CACHE[I] = res
-        return res
+        return FreeResolution(ring, [GradedFreeModule(())], [], I, True)
     f0 = GradedFreeModule((0,))
     if not I.generators:
-        res = FreeResolution(ring, [f0], [], I, True)
-        _RES_CACHE[I] = res
-        return res
+        return FreeResolution(ring, [f0], [], I, True)
     gens = minimal_generators(I)
     degs = [g.homogeneous_degree() for g in gens]
     order = sorted(range(len(gens)), key=lambda i: (degs[i], ring.sort_key(gens[i].lead_monomial())))
@@ -296,13 +288,7 @@ def minimal_resolution(I: Ideal) -> FreeResolution:
     for q, d in enumerate(diffs, start=1):
         if d.has_unit_entry():
             raise InternalCheckError(f"unit entry in differential d_{q}")
-    res = FreeResolution(ring, modules, diffs, I, True)
-    _RES_CACHE[I] = res
-    return res
-
-
-def clear_resolution_cache():
-    _RES_CACHE.clear()
+    return FreeResolution(ring, modules, diffs, I, True)
 
 
 def regularity_and_depth(B: BettiTable, ring: PolyRing) -> tuple:

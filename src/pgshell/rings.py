@@ -15,7 +15,6 @@ Orders:
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 from .errors import EngineError
@@ -197,10 +196,3 @@ def standard_ring(num_vars: int, field: Field | None = None, prefix: str = "z") 
     if field is None:
         field = Field(0)
     return PolyRing(field, tuple(f"{prefix}{i}" for i in range(num_vars)))
-
-
-def all_monomials_up_to(ring: PolyRing, m: int):
-    """(degree, monomial) pairs for every degree <= m, by degree then order."""
-    return itertools.chain.from_iterable(
-        ((d, mono) for mono in ring.monomials_of_degree(d)) for d in range(m + 1)
-    )

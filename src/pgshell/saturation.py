@@ -4,9 +4,10 @@
 basis of I + (t*f - 1) under an order eliminating t, keep the t-free
 elements.  I cap J uses t*I + (1-t)*J with the same elimination.  The
 saturation at the irrelevant ideal is the intersection over all
-variables, cap_i (I : z_i^inf), iterated to a fixpoint -- composing the
-single-variable saturations instead would wrongly delete components
-lying inside coordinate hyperplanes.
+variables, cap_i (I : z_i^inf), taken once: that intersection already
+equals (I : S_+^inf).  Composing the single-variable saturations
+instead would wrongly delete components lying inside coordinate
+hyperplanes.
 """
 
 from __future__ import annotations
@@ -80,24 +81,18 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
 def saturate_irrelevant(I: Ideal):
     """(saturation of I at (z_0..z_N), changed_flag).
 
-    Computes cap_i (J : z_i^inf) and repeats until a full sweep is a
-    fixpoint; the fixpoint is saturated with respect to every variable
-    and hence with respect to S_+.
+    A form f lies in (I : S_+^inf) iff some power of every variable
+    multiplies it into I, i.e. iff f lies in every (I : z_i^inf); so one
+    sweep cap_i (I : z_i^inf) is the saturation.
     """
     ring = I.ring
-    current = I
-    current_gb = groebner_basis(current).elements
-    while True:
-        parts = [
-            ideal_quotient_saturation(current, Polynomial.variable(ring, i))
-            for i in range(ring.num_vars)
-        ]
-        nxt = parts[0]
-        for p in parts[1:]:
-            nxt = ideal_intersection(nxt, p)
-        nxt_gb = groebner_basis(nxt).elements
-        if nxt_gb == current_gb:
-            break
-        current, current_gb = nxt, nxt_gb
-    changed = current_gb != groebner_basis(I).elements
-    return current, changed
+    parts = [
+        ideal_quotient_saturation(I, Polynomial.variable(ring, i))
+        for i in range(ring.num_vars)
+    ]
+    sat = parts[0]
+    for p in parts[1:]:
+        sat = ideal_intersection(sat, p)
+    if groebner_basis(sat).elements == groebner_basis(I).elements:
+        return I, False
+    return sat, True

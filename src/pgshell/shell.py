@@ -40,6 +40,7 @@ from .groebner import (
 from .hilbert import dimension_degree, hilbert_function
 from .koszul import koszul_tor, taylor_degree_bound, tor_comparison
 from .linalg import rank
+from .memo import memoized
 from .modules import GradedFreeModule, GradedMatrix
 from .poly import Ideal, Polynomial
 from .resolution import (
@@ -362,9 +363,7 @@ class InvariantRecord:
         return f"InvariantRecord({self.to_json()})"
 
 
-_INV_CACHE: dict = {}
-
-
+@memoized
 def invariants(I: Ideal) -> InvariantRecord:
     """Dimension, degree, depth, regularity and the derived flags.
 
@@ -372,9 +371,6 @@ def invariants(I: Ideal) -> InvariantRecord:
     for nondegenerate arithmetically normal embeddings; when V is
     degenerate the record flags delta as a lower bound only.
     """
-    cached = _INV_CACHE.get(I)
-    if cached is not None:
-        return cached
     ring = I.ring
     if not ring.standard_graded:
         raise WeightedRingError("invariants need a standard-graded ring")
@@ -392,7 +388,7 @@ def invariants(I: Ideal) -> InvariantRecord:
     is_acm = depth == dim + 1
     nondeg = graded_piece_dim(groebner_basis(I), 1) == 0
     delta = dim + degree - ring.num_vars
-    rec = InvariantRecord(
+    return InvariantRecord(
         dim=dim,
         codim=codim,
         degree=degree,
@@ -408,8 +404,6 @@ def invariants(I: Ideal) -> InvariantRecord:
         nondegenerate=nondeg,
         delta_lower_bound_only=not nondeg,
     )
-    _INV_CACHE[I] = rec
-    return rec
 
 
 def ci_chain_report(I: Ideal) -> dict:

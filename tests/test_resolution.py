@@ -7,6 +7,7 @@ from pgshell import (
     Polynomial,
     QQ,
     betti,
+    clear_caches,
     koszul_tor,
     minimal_resolution,
     regularity_and_depth,
@@ -170,9 +171,7 @@ def test_resolution_length_bound(catalog_items):
 
 def test_resolution_deterministic(R4, tc_quadrics):
     a = minimal_resolution(Ideal(R4, list(tc_quadrics)))
-    from pgshell.resolution import clear_resolution_cache
-
-    clear_resolution_cache()
+    clear_caches()
     b = minimal_resolution(Ideal(R4, list(tc_quadrics)))
     assert [m.twists for m in a.modules] == [m.twists for m in b.modules]
     for q in range(1, a.length + 1):

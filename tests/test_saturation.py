@@ -1,6 +1,7 @@
 import pytest
 
 from pgshell import (
+    Field,
     Ideal,
     Polynomial,
     groebner_basis,
@@ -8,6 +9,7 @@ from pgshell import (
     ideal_quotient_saturation,
     same_ideal,
     saturate_irrelevant,
+    standard_ring,
 )
 from pgshell.errors import EngineError
 from pgshell.groebner import graded_piece_dim
@@ -75,3 +77,53 @@ def test_saturation_idempotent_and_never_shrinks(R4, zvars, tc_quadrics):
     gb_after = groebner_basis(sat)
     for m in range(8):
         assert graded_piece_dim(gb_before, m) <= graded_piece_dim(gb_after, m)
+
+
+def fixpoint_saturation(I):
+    """Reference: the sweep cap_i (J : z_i^inf) repeated until it is a fixpoint."""
+    ring = I.ring
+    current = I
+    current_gb = groebner_basis(current).elements
+    while True:
+        parts = [
+            ideal_quotient_saturation(current, Polynomial.variable(ring, i))
+            for i in range(ring.num_vars)
+        ]
+        nxt = parts[0]
+        for p in parts[1:]:
+            nxt = ideal_intersection(nxt, p)
+        nxt_gb = groebner_basis(nxt).elements
+        if nxt_gb == current_gb:
+            break
+        current, current_gb = nxt, nxt_gb
+    return current, current_gb != groebner_basis(I).elements
+
+
+def saturation_cases(ring):
+    z = [Polynomial.variable(ring, i) for i in range(4)]
+    quadrics = [z[0] * z[2] - z[1] * z[1], z[1] * z[3] - z[2] * z[2], z[0] * z[3] - z[1] * z[2]]
+    tc = Ideal(ring, quadrics)
+    cubes = Ideal(
+        ring, [Polynomial.from_term(ring, m, ring.field.one) for m in ring.monomials_of_degree(3)]
+    )
+    return {
+        "twisted cubic": tc,
+        "z_i*q": Ideal(ring, [z[i] * quadrics[0] for i in range(4)]),
+        "tc*S_+": Ideal(ring, [z[i] * q for q in quadrics for i in range(4)]),
+        "tc cap S_+^3": ideal_intersection(tc, cubes),
+        "monomial": Ideal(
+            ring, [z[0] * z[0] * z[1], z[0] * z[1] * z[1], z[1] * z[2] * z[3], z[2] * z[2] * z[2]]
+        ),
+    }
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_one_sweep_matches_fixpoint(p):
+    ring = standard_ring(4, Field(p))
+    for name, I in saturation_cases(ring).items():
+        sat, changed = saturate_irrelevant(I)
+        ref, ref_changed = fixpoint_saturation(I)
+        assert groebner_basis(sat).elements == groebner_basis(ref).elements, name
+        assert changed == ref_changed, name
+        # one more sweep of the result changes nothing
+        assert saturate_irrelevant(sat) == (sat, False), name

@@ -110,7 +110,7 @@ def _saturation_warnings(named_ideals) -> list:
 
 
 def _shell_payload(report, v_name, w_name, warnings, field_mode):
-    payload = {
+    return {
         "schema": SCHEMA_VERSION,
         "command": "pgshell",
         "field_mode": field_mode,
@@ -120,9 +120,8 @@ def _shell_payload(report, v_name, w_name, warnings, field_mode):
         "verdict": report.verdict,
         "table": report.table_json(),
         "witness": report.witness,
-        "warnings": warnings + report.warnings,
+        "warnings": warnings,
     }
-    return payload
 
 
 def _print_human_shell(payload, out):

@@ -284,22 +284,38 @@ def _interreduce(basis, leads, key, ring: PolyRing):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis of a homogeneous ideal (monic elements)."""
+    """Reduced Groebner basis of an ideal (monic elements) and its division data.
 
-    __slots__ = ("ring", "elements", "order", "reduced", "_leads")
+    `vectors`, `leads` and `key` are the basis as rank-1 module vectors,
+    their lead terms and the term order, as `reduce_vector` takes them.
+    `kept` indexes the generators that survived their reduction on entry
+    to the Buchberger pass: for homogeneous ideals, minimal generators.
+    """
 
-    def __init__(self, ring: PolyRing, elements, order=None, reduced=True):
+    __slots__ = ("ring", "elements", "order", "reduced", "kept", "key", "vectors", "leads",
+                 "lead_monomials")
+
+    def __init__(self, ring: PolyRing, vectors, key, kept):
         self.ring = ring
-        self.elements = tuple(elements)
-        self.order = order if order is not None else ring.order
-        self.reduced = reduced
-        self._leads = None
+        self.order = ring.order
+        self.reduced = True
+        self.kept = tuple(kept)
+        self.key = key
+        self.vectors = vectors
+        self.leads = lead_terms(vectors, key)
+        self.lead_monomials = tuple(mono for (mono, _), _ in self.leads)
+        self.elements = tuple(vector_component(v, 0, ring) for v in vectors)
 
-    @property
-    def lead_monomials(self):
-        if self._leads is None:
-            self._leads = tuple(g.lead_monomial() for g in self.elements)
-        return self._leads
+    def reduce(self, p: Polynomial, quotients=None) -> Polynomial:
+        """Remainder of full division of p by the basis.
+
+        If `quotients` is a list of dicts (one per element) the division
+        coefficients are accumulated into it, keyed by monomial.
+        """
+        if p.ring != self.ring:
+            raise RingMismatchError("polynomial and basis in different rings")
+        r = reduce_vector(poly_to_vector(p), self.vectors, self.leads, self.key, self.ring, quotients)
+        return vector_component(r, 0, self.ring)
 
     def __eq__(self, other):
         return (
@@ -320,15 +336,17 @@ class GroebnerBasis:
 
 def buchberger_list(polys, ring: PolyRing):
     """Reduced Groebner basis of arbitrary (possibly inhomogeneous) input."""
-    vectors = [poly_to_vector(p) for p in polys if not p.is_zero()]
-    gb = module_groebner(vectors, ring, (0,))
+    gb = module_groebner([poly_to_vector(p) for p in polys], ring, (0,))
     return [vector_component(v, 0, ring) for v in gb]
 
 
 @memoized
 def groebner_basis(I: Ideal) -> GroebnerBasis:
-    """Reduced Groebner basis of a homogeneous ideal, cached by value."""
-    return GroebnerBasis(I.ring, buchberger_list(I.generators, I.ring))
+    """Reduced Groebner basis of an ideal, cached by value, from one pass."""
+    key = top_key(I.ring, 1)
+    kept: list[int] = []
+    vectors = module_groebner([poly_to_vector(g) for g in I.generators], I.ring, (0,), key, kept)
+    return GroebnerBasis(I.ring, vectors, key, kept)
 
 
 def _as_gb(ideal_or_gb) -> GroebnerBasis:
@@ -339,26 +357,15 @@ def _as_gb(ideal_or_gb) -> GroebnerBasis:
 
 def normal_form(p: Polynomial, G) -> Polynomial:
     """Remainder of full division of p by the (reduced) basis G."""
-    gb = _as_gb(G)
-    if p.ring != gb.ring:
-        raise RingMismatchError("polynomial and basis in different rings")
-    basis = [poly_to_vector(g) for g in gb.elements]
-    key = top_key(gb.ring, 1)
-    leads = lead_terms(basis, key)
-    r = reduce_vector(poly_to_vector(p), basis, leads, key, gb.ring)
-    return vector_component(r, 0, gb.ring)
+    return _as_gb(G).reduce(p)
 
 
 def normal_form_with_quotients(p: Polynomial, G):
     """(quotients, remainder) with p = sum q_i * G_i + remainder."""
     gb = _as_gb(G)
-    basis = [poly_to_vector(g) for g in gb.elements]
-    key = top_key(gb.ring, 1)
-    leads = lead_terms(basis, key)
-    quots = [dict() for _ in basis]
-    r = reduce_vector(poly_to_vector(p), basis, leads, key, gb.ring, quotients=quots)
-    qpolys = [Polynomial(gb.ring, q) for q in quots]
-    return qpolys, vector_component(r, 0, gb.ring)
+    quots = [dict() for _ in gb.vectors]
+    r = gb.reduce(p, quots)
+    return [Polynomial(gb.ring, q) for q in quots], r
 
 
 def membership(p: Polynomial, I) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InternalCheckError
-from .groebner import groebner_basis, normal_form, standard_monomials
+from .groebner import groebner_basis, standard_monomials
 from .linalg import RowSpace, nullspace
 from .memo import memoized
 from .poly import Ideal, Polynomial
@@ -61,7 +61,7 @@ class KoszulContext:
     def coords(self, p: Polynomial, m: int) -> dict:
         """Sparse coordinates of the class of p in the standard basis of (S/I)_m."""
         _, index = self.std_basis(m)
-        return {index[mono]: c for mono, c in normal_form(p, self.gb).terms.items()}
+        return {index[mono]: c for mono, c in self.gb.reduce(p).terms.items()}
 
     @memoized
     def mul_var(self, i: int, m: int):

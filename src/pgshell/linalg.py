@@ -169,21 +169,3 @@ def determinant(rows, field: Field):
     inversions = sum(1 for i in range(n) for j in range(i) if order[j] > order[i])
     return field.neg(det) if inversions % 2 else det
 
-
-def mat_mul(a, b, field: Field):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    zero = field.zero
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x != zero:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j] != zero:
-                        oi[j] = field.add(oi[j], field.mul(x, bt[j]))
-    return out

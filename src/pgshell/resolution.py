@@ -19,6 +19,7 @@ from math import comb
 from .errors import EngineError, InternalCheckError, WeightedRingError
 from .groebner import (
     block_key,
+    groebner_basis,
     lead_terms,
     module_groebner,
     poly_to_vector,
@@ -60,10 +61,10 @@ def minimal_generating_subset(vectors, ring: PolyRing, twists):
 
 
 def minimal_generators(I: Ideal):
-    """Minimal generating subset of the given generator list."""
-    vectors = [poly_to_vector(g) for g in I.generators]
-    kept = minimal_generating_subset(vectors, I.ring, (0,))
-    return [I.generators[i] for i in kept]
+    """Minimal generating subset of the given generator list, as kept by
+    the one Buchberger pass of `groebner_basis(I)`."""
+    I.require_homogeneous()
+    return [I.generators[i] for i in groebner_basis(I).kept]
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +114,13 @@ class ColumnModule:
         ]
 
 
+@memoized
+def column_module(M: GradedMatrix) -> ColumnModule:
+    """The ColumnModule of M, built once per differential and shared by
+    syzygies, the exactness check and the chain-map lift."""
+    return ColumnModule(M)
+
+
 def syzygies(M: GradedMatrix) -> GradedMatrix:
     """A minimal generating set of ker(M), as columns of a GradedMatrix.
 
@@ -124,7 +132,7 @@ def syzygies(M: GradedMatrix) -> GradedMatrix:
     s = M.source.rank
     if s == 0:
         return GradedMatrix(ring, GradedFreeModule(()), M.source, [])
-    syz_vectors = ColumnModule(M).syzygy_vectors()
+    syz_vectors = column_module(M).syzygy_vectors()
     twists = M.source.twists
     chosen = [syz_vectors[i] for i in minimal_generating_subset(syz_vectors, ring, twists)]
     columns = [[vector_component(v, pos, ring) for pos in range(s)] for v in chosen]
@@ -374,15 +382,13 @@ def verify_complex(res: FreeResolution, oracle=None) -> ComplexReport:
     composite_ok = all(c["ok"] for c in report.checks if c["name"].startswith("composition"))
     if composite_ok and res.modules[0].rank > 0:
         # image of d_1 equals the resolved ideal
-        from .groebner import groebner_basis
-
         cols = [res.differential(1).entries[0][j] for j in range(res.module(1).rank)]
         img = Ideal(ring, cols)
         ok = groebner_basis(img).elements == groebner_basis(res.resolved).elements
         report.add("image of d_1 is the resolved ideal", ok)
         # exactness in the middle: Syz(d_q) inside im(d_{q+1}); the syzygy
         # vectors of a ColumnModule already form a Groebner basis of ker d_q
-        modules = [ColumnModule(res.differential(q)) for q in range(1, res.length + 1)]
+        modules = [column_module(res.differential(q)) for q in range(1, res.length + 1)]
         for q in range(1, res.length + 1):
             kernel = modules[q - 1].syzygy_vectors()
             if q < res.length:

@@ -8,11 +8,14 @@ variables, cap_i (I : z_i^inf), taken once: that intersection already
 equals (I : S_+^inf).  Composing the single-variable saturations
 instead would wrongly delete components lying inside coordinate
 hyperplanes.
+
+All three are graded operations and raise NotHomogeneousError on an
+inhomogeneous ideal or polynomial.
 """
 
 from __future__ import annotations
 
-from .errors import EngineError
+from .errors import EngineError, NotHomogeneousError
 from .groebner import buchberger_list, groebner_basis
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
@@ -26,27 +29,17 @@ def _drop(p: Polynomial, ring: PolyRing) -> Polynomial:
     return Polynomial(ring, {m[:-1]: c for m, c in p.terms.items()})
 
 
-def _homogeneous_components(p: Polynomial):
-    ring = p.ring
-    by_degree: dict = {}
-    for m, c in p.terms.items():
-        by_degree.setdefault(ring.mono_degree(m), {})[m] = c
-    return [Polynomial(ring, terms) for _, terms in sorted(by_degree.items())]
-
-
 def _eliminate_and_normalize(gens_ext, ext: PolyRing, ring: PolyRing) -> Ideal:
     """Groebner-eliminate the last variable and return a canonical ideal.
 
-    The t-free part of the basis generates the contraction to S; its
-    homogeneous components are re-normalized through a graded reduced
-    basis so the output does not depend on the elimination path.
+    The t-free part of the basis generates the contraction to S.  For a
+    homogeneous contraction it is homogeneous, because the order of
+    `ext` restricts to a graded order on S; a reduced basis in the order
+    of S makes the output independent of the elimination path.
     """
-    pieces = []
-    for p in buchberger_list(gens_ext, ext):
-        if all(m[-1] == 0 for m in p.terms):
-            pieces.extend(_homogeneous_components(_drop(p, ring)))
-    reduced = buchberger_list(pieces, ring)
-    return Ideal(ring, reduced)
+    basis = buchberger_list(gens_ext, ext)
+    pieces = [_drop(p, ring) for p in basis if all(m[-1] == 0 for m in p.terms)]
+    return Ideal(ring, buchberger_list(pieces, ring))
 
 
 def ideal_quotient_saturation(I: Ideal, f: Polynomial) -> Ideal:
@@ -56,6 +49,9 @@ def ideal_quotient_saturation(I: Ideal, f: Polynomial) -> Ideal:
     ring = I.ring
     if f.ring != ring:
         raise EngineError("polynomial from a different ring")
+    I.require_homogeneous()
+    if f.homogeneous_degree() is None:
+        raise NotHomogeneousError(f"inhomogeneous polynomial: {f}")
     ext = ring.extended_elimination_ring()
     t = Polynomial.variable(ext, ext.num_vars - 1)
     gens = [_lift(g, ext) for g in I.generators]
@@ -68,6 +64,8 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     ring = I.ring
     if J.ring != ring:
         raise EngineError("ideals live in different rings")
+    I.require_homogeneous()
+    J.require_homogeneous()
     ext = ring.extended_elimination_ring()
     t = Polynomial.variable(ext, ext.num_vars - 1)
     one_minus_t = Polynomial.constant(ext, 1) - t

@@ -45,9 +45,9 @@ from .modules import GradedFreeModule, GradedMatrix
 from .poly import Ideal, Polynomial
 from .resolution import (
     BettiTable,
-    ColumnModule,
     FreeResolution,
     betti,
+    column_module,
     minimal_generators,
     minimal_resolution,
     regularity_and_depth,
@@ -124,7 +124,7 @@ def lift_chain_map(res_W: FreeResolution, res_V: FreeResolution) -> ChainMap:
             maps.append(GradedMatrix(ring, f_q, g_q, []))
             continue
         d_g = res_V.differential(q)
-        image = ColumnModule(d_g)
+        image = column_module(d_g)
         columns = []
         for j in range(f_q.rank):
             col = image.solve(u.column(j))
@@ -169,14 +169,13 @@ class TorMap:
 class ShellReport:
     """Outcome of a shell check: verdict, per-(q, m) table, witness."""
 
-    __slots__ = ("verdict", "method", "table", "witness", "warnings")
+    __slots__ = ("verdict", "method", "table", "witness")
 
-    def __init__(self, verdict, method, table, witness=None, warnings=None):
+    def __init__(self, verdict, method, table, witness=None):
         self.verdict = verdict
         self.method = method
         self.table = table
         self.witness = witness
-        self.warnings = list(warnings or [])
 
     @property
     def is_shell(self) -> bool:

@@ -210,3 +210,11 @@ def test_strict_flag(tmp_path):
     assert code == EXIT_INPUT
     code, _ = run(["gb", str(path), "I"])
     assert code == EXIT_OK
+
+
+def test_saturate_inhomogeneous_exit_2(tmp_path):
+    path = tmp_path / "inhom.ideal"
+    path.write_text("ring S = QQ[z0,z1,z2];\nideal J = z0 - z1^2;\n")
+    code, text = run(["saturate", str(path), "J"])
+    assert code == EXIT_INPUT
+    assert text == ""

@@ -8,7 +8,6 @@ from pgshell import QQ, Field
 from pgshell.linalg import (
     RowSpace,
     determinant,
-    mat_mul,
     nullspace,
     rank,
     rref,
@@ -92,12 +91,6 @@ def test_rowspace_membership():
     assert rs.contains([F(2), F(-1), F(1)])
     assert not rs.contains([F(0), F(0), F(1)])
     assert rs.dim == 2
-
-
-def test_mat_mul():
-    a = [[F(1), F(2)], [F(0), F(1)]]
-    b = [[F(1), F(0)], [F(3), F(1)]]
-    assert mat_mul(a, b, QQ) == [[F(7), F(2)], [F(3), F(1)]]
 
 
 # -- the sparse kernel against the dense reference ---------------------------

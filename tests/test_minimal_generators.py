@@ -1,13 +1,20 @@
 """Differential tests: the one-pass minimal generating subset against the
-greedy loop that re-runs Buchberger after every kept vector."""
+greedy loop that re-runs Buchberger after every kept vector, and the
+minimal generators of an ideal read from its one Groebner pass."""
 
 import random
+import sys
 
 import pytest
 
 from pgshell import (
     Field,
+    Ideal,
+    clear_caches,
     complete_intersection,
+    groebner,
+    groebner_basis,
+    minimal_generators,
     minimal_resolution,
     points_on_rational_normal_curve,
     rational_normal_curve,
@@ -23,7 +30,7 @@ from pgshell.groebner import (
     top_key,
     vector_degree,
 )
-from pgshell.resolution import ColumnModule, minimal_generating_subset
+from pgshell.resolution import column_module, minimal_generating_subset
 
 from conftest import random_invertible
 
@@ -61,17 +68,20 @@ def with_redundant_generators(ideal, rng):
     return ring, polys
 
 
-@pytest.mark.parametrize(
+CATALOG = pytest.mark.parametrize(
     "build",
     [
-        lambda: rational_normal_curve(4),
-        lambda: veronese_surface(),
-        lambda: scroll_surface(),
-        lambda: complete_intersection([2, 3], seed=1),
-        lambda: points_on_rational_normal_curve(3, 5),
+        lambda field=None: rational_normal_curve(4, field),
+        lambda field=None: veronese_surface(field),
+        lambda field=None: scroll_surface(field),
+        lambda field=None: complete_intersection([2, 3], seed=1, field=field),
+        lambda field=None: points_on_rational_normal_curve(3, 5, field=field),
     ],
     ids=["rnc4", "veronese", "scroll", "ci23", "points5"],
 )
+
+
+@CATALOG
 def test_minimal_subset_matches_reference_on_redundant_generators(build):
     entry = build()
     rng = random.Random(41)
@@ -93,8 +103,41 @@ def test_minimal_subset_matches_reference_on_syzygy_vectors(name, characteristic
     res = minimal_resolution(moved)
     for q in range(1, res.length + 1):
         d = res.differential(q)
-        vectors = ColumnModule(d).syzygy_vectors()
+        vectors = column_module(d).syzygy_vectors()
         twists = d.source.twists
         got = minimal_generating_subset(vectors, ring, twists)
         assert got == reference_subset(vectors, ring, twists)
         assert len(got) == res.module(q + 1).rank
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003], ids=["QQ", "GF32003"])
+@CATALOG
+def test_minimal_generators_match_reference(build, characteristic):
+    entry = build(Field(characteristic))
+    rng = random.Random(43)
+    for _ in range(2):
+        ring, polys = with_redundant_generators(entry.ideal, rng)
+        ideal = Ideal(ring, polys)
+        vectors = [poly_to_vector(p) for p in ideal.generators]
+        want = [ideal.generators[i] for i in reference_subset(vectors, ring, (0,))]
+        assert minimal_generators(ideal) == want
+
+
+def test_minimal_generators_reuse_the_groebner_pass(monkeypatch, twisted_cubic, zvars):
+    calls = []
+    engine = groebner.module_groebner
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    # patch every namespace that binds the engine, as the tracer does
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pgshell") and getattr(module, "module_groebner", None) is engine:
+            monkeypatch.setattr(module, "module_groebner", counted)
+    clear_caches()
+    gens = list(twisted_cubic.generators)
+    ideal = Ideal(twisted_cubic.ring, gens + [zvars[0] * gens[1]])
+    groebner_basis(ideal)
+    assert minimal_generators(ideal) == gens
+    assert len(calls) == 1

@@ -11,12 +11,15 @@ from pgshell import (
     Ideal,
     Polynomial,
     betti,
+    groebner_basis,
     koszul_tor,
     minimal_resolution,
+    parse_source,
     pgshell_report,
+    render_source,
     standard_ring,
 )
-from pgshell.groebner import module_groebner
+from pgshell.groebner import module_groebner, standard_monomials
 
 RING = standard_ring(3, Field(32003))
 
@@ -42,6 +45,19 @@ def test_betti_table_matches_koszul_oracle(ideal):
         support = table.row_support(q)
         for m in support + [support[-1] + 1]:
             assert koszul_tor(ideal, q, m).dimension == table.get(q, m), (q, m)
+
+
+@given(ideals)
+def test_betti_table_predicts_hilbert_function(ideal):
+    table = betti(minimal_resolution(ideal))
+    gb = groebner_basis(ideal)
+    for m in range(table.regularity() + table.max_q() + 2):
+        assert table.alternating_sum_hilbert(RING, m) == len(standard_monomials(gb, m)), m
+
+
+@given(ideals)
+def test_source_round_trips(ideal):
+    assert parse_source(render_source(RING, {"I": ideal})).ideals["I"] == ideal
 
 
 @given(st.lists(st.integers(1, 3).flatmap(forms), min_size=1, max_size=4).flatmap(

@@ -11,7 +11,7 @@ from pgshell import (
     saturate_irrelevant,
     standard_ring,
 )
-from pgshell.errors import EngineError
+from pgshell.errors import EngineError, NotHomogeneousError
 from pgshell.groebner import graded_piece_dim
 
 
@@ -40,6 +40,23 @@ def test_intersection(R4, zvars):
     b = Ideal(R4, [z[1]])
     assert same_ideal(ideal_intersection(a, b), Ideal(R4, [z[0] * z[1]]))
     assert ideal_intersection(a, Ideal(R4, [])).is_zero()
+
+
+def test_graded_operations_refuse_inhomogeneous_input():
+    ring = standard_ring(3)
+    z0, z1, z2 = (Polynomial.variable(ring, i) for i in range(3))
+    J = Ideal(ring, [z0 - z1 * z1], allow_inhomogeneous=True)
+    H = Ideal(ring, [z0 * z1])
+    with pytest.raises(NotHomogeneousError):
+        saturate_irrelevant(J)
+    with pytest.raises(NotHomogeneousError):
+        ideal_quotient_saturation(J, z2)
+    with pytest.raises(NotHomogeneousError):
+        ideal_quotient_saturation(H, z2 - z0 * z0)
+    with pytest.raises(NotHomogeneousError):
+        ideal_intersection(H, J)
+    with pytest.raises(NotHomogeneousError):
+        ideal_intersection(J, H)
 
 
 def test_saturate_irrelevant_examples(R4, zvars, twisted_cubic, tc_quadrics):

@@ -17,6 +17,7 @@ from pgshell import (
     tensor_resolution,
 )
 from pgshell.errors import ContainmentError, PreconditionError
+from pgshell.resolution import ColumnModule, column_module, verify_complex
 from pgshell.shell import NOT_PG_SHELL, PG_SHELL, ideal_power_plus
 
 
@@ -51,6 +52,21 @@ def corpus_pairs(R4, zvars, twisted_cubic, tc_quadrics, ci23, veronese_entry,
         ("veronese/one-quadric", ver, Ideal(ver.ring, [ver.generators[0]])),
         ("scroll/one-quadric", scr, Ideal(scr.ring, [scr.generators[0]])),
     ]
+
+
+def test_lift_and_verification_reuse_column_modules(monkeypatch, scroll_entry):
+    V = scroll_entry.ideal
+    W = Ideal(V.ring, V.generators[:2])
+    res_v = minimal_resolution(V)
+    res_w = minimal_resolution(W)
+    built = []
+    init = ColumnModule.__init__
+    monkeypatch.setattr(ColumnModule, "__init__", lambda self, M: built.append(M) or init(self, M))
+    misses = column_module.cache_info().misses
+    lift_chain_map(res_w, res_v)
+    assert verify_complex(minimal_resolution(V)).ok
+    assert column_module.cache_info().misses == misses
+    assert not built
 
 
 def test_check_containment(R4, zvars, twisted_cubic, tc_quadrics):

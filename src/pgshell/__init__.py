@@ -38,7 +38,7 @@ from .groebner import (
     normal_form_with_quotients,
     same_ideal,
 )
-from .hilbert import HilbertData, dimension_degree, hilbert_function
+from .hilbert import HilbertData, hilbert_function
 from .koszul import koszul_tor, tor_comparison
 from .memo import clear_caches
 from .modules import GradedFreeModule, GradedMatrix
@@ -48,6 +48,7 @@ from .resolution import (
     BettiTable,
     FreeResolution,
     betti,
+    is_saturated,
     minimal_generators,
     minimal_resolution,
     regularity_and_depth,

@@ -294,14 +294,11 @@ def points_on_rational_normal_curve(
         notes=f"{count} rational points on the degree-{d} rational normal curve",
     )
     if verify:
-        from .hilbert import dimension_degree, hilbert_function
-        from .saturation import saturate_irrelevant
+        from .resolution import betti, is_saturated, minimal_resolution
 
-        _, changed = saturate_irrelevant(ideal)
-        if changed:
+        if not is_saturated(ideal):
             raise CatalogError("point ideal came out unsaturated")
-        h = hilbert_function(ideal, ring.num_vars + count + 4)
-        if dimension_degree(h) != (0, count):
+        if betti(minimal_resolution(ideal)).dimension_degree(ring) != (0, count):
             raise CatalogError("point ideal has the wrong Hilbert polynomial")
     return entry
 

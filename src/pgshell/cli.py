@@ -27,7 +27,7 @@ from .groebner import groebner_basis
 from .hilbert import hilbert_function
 from .parser import parse_source, render_ideal, render_source
 from .poly import Ideal
-from .resolution import BettiTable, betti, minimal_resolution
+from .resolution import BettiTable, betti, is_saturated, minimal_resolution
 from .saturation import saturate_irrelevant
 from .shell import (
     criteria_suite,
@@ -100,8 +100,7 @@ def _field_mode(ring) -> str:
 def _saturation_warnings(named_ideals) -> list:
     out = []
     for name, ideal in named_ideals:
-        _, changed = saturate_irrelevant(ideal)
-        if changed:
+        if not is_saturated(ideal):
             out.append(
                 f"ideal {name} is not saturated at the irrelevant ideal; "
                 f"the verdict refers to the ideal as given (run `saturate` to fix)"

@@ -3,16 +3,16 @@
 Values are counted as standard monomials (monomials not divisible by
 any lead monomial of the reduced Groebner basis).  On standard-graded
 rings the tail is fitted by exact rational interpolation and verified
-on two extra degrees; the fitted polynomial then yields dimension and
-degree of the corresponding projective scheme.
+on two extra degrees.  This serves the `hilbert` command; dimension
+and degree of the projective scheme are read off the Betti table
+(`BettiTable.dimension_degree`), which needs no degree bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-from .errors import EngineError, InternalCheckError, TailNotStabilizedError
+from .errors import EngineError, TailNotStabilizedError
 from .groebner import groebner_basis, standard_monomials
 from .poly import Ideal
 
@@ -117,21 +117,3 @@ def hilbert_function(I: Ideal, m_max: int) -> HilbertData:
     data.stabilization_degree = stab
     return data
 
-
-def dimension_degree(h: HilbertData) -> tuple:
-    """(projective dimension, degree) from the Hilbert polynomial.
-
-    The empty scheme reports dimension -1 and degree 0.
-    """
-    if h.hilbert_polynomial is None:
-        raise EngineError("dimension/degree need a fitted Hilbert polynomial")
-    d = h.polynomial_degree()
-    if d < 0:
-        return (-1, 0)
-    lead = h.hilbert_polynomial[d]
-    deg = lead * factorial(d)
-    if deg.denominator != 1 or deg <= 0:
-        raise InternalCheckError(
-            f"leading coefficient {lead} times {d}! is not a positive integer"
-        )
-    return (d, int(deg))

@@ -14,6 +14,7 @@ is asserted, never assumed).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 from .errors import EngineError, InternalCheckError, WeightedRingError
@@ -232,6 +233,22 @@ class BettiTable:
                 total += (-1) ** q * b * comb(d + n - 1, n - 1)
         return total
 
+    def dimension_degree(self, ring: PolyRing) -> tuple:
+        """(projective dimension, degree) of S/I; (-1, 0) for the empty scheme.
+
+        S/I has Hilbert series K(t) / (1-t)^n, K(t) = sum (-1)^q beta_{q,m} t^m.
+        Dividing K by (1-t) c times while K(1) = 0 leaves dim n-c-1, degree K(1).
+        """
+        if not ring.standard_graded:
+            raise WeightedRingError("dimension/degree are defined for standard gradings here")
+        k = [0] * (max((m for (_, m) in self.entries), default=0) + 1)
+        for (q, m), b in self.entries.items():
+            k[m] += (-1) ** q * b
+        n, c = ring.num_vars, 0
+        while c < n and sum(k) == 0:
+            k, c = list(accumulate(k)), c + 1  # K / (1-t) has the prefix sums of K
+        return (-1, 0) if c == n else (n - c - 1, sum(k))
+
     def to_json(self) -> dict:
         out: dict = {}
         for (q, m), b in sorted(self.entries.items()):
@@ -312,6 +329,13 @@ def regularity_and_depth(B: BettiTable, ring: PolyRing) -> tuple:
     depth = ring.num_vars - pd
     reg_r = B.regularity()
     return (reg_r, reg_r + 1, pd, depth)
+
+
+def is_saturated(I: Ideal) -> bool:
+    """I = (I : S_+^inf)?  For proper I iff depth S/I >= 1, i.e. by
+    Auslander-Buchsbaum pd S/I <= N; this holds for positive weights
+    too, S_+ being the only graded maximal ideal."""
+    return minimal_resolution(I).length < I.ring.num_vars
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ saturation at the irrelevant ideal is the intersection over all
 variables, cap_i (I : z_i^inf), taken once: that intersection already
 equals (I : S_+^inf).  Composing the single-variable saturations
 instead would wrongly delete components lying inside coordinate
-hyperplanes.
+hyperplanes.  Whether I is saturated at all is read off its minimal
+resolution (`resolution.is_saturated`), so the eliminations run only
+on ideals that do change.
 
 All three are graded operations and raise NotHomogeneousError on an
 inhomogeneous ideal or polynomial.
@@ -16,8 +18,9 @@ inhomogeneous ideal or polynomial.
 from __future__ import annotations
 
 from .errors import EngineError, NotHomogeneousError
-from .groebner import buchberger_list, groebner_basis
+from .groebner import buchberger_list
 from .poly import Ideal, Polynomial
+from .resolution import is_saturated
 from .rings import PolyRing
 
 
@@ -66,23 +69,26 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         raise EngineError("ideals live in different rings")
     I.require_homogeneous()
     J.require_homogeneous()
+    if not I.generators or not J.generators:
+        return Ideal(ring, [])
     ext = ring.extended_elimination_ring()
     t = Polynomial.variable(ext, ext.num_vars - 1)
     one_minus_t = Polynomial.constant(ext, 1) - t
     gens = [t * _lift(g, ext) for g in I.generators]
     gens += [one_minus_t * _lift(h, ext) for h in J.generators]
-    if not I.generators or not J.generators:
-        return Ideal(ring, [])
     return _eliminate_and_normalize(gens, ext, ring)
 
 
 def saturate_irrelevant(I: Ideal):
     """(saturation of I at (z_0..z_N), changed_flag).
 
-    A form f lies in (I : S_+^inf) iff some power of every variable
-    multiplies it into I, i.e. iff f lies in every (I : z_i^inf); so one
-    sweep cap_i (I : z_i^inf) is the saturation.
+    A saturated I comes back unchanged.  Otherwise: a form f lies in
+    (I : S_+^inf) iff some power of every variable multiplies it into
+    I, i.e. iff f lies in every (I : z_i^inf); so one sweep
+    cap_i (I : z_i^inf) is the saturation.
     """
+    if is_saturated(I):
+        return I, False
     ring = I.ring
     parts = [
         ideal_quotient_saturation(I, Polynomial.variable(ring, i))
@@ -91,6 +97,4 @@ def saturate_irrelevant(I: Ideal):
     sat = parts[0]
     for p in parts[1:]:
         sat = ideal_intersection(sat, p)
-    if groebner_basis(sat).elements == groebner_basis(I).elements:
-        return I, False
     return sat, True

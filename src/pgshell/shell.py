@@ -37,7 +37,6 @@ from .groebner import (
     multiples_span,
     same_ideal,
 )
-from .hilbert import dimension_degree, hilbert_function
 from .koszul import koszul_tor, taylor_degree_bound, tor_comparison
 from .linalg import rank
 from .memo import memoized
@@ -151,7 +150,6 @@ class TorMap:
     @classmethod
     def from_chain_map(cls, cm: ChainMap, q: int) -> "TorMap":
         phi = cm.map(q)
-        field = cm.source.ring.field
         src_tw = phi.source.twists
         tgt_tw = phi.target.twists
         blocks = {}
@@ -377,8 +375,7 @@ def invariants(I: Ideal) -> InvariantRecord:
     res = minimal_resolution(I)
     bt = betti(res)
     reg_r, reg_i, pd, depth = regularity_and_depth(bt, ring)
-    h = hilbert_function(I, reg_r + ring.num_vars + 5)
-    dim, degree = dimension_degree(h)
+    dim, degree = bt.dimension_degree(ring)
     n_proj = ring.num_vars - 1
     codim = n_proj - dim
     num_min_gens = {m: bt.get(1, m) for m in bt.row_support(1)}
@@ -646,16 +643,8 @@ def tensor_resolution(I_Y: Ideal, I_Z: Ideal):
     _require_proper(I_X, "Y+Z")
     res_y = minimal_resolution(I_Y)
     res_z = minimal_resolution(I_Z)
-    # codimension additivity via Hilbert polynomial of the sum
-    gb_x = groebner_basis(I_X)
-    reg_bound = 0
-    for q in range(0, min(ring.num_vars, len(gb_x.elements)) + 1):
-        b = taylor_degree_bound(I_X, q)
-        if b >= 0:
-            reg_bound = max(reg_bound, b - q)
-    h = hilbert_function(I_X, reg_bound + ring.num_vars + 5)
-    dim_x, _deg_x = dimension_degree(h)
-    codim_x = (ring.num_vars - 1) - dim_x
+    # codimension additivity; the shell checks below resolve I_X anyway
+    codim_x = invariants(I_X).codim
     if codim_x != inv_y.codim + inv_z.codim:
         raise PreconditionError(
             f"codimension not additive: codim(Y+Z)={codim_x}, "

@@ -87,6 +87,57 @@ def test_unsaturated_warning(corpus_file):
     # Unsat = z0 * (two quadric relations): saturation strips the z0 factor
     code, payload = run_json(["pgshell", corpus_file, "V", "Unsat"])
     assert any("not saturated" in w for w in payload["warnings"])
+    code, payload = run_json(["pgshell", corpus_file, "V", "W"])
+    assert payload["warnings"] == []
+
+
+WEIGHTED_SRC = """\
+ring R = QQ[x,y,w:2];
+ideal V = x, y;
+ideal W = x^2, x*y, x*w;
+ideal U = 1;
+ideal H = x + y^2;
+"""
+
+
+@pytest.fixture(scope="module")
+def weighted_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "weighted.ideal"
+    path.write_text(WEIGHTED_SRC)
+    return str(path)
+
+
+def test_unsaturated_warning_weighted(weighted_file):
+    # W = x * S_+ saturates to (x); V = (x, y) is the point (0:0:1)
+    code, payload = run_json(["pgshell", weighted_file, "V", "W"])
+    assert len(payload["warnings"]) == 1 and payload["warnings"][0].startswith("ideal W ")
+
+
+def test_precheck_keeps_input_errors(weighted_file, capsys):
+    # the saturation pre-check runs first and must not pre-empt these errors
+    code, _ = run(["pgshell", weighted_file, "U", "W"])
+    assert code == EXIT_INPUT
+    assert "error: ideal V is the unit ideal (empty scheme)" in capsys.readouterr().err
+    code, _ = run(["pgshell", weighted_file, "H", "W"])
+    assert code == EXIT_INPUT
+    assert "error: this operation needs homogeneous generators" in capsys.readouterr().err
+
+
+def test_commands_run_no_elimination(corpus_file, tmp_path, monkeypatch):
+    # saturated input: the pre-check and the catalog check read the resolution
+    from pgshell.rings import PolyRing
+
+    def refuse(self, extra_name="_t"):
+        raise AssertionError("elimination ring built")
+
+    monkeypatch.setattr(PolyRing, "extended_elimination_ring", refuse)
+    for method in ("chain", "oracle", "both"):
+        assert run(["pgshell", corpus_file, "V", "W", "--method", method])[0] == EXIT_OK
+    assert run(["criteria", corpus_file, "V", "W"])[0] == EXIT_OK
+    path = tmp_path / "p5.ideal"
+    path.write_text(TENSOR_SRC)
+    assert run(["tensor-res", str(path), "Y", "Z"])[0] == EXIT_OK
+    assert run(["catalog", "points-rnc", "3", "5"])[0] == EXIT_OK
 
 
 def test_invariants_human_json_agreement(corpus_file):
@@ -139,14 +190,16 @@ def test_catalog_command_round_trips():
     assert len(ps.ideals["I"].generators) == 6
 
 
+TENSOR_SRC = """\
+ring S = QQ[z0,z1,z2,z3,z4,z5];
+ideal Y = z0*z2 - z1^2, z1*z3 - z2^2, z0*z3 - z1*z2;
+ideal Z = z4, z5;
+"""
+
+
 def test_tensor_res_command(tmp_path):
-    src = (
-        "ring S = QQ[z0,z1,z2,z3,z4,z5];\n"
-        "ideal Y = z0*z2 - z1^2, z1*z3 - z2^2, z0*z3 - z1*z2;\n"
-        "ideal Z = z4, z5;\n"
-    )
     path = tmp_path / "p5.ideal"
-    path.write_text(src)
+    path.write_text(TENSOR_SRC)
     code, payload = run_json(["tensor-res", str(path), "Y", "Z"])
     assert code == EXIT_OK
     assert payload["verify_ok"] and payload["convolution_matches"]

@@ -8,10 +8,11 @@ from pgshell import (
     Polynomial,
     PolyRing,
     QQ,
-    dimension_degree,
+    betti,
     hilbert_function,
+    minimal_resolution,
 )
-from pgshell.errors import TailNotStabilizedError
+from pgshell.errors import TailNotStabilizedError, WeightedRingError
 
 
 def series_coefficients(gen_degrees, num_vars, m_max):
@@ -35,19 +36,23 @@ def series_coefficients(gen_degrees, num_vars, m_max):
     return out
 
 
+def dimension_degree(I):
+    return betti(minimal_resolution(I)).dimension_degree(I.ring)
+
+
 def test_twisted_cubic_hilbert(twisted_cubic):
     h = hilbert_function(twisted_cubic, 12)
     assert [h.values[m] for m in range(5)] == [1, 4, 7, 10, 13]
     assert h.hilbert_polynomial == [Fraction(1), Fraction(3)]
     assert h.stabilization_degree == 0
-    assert dimension_degree(h) == (1, 3)
+    assert dimension_degree(twisted_cubic) == (1, 3)
 
 
 def test_zero_ideal_hilbert(R4):
     h = hilbert_function(Ideal(R4, []), 10)
     for m in range(11):
         assert h.values[m] == comb(m + 3, 3)
-    assert dimension_degree(h) == (3, 1)
+    assert dimension_degree(Ideal(R4, [])) == (3, 1)
 
 
 def test_ci23_hilbert(ci23):
@@ -56,19 +61,24 @@ def test_ci23_hilbert(ci23):
     assert [h.values[m] for m in range(13)] == expected
     # Hilbert polynomial 6m - 3 (degree-6 curve of genus 4)
     assert h.hilbert_polynomial == [Fraction(-3), Fraction(6)]
-    assert dimension_degree(h) == (1, 6)
+    assert dimension_degree(ci23.ideal) == (1, 6)
 
 
 def test_unit_ideal_hilbert(R4):
     h = hilbert_function(Ideal(R4, [Polynomial.constant(R4, 1)]), 8)
     assert all(v == 0 for v in h.values.values())
-    assert dimension_degree(h) == (-1, 0)
+    assert dimension_degree(Ideal(R4, [Polynomial.constant(R4, 1)])) == (-1, 0)
 
 
 def test_points_hilbert(points5_entry):
     h = hilbert_function(points5_entry.ideal, 10)
     assert [h.values[m] for m in range(4)] == [1, 4, 5, 5]
-    assert dimension_degree(h) == (0, 5)
+    assert dimension_degree(points5_entry.ideal) == (0, 5)
+
+
+def test_artinian_dimension_degree(R4):
+    square = [Polynomial.from_term(R4, m, R4.field.one) for m in R4.monomials_of_degree(2)]
+    assert dimension_degree(Ideal(R4, square)) == (-1, 0)
 
 
 def test_tail_error_when_m_max_too_small(twisted_cubic):
@@ -83,6 +93,8 @@ def test_weighted_values_no_fit():
     # S/(x) = k[y] with y in degree 2
     assert [h.values[m] for m in range(5)] == [1, 0, 1, 0, 1]
     assert h.hilbert_polynomial is None
+    with pytest.raises(WeightedRingError):
+        dimension_degree(Ideal(ring, [x]))
 
 
 def test_alternating_sum_matches_hilbert(catalog_items):

@@ -3,6 +3,8 @@
 Examples come from the derandomized "pgshell" profile of conftest.py.
 """
 
+from math import factorial
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from pgshell import (
     Polynomial,
     betti,
     groebner_basis,
+    hilbert_function,
     koszul_tor,
     minimal_resolution,
     parse_source,
@@ -53,6 +56,15 @@ def test_betti_table_predicts_hilbert_function(ideal):
     gb = groebner_basis(ideal)
     for m in range(table.regularity() + table.max_q() + 2):
         assert table.alternating_sum_hilbert(RING, m) == len(standard_monomials(gb, m)), m
+
+
+@given(ideals)
+def test_betti_dimension_degree_matches_tail_fit(ideal):
+    table = betti(minimal_resolution(ideal))
+    h = hilbert_function(ideal, table.regularity() + RING.num_vars + 5)
+    d = h.polynomial_degree()
+    want = (-1, 0) if d < 0 else (d, h.hilbert_polynomial[d] * factorial(d))
+    assert table.dimension_degree(RING) == want
 
 
 @given(ideals)

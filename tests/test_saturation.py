@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pgshell import (
     Field,
     Ideal,
     Polynomial,
+    PolyRing,
     groebner_basis,
     ideal_intersection,
     ideal_quotient_saturation,
+    is_saturated,
     same_ideal,
     saturate_irrelevant,
     standard_ring,
@@ -144,3 +148,34 @@ def test_one_sweep_matches_fixpoint(p):
         assert changed == ref_changed, name
         # one more sweep of the result changes nothing
         assert saturate_irrelevant(sat) == (sat, False), name
+
+
+@st.composite
+def graded_ideals(draw, field, weighted):
+    """Forms, some times a variable, and some degree-3 monomials, in 3 variables."""
+    weights = draw(st.tuples(*[st.integers(1, 3)] * 3)) if weighted else (1, 1, 1)
+    ring = PolyRing(field, ("x", "y", "z"), weights)
+    degrees = [d for d in range(1, 5) if ring.monomials_of_degree(d)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = ring.monomials_of_degree(draw(st.sampled_from(degrees)))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        f = Polynomial(ring, {m: field.of(draw(st.integers(1, 5))) for m in chosen})
+        if draw(st.booleans()):
+            f = f * Polynomial.variable(ring, draw(st.integers(0, 2)))
+        gens.append(f)
+    cubes = ring.monomials_of_degree(3)
+    if cubes:
+        chosen = draw(st.lists(st.sampled_from(cubes), max_size=3, unique=True))
+        gens += [Polynomial.from_term(ring, m, field.one) for m in chosen]
+    return Ideal(ring, gens)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["standard", "weighted"])
+@pytest.mark.parametrize("p", [0, 32003])
+def test_is_saturated_matches_elimination(p, weighted):
+    @given(graded_ideals(Field(p), weighted))
+    def check(I):
+        assert is_saturated(I) != fixpoint_saturation(I)[1]
+
+    check()

@@ -38,7 +38,7 @@ from .groebner import (
     normal_form_with_quotients,
     same_ideal,
 )
-from .hilbert import HilbertData, hilbert_function
+from .hilbert import HilbertData, HilbertSeries, hilbert_function, lead_term_series
 from .koszul import koszul_tor, tor_comparison
 from .memo import clear_caches
 from .modules import GradedFreeModule, GradedMatrix

@@ -170,7 +170,7 @@ def twisted_cubic_cone_p5(field: Field | None = None) -> CatalogEntry:
 
 
 def complete_intersection(
-    degrees, seed: int = 1, num_vars: int | None = None, field: Field | None = None, verify: bool = True
+    degrees, seed: int = 1, num_vars: int | None = None, field: Field | None = None
 ) -> CatalogEntry:
     """Generic forms of the given degrees with SplitMix64 coefficients.
 
@@ -208,15 +208,14 @@ def complete_intersection(
         f"ci-{'-'.join(map(str, degrees))}-seed{seed}", ring, ideal, expected,
         notes="generic complete intersection; coefficients from SplitMix64",
     )
-    if verify:
-        from .shell import invariants
+    from .shell import invariants
 
-        inv = invariants(ideal)
-        if inv.codim != len(degrees):
-            raise CatalogError(
-                f"seed {seed} did not give a regular sequence "
-                f"(codim {inv.codim} != {len(degrees)})"
-            )
+    inv = invariants(ideal)
+    if inv.codim != len(degrees):
+        raise CatalogError(
+            f"seed {seed} did not give a regular sequence "
+            f"(codim {inv.codim} != {len(degrees)})"
+        )
     return entry
 
 
@@ -224,7 +223,7 @@ _DEFAULT_PARAMS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (1, 3), (1,
 
 
 def points_on_rational_normal_curve(
-    d: int, count: int, params=None, field: Field | None = None, verify: bool = True
+    d: int, count: int, params=None, field: Field | None = None
 ) -> CatalogEntry:
     """The vanishing ideal of `count` rational points on the degree-d curve.
 
@@ -293,13 +292,12 @@ def points_on_rational_normal_curve(
         {"dim": 0, "degree": count, "depth": 1, "is_ACM": True},
         notes=f"{count} rational points on the degree-{d} rational normal curve",
     )
-    if verify:
-        from .resolution import betti, is_saturated, minimal_resolution
+    from .resolution import betti, is_saturated, minimal_resolution
 
-        if not is_saturated(ideal):
-            raise CatalogError("point ideal came out unsaturated")
-        if betti(minimal_resolution(ideal)).dimension_degree(ring) != (0, count):
-            raise CatalogError("point ideal has the wrong Hilbert polynomial")
+    if not is_saturated(ideal):
+        raise CatalogError("point ideal came out unsaturated")
+    if betti(minimal_resolution(ideal)).dimension_degree(ring) != (0, count):
+        raise CatalogError("point ideal has the wrong Hilbert polynomial")
     return entry
 
 

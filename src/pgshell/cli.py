@@ -87,10 +87,6 @@ def _pick(parsed, name: str) -> Ideal:
     return parsed.ideals[name]
 
 
-def _ring_str(ring) -> str:
-    return repr(ring)
-
-
 def _field_mode(ring) -> str:
     if ring.field.characteristic == 0:
         return "exact"
@@ -239,7 +235,7 @@ def _dispatch(args, out) -> int:
             "schema": SCHEMA_VERSION,
             "command": "catalog",
             "name": entry.name,
-            "ring": _ring_str(entry.ring),
+            "ring": repr(entry.ring),
             "source": source,
             "notes": entry.notes,
         }
@@ -268,7 +264,7 @@ def _dispatch(args, out) -> int:
             "schema": SCHEMA_VERSION,
             "command": "gb",
             "ideal": args.ideal,
-            "ring": _ring_str(parsed.ring),
+            "ring": repr(parsed.ring),
             "field_mode": _field_mode(parsed.ring),
             "order": gb.order,
             "basis": [str(g) for g in gb.elements],
@@ -290,7 +286,7 @@ def _dispatch(args, out) -> int:
             "schema": SCHEMA_VERSION,
             "command": "betti",
             "ideal": args.ideal,
-            "ring": _ring_str(parsed.ring),
+            "ring": repr(parsed.ring),
             "field_mode": _field_mode(parsed.ring),
             "betti": bt.to_json(),
         }
@@ -309,7 +305,7 @@ def _dispatch(args, out) -> int:
             "schema": SCHEMA_VERSION,
             "command": "invariants",
             "ideal": args.ideal,
-            "ring": _ring_str(parsed.ring),
+            "ring": repr(parsed.ring),
             "invariants": rec.to_json(),
             "field_mode": _field_mode(parsed.ring),
         }

@@ -26,7 +26,7 @@ class PreconditionError(EngineError):
 
 
 class TailNotStabilizedError(EngineError):
-    """Hilbert function tail did not match a polynomial; raise m_max."""
+    """The Hilbert function meets its polynomial only above m_max; raise m_max."""
 
 
 class InternalCheckError(EngineError):

@@ -392,11 +392,6 @@ def standard_monomials(gb: GroebnerBasis, m: int) -> list:
     ]
 
 
-def graded_piece_dim(gb: GroebnerBasis, m: int) -> int:
-    """dim_k I_m, the complement of the standard monomials."""
-    return gb.ring.dim_degree(m) - len(standard_monomials(gb, m))
-
-
 def multiples_span(polys, d: int, ring: PolyRing):
     """(RowSpace, mono -> column) of the degree-d multiples of `polys`.
 

@@ -1,27 +1,116 @@
-"""Hilbert functions of graded quotients S/I, with exact polynomial fit.
+"""Hilbert series of graded quotients S/I, exact and with no degree bound.
 
-Values are counted as standard monomials (monomials not divisible by
-any lead monomial of the reduced Groebner basis).  On standard-graded
-rings the tail is fitted by exact rational interpolation and verified
-on two extra degrees.  This serves the `hilbert` command; dimension
-and degree of the projective scheme are read off the Betti table
-(`BettiTable.dimension_degree`), which needs no degree bound.
+S/I has Hilbert series K(t) / prod_i (1 - t^{w_i}) for an integer
+polynomial K.  `HilbertSeries` holds K and reads everything else off
+it: the values dim_k (S/I)_m, dimension and degree of the projective
+scheme, and the Hilbert polynomial.  K has two sources, which agree:
+`BettiTable.hilbert_series` (K = sum (-1)^q beta_{q,m} t^m) and
+`lead_term_series`, Bigatti's pivot recursion on the lead monomials of
+a Groebner basis (S/I and S/in(I) share their Hilbert function).  The
+`hilbert` command reads the latter through `hilbert_function`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
-from .errors import EngineError, TailNotStabilizedError
-from .groebner import groebner_basis, standard_monomials
+from .errors import EngineError, TailNotStabilizedError, WeightedRingError
+from .groebner import groebner_basis
 from .poly import Ideal
 
 
+def _add(a, b) -> list:
+    out = [0] * max(len(a), len(b))
+    for p in (a, b):
+        for i, c in enumerate(p):
+            out[i] += c
+    return out
+
+
+class HilbertSeries:
+    """HS(S/I) = K(t) / prod_i (1 - t^{w_i}); `numerator` holds K ascending,
+    without trailing zeros (empty for the unit ideal)."""
+
+    __slots__ = ("ring", "numerator")
+
+    def __init__(self, ring, numerator):
+        k = list(numerator)
+        while k and k[-1] == 0:
+            k.pop()
+        self.ring, self.numerator = ring, tuple(k)
+
+    def values(self, m_max: int) -> list:
+        """[dim_k (S/I)_m for m in 0..m_max]."""
+        out = list(self.numerator[: m_max + 1]) + [0] * (m_max + 1 - len(self.numerator))
+        for w in self.ring.weights:
+            for m in range(w, m_max + 1):  # times 1 / (1 - t^w)
+                out[m] += out[m - w]
+        return out
+
+    def _h_dim(self):
+        """(h, d) with K = (1 - t)^(N - d) h and h(1) != 0, d the projective
+        dimension; d = -1 for the empty scheme."""
+        if not self.ring.standard_graded:
+            raise WeightedRingError("dimension, degree and Hilbert polynomial need a standard grading")
+        h, d = self.numerator, self.ring.num_vars - 1
+        while d >= 0 and sum(h) == 0:
+            h, d = tuple(accumulate(h)), d - 1  # K / (1-t) has the prefix sums of K
+        return h, d
+
+    def dimension_degree(self) -> tuple:
+        """(projective dimension, degree) of S/I; (-1, 0) for the empty scheme."""
+        h, d = self._h_dim()
+        return (d, sum(h)) if d >= 0 else (-1, 0)
+
+    def polynomial(self) -> list:
+        """Ascending coefficients over Q of sum_j h_j C(m - j + d, d), d the
+        dimension; [0] for the empty scheme."""
+        h, d = self._h_dim()
+        coeffs = [Fraction(0)] * max(d + 1, 1)
+        for j, hj in enumerate(h if d >= 0 else ()):
+            term = [Fraction(hj)]
+            for k in range(1, d + 1):  # times (m - j + k) / k
+                term = [(a * (k - j) + b) / k for a, b in zip(term + [0], [0] + term)]
+            coeffs = [a + b for a, b in zip(coeffs, term)]
+        return coeffs
+
+
+def _monomial_numerator(gens, ring) -> list:
+    """K(t) of S/M for the monomial ideal M = (gens).
+
+    Pivots on a variable x dividing two minimal generators,
+    HS(S/M) = HS(S/(M + x)) + t^{w_x} HS(S/(M : x)) (Bigatti,
+    "Computation of Hilbert-Poincare series", JPAA 1997), until the
+    generators are pairwise coprime and K = prod_g (1 - t^{deg g}).
+    """
+    minimal: list = []
+    for g in sorted(set(gens), key=sum):
+        if not any(ring.mono_divides(h, g) for h in minimal):
+            minimal.append(g)
+    counts = [sum(1 for g in minimal if g[i]) for i in range(ring.num_vars)]
+    x = max(range(ring.num_vars), key=counts.__getitem__)
+    if counts[x] < 2:
+        k = [1]
+        for g in minimal:
+            k = _add(k, [0] * ring.mono_degree(g) + [-c for c in k])
+        return k
+    plus = [g for g in minimal if not g[x]] + [ring.variable_mono(x)]
+    colon = [g[:x] + (max(g[x] - 1, 0),) + g[x + 1:] for g in minimal]
+    shifted = [0] * ring.weights[x] + _monomial_numerator(colon, ring)
+    return _add(_monomial_numerator(plus, ring), shifted)
+
+
+def lead_term_series(gb) -> HilbertSeries:
+    """HS(S/I) from the lead monomials of a Groebner basis of I."""
+    return HilbertSeries(gb.ring, _monomial_numerator(gb.lead_monomials, gb.ring))
+
+
 class HilbertData:
-    """Graded dimensions of S/I up to m_max plus the fitted polynomial.
+    """Graded dimensions of S/I up to m_max plus the Hilbert polynomial.
 
     hilbert_polynomial is an ascending coefficient list over Q, or None
-    when no fit was attempted (weighted grading).
+    on weighted gradings.
     """
 
     __slots__ = ("values", "hilbert_polynomial", "stabilization_degree", "m_max")
@@ -49,71 +138,29 @@ class HilbertData:
         return -1
 
 
-def _interpolate(points):
-    """Ascending coefficients of the polynomial through (x, y) points."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # Lagrange basis polynomial for node i, accumulated into coeffs
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def hilbert_function(I: Ideal, m_max: int) -> HilbertData:
-    """dim_k (S/I)_m for m in [0, m_max], plus the fitted Hilbert polynomial.
+    """dim_k (S/I)_m for m in [0, m_max], plus the Hilbert polynomial.
 
-    The fit uses the last N+2 values before the final two, which are
-    reserved as verification degrees; stabilization_degree is the least
-    degree from which every computed value matches the polynomial.
-    Raises TailNotStabilizedError (raise m_max) if verification fails.
+    Both are exact, read off the lead-term series.  The polynomial
+    agrees with the values from degree deg K - N on (deg h - dim), and
+    stabilization_degree is the least degree from which it agrees.
+    Raises TailNotStabilizedError when that degree exceeds m_max.
+    Weighted gradings get the values only.
     """
     I.require_homogeneous()
     ring = I.ring
-    gb = groebner_basis(I)
-    if gb.is_unit_ideal():
-        values = {m: 0 for m in range(m_max + 1)}
-        return HilbertData(values, [Fraction(0)], 0, m_max)
-    values = {m: len(standard_monomials(gb, m)) for m in range(m_max + 1)}
+    series = lead_term_series(groebner_basis(I))
     if not ring.standard_graded:
-        return HilbertData(values, None, None, m_max)
-
-    window = ring.num_vars + 1  # poly degree <= N, so N+1 nodes suffice
-    if m_max < window + 2:
-        raise TailNotStabilizedError(
-            f"m_max={m_max} too small for a degree-{ring.num_vars - 1} fit; "
-            f"raise m_max to at least {window + 2}"
-        )
-    fit_hi = m_max - 2
-    nodes = [(m, values[m]) for m in range(fit_hi - window + 1, fit_hi + 1)]
-    coeffs = _interpolate(nodes)
-    data = HilbertData(values, coeffs, None, m_max)
-    if data.polynomial_degree() >= ring.num_vars:
-        raise TailNotStabilizedError(
-            "fitted polynomial degree exceeds the ring dimension; raise m_max"
-        )
-    for m in (m_max - 1, m_max):
-        if data.polynomial_value(m) != values[m]:
-            raise TailNotStabilizedError(
-                f"Hilbert value at degree {m} disagrees with the tail fit; raise m_max"
-            )
-    stab = m_max
+        return HilbertData(dict(enumerate(series.values(m_max))), None, None, m_max)
+    stab = max(0, len(series.numerator) - ring.num_vars)
+    values = series.values(max(m_max, stab))
+    data = HilbertData(dict(enumerate(values[: m_max + 1])), series.polynomial(), None, m_max)
     while stab > 0 and data.polynomial_value(stab - 1) == values[stab - 1]:
         stab -= 1
+    if stab > m_max:
+        raise TailNotStabilizedError(
+            f"the Hilbert function meets its polynomial only from degree {stab}; "
+            f"raise m_max to at least {stab}"
+        )
     data.stabilization_degree = stab
     return data
-

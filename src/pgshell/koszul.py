@@ -53,11 +53,6 @@ class KoszulContext:
         monos = standard_monomials(self.gb, m)
         return monos, {mono: i for i, mono in enumerate(monos)}
 
-    def dim(self, m: int) -> int:
-        if m < 0:
-            return 0
-        return len(self.std_basis(m)[0])
-
     def coords(self, p: Polynomial, m: int) -> dict:
         """Sparse coordinates of the class of p in the standard basis of (S/I)_m."""
         _, index = self.std_basis(m)

@@ -221,7 +221,6 @@ class _Parser:
     def parse_term(self, ring, sign: int) -> Polynomial:
         field = ring.field
         coeff = field.of(sign)
-        saw_anything = False
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
@@ -237,25 +236,21 @@ class _Parser:
                 coeff = field.mul(coeff, field.of(num, den))
             except ZeroDivisionError as e:
                 raise SourceError(str(e), tok.line, tok.col) from e
-            saw_anything = True
             if self.peek().kind == "*":
                 self.advance()
-                return self.parse_factors(ring, coeff, required=True)
-            if self.peek().kind == "IDENT":
-                return self.parse_factors(ring, coeff, required=True)
-            return Polynomial.constant(ring, 1).scale(coeff)
-        if tok.kind == "IDENT":
-            return self.parse_factors(ring, coeff, required=True)
-        if not saw_anything:
+            elif self.peek().kind != "IDENT":
+                return Polynomial.constant(ring, 1).scale(coeff)
+        elif tok.kind != "IDENT":
             self.fail("expected a term")
+        return self.parse_factors(ring, coeff)
 
-    def parse_factors(self, ring, coeff, required: bool) -> Polynomial:
+    def parse_factors(self, ring, coeff) -> Polynomial:
         mono = list(ring.one_mono)
         count = 0
         while True:
             tok = self.peek()
             if tok.kind != "IDENT":
-                if count == 0 and required:
+                if count == 0:
                     self.fail("expected a variable")
                 break
             self.advance()

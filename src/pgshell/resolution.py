@@ -14,9 +14,6 @@ is asserted, never assumed).
 
 from __future__ import annotations
 
-from itertools import accumulate
-from math import comb
-
 from .errors import EngineError, InternalCheckError, WeightedRingError
 from .groebner import (
     block_key,
@@ -28,6 +25,7 @@ from .groebner import (
     vector_component,
     vector_degree,
 )
+from .hilbert import HilbertSeries
 from .memo import memoized
 from .modules import GradedFreeModule, GradedMatrix
 from .poly import Ideal, Polynomial
@@ -206,9 +204,6 @@ class BettiTable:
     def regularity(self) -> int:
         return max((m - q for (q, m) in self.entries), default=0)
 
-    def support(self):
-        return sorted(self.entries)
-
     def degrees_of(self, q: int):
         out = []
         for m in self.row_support(q):
@@ -223,31 +218,20 @@ class BettiTable:
                 out[k] = out.get(k, 0) + va * vb
         return BettiTable(out)
 
-    def alternating_sum_hilbert(self, ring: PolyRing, m: int) -> int:
-        """dim (S/I)_m predicted by the table (standard grading)."""
-        n = ring.num_vars
-        total = 0
-        for (q, j), b in self.entries.items():
-            d = m - j
-            if d >= 0:
-                total += (-1) ** q * b * comb(d + n - 1, n - 1)
-        return total
-
-    def dimension_degree(self, ring: PolyRing) -> tuple:
-        """(projective dimension, degree) of S/I; (-1, 0) for the empty scheme.
-
-        S/I has Hilbert series K(t) / (1-t)^n, K(t) = sum (-1)^q beta_{q,m} t^m.
-        Dividing K by (1-t) c times while K(1) = 0 leaves dim n-c-1, degree K(1).
-        """
-        if not ring.standard_graded:
-            raise WeightedRingError("dimension/degree are defined for standard gradings here")
+    def hilbert_series(self, ring: PolyRing) -> HilbertSeries:
+        """HS(S/I) with numerator K(t) = sum (-1)^q beta_{q,m} t^m."""
         k = [0] * (max((m for (_, m) in self.entries), default=0) + 1)
         for (q, m), b in self.entries.items():
             k[m] += (-1) ** q * b
-        n, c = ring.num_vars, 0
-        while c < n and sum(k) == 0:
-            k, c = list(accumulate(k)), c + 1  # K / (1-t) has the prefix sums of K
-        return (-1, 0) if c == n else (n - c - 1, sum(k))
+        return HilbertSeries(ring, k)
+
+    def alternating_sum_hilbert(self, ring: PolyRing, m: int) -> int:
+        """dim (S/I)_m predicted by the table."""
+        return self.hilbert_series(ring).values(m)[m]
+
+    def dimension_degree(self, ring: PolyRing) -> tuple:
+        """(projective dimension, degree) of S/I; (-1, 0) for the empty scheme."""
+        return self.hilbert_series(ring).dimension_degree()
 
     def to_json(self) -> dict:
         out: dict = {}
@@ -365,7 +349,7 @@ class ComplexReport:
         return f"ComplexReport({body})"
 
 
-def verify_complex(res: FreeResolution, oracle=None) -> ComplexReport:
+def verify_complex(res: FreeResolution) -> ComplexReport:
     """Certify a claimed resolution: complex, exactness, minimality, Betti.
 
     Exactness is checked algebraically (each syzygy of d_q lies in the
@@ -373,7 +357,7 @@ def verify_complex(res: FreeResolution, oracle=None) -> ComplexReport:
     the last kernel vanishes).  When the complex is minimal its Betti
     numbers are additionally compared with the independent Koszul
     homology oracle at every supported (q, m) and one degree beyond the
-    support of each row; pass `oracle=None` to use the built-in one.
+    support of each row.
     """
     report = ComplexReport()
     ring = res.ring
@@ -427,10 +411,8 @@ def verify_complex(res: FreeResolution, oracle=None) -> ComplexReport:
                 report.add(f"kernel of d_{q} vanishes", not kernel)
 
     if minimal_ok and res.minimal:
-        if oracle is None:
-            from .koszul import koszul_tor
+        from .koszul import koszul_tor
 
-            oracle = lambda ideal, q, m: koszul_tor(ideal, q, m).dimension
         table = betti(res)
         for q in range(len(res.modules)):
             support = table.row_support(q)
@@ -438,7 +420,7 @@ def verify_complex(res: FreeResolution, oracle=None) -> ComplexReport:
                 continue
             for m in support + [support[-1] + 1]:
                 want = table.get(q, m)
-                got = oracle(res.resolved, q, m)
+                got = koszul_tor(res.resolved, q, m).dimension
                 report.add(
                     f"betti oracle (q={q}, m={m})",
                     got == want,

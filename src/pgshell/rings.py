@@ -159,14 +159,6 @@ class PolyRing:
         out.sort(key=self.sort_key, reverse=True)
         return out
 
-    def dim_degree(self, m: int) -> int:
-        """dim_k S_m."""
-        if m < 0:
-            return 0
-        if self.standard_graded:
-            return comb(m + self.num_vars - 1, self.num_vars - 1)
-        return len(self.monomials_of_degree(m))
-
     def mono_str(self, mono: Monomial) -> str:
         parts = []
         for name, e in zip(self.names, mono):
@@ -178,9 +170,9 @@ class PolyRing:
 
     # -- derived rings -------------------------------------------------------
 
-    def extended_elimination_ring(self, extra_name: str = "_t") -> "PolyRing":
+    def extended_elimination_ring(self) -> "PolyRing":
         """Adjoin one auxiliary variable, eliminated by the order."""
-        name = extra_name
+        name = "_t"
         while name in self.names:
             name += "_"
         return PolyRing(

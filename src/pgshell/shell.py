@@ -30,7 +30,6 @@ from .errors import (
     WeightedRingError,
 )
 from .groebner import (
-    graded_piece_dim,
     groebner_basis,
     is_minimal_generator,
     membership,
@@ -382,7 +381,7 @@ def invariants(I: Ideal) -> InvariantRecord:
     is_ci = bt.total(1) == codim
     is_2lin = all(m == q + 1 for (q, m) in bt.entries if q >= 1)
     is_acm = depth == dim + 1
-    nondeg = graded_piece_dim(groebner_basis(I), 1) == 0
+    nondeg = bt.get(1, 1) == 0  # I_1 = (I / S_+ I)_1 for proper I
     delta = dim + degree - ring.num_vars
     return InvariantRecord(
         dim=dim,

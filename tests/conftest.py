@@ -2,10 +2,12 @@ import random
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from pgshell import (
     Ideal,
     Polynomial,
+    PolyRing,
     complete_intersection,
     points_on_rational_normal_curve,
     rational_normal_curve,
@@ -92,6 +94,27 @@ def catalog_items(twisted_cubic, ci23, rnc4_entry, veronese_entry, scroll_entry,
         "scroll12": scroll_entry.ideal,
         "points5": points5_entry.ideal,
     }
+
+
+@st.composite
+def graded_ideals(draw, field, weighted):
+    """Forms, some times a variable, and some degree-3 monomials, in 3 variables."""
+    weights = draw(st.tuples(*[st.integers(1, 3)] * 3)) if weighted else (1, 1, 1)
+    ring = PolyRing(field, ("x", "y", "z"), weights)
+    degrees = [d for d in range(1, 5) if ring.monomials_of_degree(d)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = ring.monomials_of_degree(draw(st.sampled_from(degrees)))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        f = Polynomial(ring, {m: field.of(draw(st.integers(1, 5))) for m in chosen})
+        if draw(st.booleans()):
+            f = f * Polynomial.variable(ring, draw(st.integers(0, 2)))
+        gens.append(f)
+    cubes = ring.monomials_of_degree(3)
+    if cubes:
+        chosen = draw(st.lists(st.sampled_from(cubes), max_size=3, unique=True))
+        gens += [Polynomial.from_term(ring, m, field.one) for m in chosen]
+    return Ideal(ring, gens)
 
 
 def random_invertible(rng: random.Random, n: int, field):

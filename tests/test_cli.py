@@ -127,7 +127,7 @@ def test_commands_run_no_elimination(corpus_file, tmp_path, monkeypatch):
     # saturated input: the pre-check and the catalog check read the resolution
     from pgshell.rings import PolyRing
 
-    def refuse(self, extra_name="_t"):
+    def refuse(self):
         raise AssertionError("elimination ring built")
 
     monkeypatch.setattr(PolyRing, "extended_elimination_ring", refuse)
@@ -179,6 +179,22 @@ def test_hilbert_command(corpus_file):
     assert code == EXIT_OK
     assert payload["values"]["3"] == 10
     assert payload["polynomial"] == ["1", "3"]
+
+
+def test_hilbert_small_max(corpus_file, tmp_path, capsys):
+    # the exact series answers once m_max reaches the stabilization degree
+    code, payload = run_json(["hilbert", corpus_file, "V", "--max", "4"])
+    assert code == EXIT_OK
+    assert payload["values"] == {"0": 1, "1": 4, "2": 7, "3": 10, "4": 13}
+    assert payload["stabilization_degree"] == 0
+    from pgshell import points_on_rational_normal_curve, render_source
+
+    entry = points_on_rational_normal_curve(3, 5)
+    path = tmp_path / "points.ideal"
+    path.write_text(render_source(entry.ring, {"P": entry.ideal}))
+    assert run(["hilbert", str(path), "P", "--max", "1"])[0] == EXIT_INPUT
+    assert "raise m_max to at least 2" in capsys.readouterr().err
+    assert run(["hilbert", str(path), "P", "--max", "2"])[0] == EXIT_OK
 
 
 def test_catalog_command_round_trips():

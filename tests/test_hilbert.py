@@ -2,17 +2,24 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
 
 from pgshell import (
+    Field,
     Ideal,
     Polynomial,
     PolyRing,
     QQ,
     betti,
+    groebner_basis,
     hilbert_function,
+    lead_term_series,
     minimal_resolution,
 )
 from pgshell.errors import TailNotStabilizedError, WeightedRingError
+from pgshell.groebner import standard_monomials
+
+from conftest import graded_ideals
 
 
 def series_coefficients(gen_degrees, num_vars, m_max):
@@ -81,9 +88,19 @@ def test_artinian_dimension_degree(R4):
     assert dimension_degree(Ideal(R4, square)) == (-1, 0)
 
 
-def test_tail_error_when_m_max_too_small(twisted_cubic):
+def test_twisted_cubic_small_m_max(twisted_cubic):
+    # the exact series needs no window of N+3 degrees
+    h = hilbert_function(twisted_cubic, 4)
+    assert [h.values[m] for m in range(5)] == [1, 4, 7, 10, 13]
+    assert h.hilbert_polynomial == [Fraction(1), Fraction(3)]
+    assert h.stabilization_degree == 0
+
+
+def test_tail_error_when_m_max_too_small(points5_entry):
+    # values 1, 4, 5, 5, ...: the constant 5 holds from degree 2 on
     with pytest.raises(TailNotStabilizedError):
-        hilbert_function(twisted_cubic, 4)
+        hilbert_function(points5_entry.ideal, 1)
+    assert hilbert_function(points5_entry.ideal, 2).stabilization_degree == 2
 
 
 def test_weighted_values_no_fit():
@@ -109,3 +126,69 @@ def test_alternating_sum_matches_hilbert(catalog_items):
                 name,
                 m,
             )
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["standard", "weighted"])
+@pytest.mark.parametrize("p", [0, 32003])
+def test_lead_term_series_matches_betti_and_counts(p, weighted):
+    @given(graded_ideals(Field(p), weighted))
+    def check(I):
+        ring = I.ring
+        table = betti(minimal_resolution(I))
+        gb = groebner_basis(I)
+        series = lead_term_series(gb)
+        assert series.numerator == table.hilbert_series(ring).numerator
+        top = table.regularity() + ring.num_vars + 1  # reg + N + 2
+        assert series.values(top) == [len(standard_monomials(gb, m)) for m in range(top + 1)]
+
+    check()
+
+
+def interpolate(points):
+    """Ascending coefficients of the polynomial through (x, y) points (Lagrange)."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                denom *= xi - xj
+                basis = [b - a * xj for a, b in zip(basis + [0], [0] + basis)]
+        for k, c in enumerate(basis):
+            coeffs[k] += c * Fraction(yi) / denom
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def tail_fit(values, num_vars, m_max):
+    """The fit hilbert_function made before the exact series: interpolate the
+    N+2 values before the last two, check it on those two, walk down to the
+    stabilization degree.  (coefficients, degree), or None where it gave up."""
+    window = num_vars + 1
+    if m_max < window + 2:
+        return None
+    coeffs = interpolate([(m, values[m]) for m in range(m_max - 1 - window, m_max - 1)])
+
+    def at(m):
+        return sum(c * m**k for k, c in enumerate(coeffs))
+
+    if len(coeffs) > num_vars or any(at(m) != values[m] for m in (m_max - 1, m_max)):
+        return None
+    stab = m_max
+    while stab > 0 and at(stab - 1) == values[stab - 1]:
+        stab -= 1
+    return coeffs, stab
+
+
+def test_series_matches_tail_fit(catalog_items):
+    for name, ideal in catalog_items.items():
+        gb = groebner_basis(ideal)
+        values = [len(standard_monomials(gb, m)) for m in range(13)]
+        answered = 0
+        for m_max in range(13):
+            fit = tail_fit(values, ideal.ring.num_vars, m_max)
+            if fit is not None:
+                h = hilbert_function(ideal, m_max)
+                assert (h.hilbert_polynomial, h.stabilization_degree) == fit, (name, m_max)
+                answered += 1
+        assert answered, name

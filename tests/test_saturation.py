@@ -1,12 +1,10 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from pgshell import (
     Field,
     Ideal,
     Polynomial,
-    PolyRing,
     groebner_basis,
     ideal_intersection,
     ideal_quotient_saturation,
@@ -16,7 +14,9 @@ from pgshell import (
     standard_ring,
 )
 from pgshell.errors import EngineError, NotHomogeneousError
-from pgshell.groebner import graded_piece_dim
+from pgshell.groebner import standard_monomials
+
+from conftest import graded_ideals
 
 
 def test_quotient_power_examples(R4, zvars):
@@ -96,8 +96,8 @@ def test_saturation_idempotent_and_never_shrinks(R4, zvars, tc_quadrics):
     assert not changed
     gb_before = groebner_basis(shifted)
     gb_after = groebner_basis(sat)
-    for m in range(8):
-        assert graded_piece_dim(gb_before, m) <= graded_piece_dim(gb_after, m)
+    for m in range(8):  # dim I_m <= dim (I^sat)_m
+        assert len(standard_monomials(gb_after, m)) <= len(standard_monomials(gb_before, m))
 
 
 def fixpoint_saturation(I):
@@ -148,27 +148,6 @@ def test_one_sweep_matches_fixpoint(p):
         assert changed == ref_changed, name
         # one more sweep of the result changes nothing
         assert saturate_irrelevant(sat) == (sat, False), name
-
-
-@st.composite
-def graded_ideals(draw, field, weighted):
-    """Forms, some times a variable, and some degree-3 monomials, in 3 variables."""
-    weights = draw(st.tuples(*[st.integers(1, 3)] * 3)) if weighted else (1, 1, 1)
-    ring = PolyRing(field, ("x", "y", "z"), weights)
-    degrees = [d for d in range(1, 5) if ring.monomials_of_degree(d)]
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        monos = ring.monomials_of_degree(draw(st.sampled_from(degrees)))
-        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
-        f = Polynomial(ring, {m: field.of(draw(st.integers(1, 5))) for m in chosen})
-        if draw(st.booleans()):
-            f = f * Polynomial.variable(ring, draw(st.integers(0, 2)))
-        gens.append(f)
-    cubes = ring.monomials_of_degree(3)
-    if cubes:
-        chosen = draw(st.lists(st.sampled_from(cubes), max_size=3, unique=True))
-        gens += [Polynomial.from_term(ring, m, field.one) for m in chosen]
-    return Ideal(ring, gens)
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["standard", "weighted"])

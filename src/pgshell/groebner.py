@@ -18,6 +18,18 @@ basis in the input's degree, so the inputs that survive form a minimal
 generating subset (La Scala-Stillman).  The product criterion is used
 for ideals only, the chain criterion always.
 
+QQ arithmetic: over the rationals the pass runs fraction-free, on
+primitive integer vectors (integer coefficients with gcd 1 and a
+positive lead coefficient).  Inputs are cleared of denominators; an
+S-polynomial cross-multiplies the two lead coefficients divided by
+their gcd; reduction is pseudo-division, which scales the work vector
+and the partial remainder by an integer before each subtraction and
+divides out their common content every few steps.  Every vector so
+produced is a nonzero rational multiple of the one the field
+arithmetic would give, so pairs, zero reductions and kept inputs are
+the same.  Only the final reduced basis is made monic, as `Fraction`
+vectors.  GF(p) runs on the field arithmetic throughout.
+
 Determinism: ties keep input order, and the final interreduction yields
 the reduced Groebner basis, which is unique -- so the output is
 independent of generator permutation.
@@ -25,7 +37,12 @@ independent of generator permutation.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd
+from math import lcm as int_lcm
+from operator import mul as int_mul
+from operator import sub as int_sub
 
 from .errors import NotHomogeneousError, RingMismatchError
 from .linalg import RowSpace
@@ -98,6 +115,8 @@ def lead_terms(basis, key):
 def vector_monic(v: dict, key, field) -> dict:
     lt = vector_lead(v, key)
     lc = v[lt]
+    if _is_integral(lc, field):
+        return {t: Fraction(c, lc) for t, c in v.items()}
     if lc == field.one:
         return v
     inv = field.inv(lc)
@@ -114,19 +133,59 @@ def vector_degree(v: dict, ring: PolyRing, twists) -> int | None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# fraction-free QQ
+
+# pseudo-division steps between two divisions by the content
+CONTENT_STEPS = 8
+
+
+def _is_integral(c, field) -> bool:
+    """Is c one of module_groebner's integer coefficients over QQ?"""
+    return not field.characteristic and type(c) is int
+
+
+def _arithmetic(integral: bool, field):
+    """(zero, sub, mul) on integers or in the field."""
+    if integral:
+        return 0, int_sub, int_mul
+    return field.zero, field.sub, field.mul
+
+
+def _primitive(v: dict, lt) -> dict:
+    """The integer vector v divided by its content, signed so that v[lt] > 0."""
+    g = gcd(*v.values())
+    if v[lt] < 0:
+        g = -g
+    return v if g == 1 else {t: c // g for t, c in v.items()}
+
+
+def _integer_vector(v: dict, lt) -> dict:
+    """The primitive integer multiple of the rational vector v."""
+    den = int_lcm(*(c.denominator for c in v.values()))
+    return _primitive({t: c.numerator * (den // c.denominator) for t, c in v.items()}, lt)
+
+
 def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> dict:
     """Full normal form of v against basis (first matching divisor wins).
 
     If `quotients` is a list of dicts (one per basis element) the
     division coefficients are accumulated into it, so that
     v = sum_i quotients[i] * basis[i] + remainder.
+
+    Over QQ, an integer basis (module_groebner's primitive vectors)
+    pseudo-divides an integer v: the remainder is the field remainder
+    times a nonzero rational, returned primitive.  `quotients` needs
+    field coefficients.
     """
     field = ring.field
-    zero = field.zero
+    integral = bool(lead_terms) and _is_integral(lead_terms[0][1], field)
+    zero, sub, mul = _arithmetic(integral, field)
     mono_div = ring.mono_div
     work = dict(v)
     remainder = {}
     nbasis = len(basis)
+    steps = 0
     while work:
         t = max(work, key=key)
         tm, tp = t
@@ -138,10 +197,22 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
             q = mono_div(tm, gm)
             if q is None:
                 continue
-            factor = field.div(c, gc)
+            if integral:
+                # divide out the content every few steps, then scale by
+                # gc/g so that (c/g) q basis[idx] cancels t
+                steps += 1
+                d = gcd(*work.values(), *remainder.values()) if steps % CONTENT_STEPS == 0 else 1
+                c //= d
+                g = gcd(c, gc)
+                factor, scale = c // g, gc // g
+                if d != 1 or scale != 1:
+                    work = {k: x // d * scale for k, x in work.items()}
+                    remainder = {k: x // d * scale for k, x in remainder.items()}
+            else:
+                factor = field.div(c, gc)
             for (m2, p2), c2 in basis[idx].items():
                 k2 = (tuple(a + b for a, b in zip(q, m2)), p2)
-                s = field.sub(work.get(k2, zero), field.mul(factor, c2))
+                s = sub(work.get(k2, zero), mul(factor, c2))
                 if s == zero:
                     work.pop(k2, None)
                 else:
@@ -153,26 +224,36 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
         else:
             remainder[t] = c
             del work[t]
+    if integral and remainder:
+        # terms leave `work` in decreasing order, so the first is the lead
+        return _primitive(remainder, next(iter(remainder)))
     return remainder
 
 
 def _spoly(f, g, ltf, ltg, ring: PolyRing):
+    """S-vector scale_f qf f - scale_g qg g, which cancels the lead terms:
+    the scales are the inverse lead coefficients, or for integer vectors
+    over QQ the crossed lead coefficients divided by their gcd."""
     field = ring.field
     (fm, fp), fc = ltf
     (gm, gp), gc = ltg
     lcm = ring.mono_lcm(fm, gm)
     qf = ring.mono_div(lcm, fm)
     qg = ring.mono_div(lcm, gm)
-    inv_f = field.inv(fc)
-    inv_g = field.inv(gc)
+    integral = _is_integral(fc, field)
+    zero, sub, mul = _arithmetic(integral, field)
+    if integral:
+        d = gcd(fc, gc)
+        scale_f, scale_g = gc // d, fc // d
+    else:
+        scale_f, scale_g = field.inv(fc), field.inv(gc)
     out: dict = {}
-    zero = field.zero
     for (m, p), c in f.items():
         k = (tuple(a + b for a, b in zip(qf, m)), p)
-        out[k] = field.mul(inv_f, c)
+        out[k] = mul(scale_f, c)
     for (m, p), c in g.items():
         k = (tuple(a + b for a, b in zip(qg, m)), p)
-        s = field.sub(out.get(k, zero), field.mul(inv_g, c))
+        s = sub(out.get(k, zero), mul(scale_g, c))
         if s == zero:
             out.pop(k, None)
         else:
@@ -197,12 +278,15 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
     sort_key = ring.sort_key
     ideal = len(twists) == 1
 
-    inputs = []
+    integral = not field.characteristic
+    inputs = []  # (degree, index, vector as the pass takes it)
     for idx, v in enumerate(vectors):
         if v:
-            mono, pos = vector_lead(v, key)
-            inputs.append((mono_degree(mono) + twists[pos], idx))
-    inputs.sort()
+            lt = vector_lead(v, key)
+            mono, pos = lt
+            inputs.append((mono_degree(mono) + twists[pos], idx,
+                           _integer_vector(v, lt) if integral else v))
+    inputs.sort(key=lambda entry: entry[:2])
 
     basis = []
     leads = []
@@ -210,7 +294,8 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
     pending = set()
 
     def insert(v):
-        v = vector_monic(v, key, field)
+        if not integral:
+            v = vector_monic(v, key, field)
         lt = vector_lead(v, key)
         new = len(basis)
         basis.append(v)
@@ -226,9 +311,9 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
     nxt = 0
     while pairs or nxt < len(inputs):
         if nxt < len(inputs) and (not pairs or inputs[nxt][0] < pairs[0][0]):
-            idx = inputs[nxt][1]
+            _, idx, v = inputs[nxt]
             nxt += 1
-            r = reduce_vector(vectors[idx], basis, leads, key, ring)
+            r = reduce_vector(v, basis, leads, key, ring)
             if r:
                 insert(r)
                 if kept is not None:

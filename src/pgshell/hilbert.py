@@ -79,10 +79,13 @@ class HilbertSeries:
 def _monomial_numerator(gens, ring) -> list:
     """K(t) of S/M for the monomial ideal M = (gens).
 
-    Pivots on a variable x dividing two minimal generators,
-    HS(S/M) = HS(S/(M + x)) + t^{w_x} HS(S/(M : x)) (Bigatti,
+    Pivots on the power x^e of a variable x dividing the most minimal
+    generators, e the lower median of their positive x-exponents,
+    HS(S/M) = HS(S/(M + x^e)) + t^{e w_x} HS(S/(M : x^e)) (Bigatti,
     "Computation of Hilbert-Poincare series", JPAA 1997), until the
     generators are pairwise coprime and K = prod_g (1 - t^{deg g}).
+    Each branch leaves x in at most (k + 1) // 2 of the k generators it
+    divided, so the depth grows with log k, not with the exponents.
     """
     minimal: list = []
     for g in sorted(set(gens), key=sum):
@@ -95,9 +98,13 @@ def _monomial_numerator(gens, ring) -> list:
         for g in minimal:
             k = _add(k, [0] * ring.mono_degree(g) + [-c for c in k])
         return k
-    plus = [g for g in minimal if not g[x]] + [ring.variable_mono(x)]
-    colon = [g[:x] + (max(g[x] - 1, 0),) + g[x + 1:] for g in minimal]
-    shifted = [0] * ring.weights[x] + _monomial_numerator(colon, ring)
+    # below the largest exponent, so x^e is not in M even if M holds a power of x
+    exps = sorted(g[x] for g in minimal if g[x])
+    e = exps[(len(exps) - 1) // 2]
+    power = tuple(e if i == x else 0 for i in range(ring.num_vars))
+    plus = [g for g in minimal if g[x] < e] + [power]
+    colon = [g[:x] + (max(g[x] - e, 0),) + g[x + 1:] for g in minimal]
+    shifted = [0] * (ring.weights[x] * e) + _monomial_numerator(colon, ring)
     return _add(_monomial_numerator(plus, ring), shifted)
 
 

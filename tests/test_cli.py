@@ -197,6 +197,25 @@ def test_hilbert_small_max(corpus_file, tmp_path, capsys):
     assert run(["hilbert", str(path), "P", "--max", "2"])[0] == EXIT_OK
 
 
+def test_hilbert_deep_staircase(tmp_path, capsys):
+    gens = "x^1200, x^1199*y, y^1200"
+    weighted = tmp_path / "weighted.ideal"
+    weighted.write_text(f"ring S = QQ[x:1,y:2];\nideal M = {gens};\n")
+    code, payload = run_json(["hilbert", str(weighted), "M", "--max", "12"])
+    assert code == EXIT_OK
+    assert payload["values"] == {str(m): m // 2 + 1 for m in range(13)}
+    # standard grading: S/M is Artinian with socle in degree 2397, so its
+    # Hilbert function meets the zero polynomial only from degree 2398
+    standard = tmp_path / "standard.ideal"
+    standard.write_text(f"ring S = QQ[x,y];\nideal M = {gens};\n")
+    assert run(["hilbert", str(standard), "M", "--max", "12"])[0] == EXIT_INPUT
+    assert "raise m_max to at least 2398" in capsys.readouterr().err
+    code, payload = run_json(["hilbert", str(standard), "M", "--max", "2398"])
+    assert code == EXIT_OK
+    assert payload["values"]["2397"] == 1 and payload["values"]["2398"] == 0
+    assert payload["stabilization_degree"] == 2398
+
+
 def test_catalog_command_round_trips():
     code, payload = run_json(["catalog", "rnc", "4"])
     assert code == EXIT_OK

@@ -1,0 +1,292 @@
+"""Differential tests: the fraction-free QQ Groebner engine against the
+field-arithmetic engine it replaced.
+
+Over QQ, `module_groebner` runs on primitive integer vectors with
+pseudo-reduction and makes only its final basis monic.  The reference
+below is the engine as it was before, on `Fraction` coefficients
+throughout; both must return the same reduced basis and the same kept
+inputs.  `reduce_vector` on integer vectors must return the primitive
+form, with positive lead coefficient, of the field remainder.
+"""
+
+import random
+from fractions import Fraction
+from heapq import heappop, heappush
+from math import gcd, lcm
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pgshell import (
+    QQ,
+    Polynomial,
+    complete_intersection,
+    minimal_resolution,
+    points_on_rational_normal_curve,
+    rational_normal_curve,
+    scroll_surface,
+    standard_ring,
+    substitute_ideal,
+    twisted_cubic_cone_p5,
+    veronese_surface,
+)
+from pgshell.groebner import (
+    block_key,
+    module_groebner,
+    poly_to_vector,
+    reduce_vector,
+    top_key,
+    vector_lead,
+)
+from pgshell.resolution import _column_vector
+
+from conftest import random_invertible
+
+# ---------------------------------------------------------------------------
+# the reference: the engine on field arithmetic
+
+
+def ref_monic(v, key, field):
+    lt = vector_lead(v, key)
+    inv = field.inv(v[lt])
+    return {t: field.mul(inv, c) for t, c in v.items()}
+
+
+def ref_reduce(v, basis, lead_terms, key, ring):
+    field = ring.field
+    zero = field.zero
+    work = dict(v)
+    remainder = {}
+    while work:
+        t = max(work, key=key)
+        tm, tp = t
+        c = work[t]
+        for idx in range(len(basis)):
+            (gm, gp), gc = lead_terms[idx]
+            q = ring.mono_div(tm, gm) if gp == tp else None
+            if q is None:
+                continue
+            factor = field.div(c, gc)
+            for (m2, p2), c2 in basis[idx].items():
+                k2 = (tuple(a + b for a, b in zip(q, m2)), p2)
+                s = field.sub(work.get(k2, zero), field.mul(factor, c2))
+                if s == zero:
+                    work.pop(k2, None)
+                else:
+                    work[k2] = s
+            break
+        else:
+            remainder[t] = c
+            del work[t]
+    return remainder
+
+
+def ref_spoly(f, g, ltf, ltg, ring):
+    field = ring.field
+    (fm, _), fc = ltf
+    (gm, _), gc = ltg
+    lcm_ = ring.mono_lcm(fm, gm)
+    qf, qg = ring.mono_div(lcm_, fm), ring.mono_div(lcm_, gm)
+    inv_f, inv_g = field.inv(fc), field.inv(gc)
+    out = {}
+    for (m, p), c in f.items():
+        out[(tuple(a + b for a, b in zip(qf, m)), p)] = field.mul(inv_f, c)
+    for (m, p), c in g.items():
+        k = (tuple(a + b for a, b in zip(qg, m)), p)
+        s = field.sub(out.get(k, field.zero), field.mul(inv_g, c))
+        if s == field.zero:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def ref_module_groebner(vectors, ring, twists, key, kept):
+    field = ring.field
+    ideal = len(twists) == 1
+    inputs = []
+    for idx, v in enumerate(vectors):
+        if v:
+            mono, pos = vector_lead(v, key)
+            inputs.append((ring.mono_degree(mono) + twists[pos], idx))
+    inputs.sort()
+    basis, leads, pairs, pending = [], [], [], set()
+
+    def insert(v):
+        v = ref_monic(v, key, field)
+        lt = vector_lead(v, key)
+        new = len(basis)
+        basis.append(v)
+        leads.append((lt, v[lt]))
+        mono, pos = lt
+        for t in range(new):
+            (mt, pt), _ = leads[t]
+            if pt == pos:
+                lcm_ = ring.mono_lcm(mt, mono)
+                heappush(pairs, (ring.mono_degree(lcm_) + twists[pos], ring.sort_key(lcm_), t, new,
+                                 lcm_))
+                pending.add((t, new))
+
+    nxt = 0
+    while pairs or nxt < len(inputs):
+        if nxt < len(inputs) and (not pairs or inputs[nxt][0] < pairs[0][0]):
+            idx = inputs[nxt][1]
+            nxt += 1
+            r = ref_reduce(vectors[idx], basis, leads, key, ring)
+            if r:
+                insert(r)
+                kept.append(idx)
+            continue
+        _, _, i, j, lcm_ = heappop(pairs)
+        pending.discard((i, j))
+        (mi, pi), _ = leads[i]
+        (mj, _), _ = leads[j]
+        if ideal and tuple(a + b for a, b in zip(mi, mj)) == lcm_:
+            continue
+        if any(
+            k != i and k != j and leads[k][0][1] == pi and ring.mono_divides(leads[k][0][0], lcm_)
+            and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+        ):
+            continue
+        r = ref_reduce(ref_spoly(basis[i], basis[j], leads[i], leads[j], ring), basis, leads, key,
+                       ring)
+        if r:
+            insert(r)
+
+    minimal = []
+    for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0])):
+        m, p = leads[i][0]
+        if not any(leads[k][0][1] == p and ring.mono_divides(leads[k][0][0], m) for k in minimal):
+            minimal.append(i)
+    out = []
+    for i in minimal:
+        others = [k for k in minimal if k != i]
+        r = ref_reduce(basis[i], [basis[k] for k in others], [leads[k] for k in others], key, ring)
+        out.append(ref_monic(r, key, field))
+    out.sort(key=lambda v: key(vector_lead(v, key)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def assert_same_engine(vectors, ring, twists, key):
+    kept, ref_kept = [], []
+    got = module_groebner(vectors, ring, twists, key=key, kept=kept)
+    want = ref_module_groebner(vectors, ring, twists, key, ref_kept)
+    assert got == want
+    assert kept == ref_kept
+    # the same vectors, term order included, all with Fraction coefficients
+    assert [list(v) for v in got] == [list(v) for v in want]
+    assert all(type(c) is Fraction for v in got for c in v.values())
+    return want
+
+
+def integer_primitive(v, key):
+    """The primitive integer multiple of v with positive lead coefficient."""
+    den = lcm(*(Fraction(c).denominator for c in v.values()))
+    ints = {t: int(c * den) for t, c in v.items()}
+    g = gcd(*ints.values())
+    if ints[vector_lead(ints, key)] < 0:
+        g = -g
+    return {t: c // g for t, c in ints.items()}
+
+
+def assert_pseudo_remainder(v, basis, key, ring):
+    """Integer reduce_vector = primitive form of the field remainder."""
+    leads = [(vector_lead(g, key), g[vector_lead(g, key)]) for g in basis]
+    want = ref_reduce(v, basis, leads, key, ring)
+    int_basis = [integer_primitive(g, key) for g in basis]
+    int_leads = [(lt, g[lt]) for (lt, _), g in zip(leads, int_basis)]
+    got = reduce_vector(integer_primitive(v, key), int_basis, int_leads, key, ring)
+    assert got == (integer_primitive(want, key) if want else {})
+
+
+GENERIC = {
+    "rnc4": lambda: rational_normal_curve(4),
+    "rnc5": lambda: rational_normal_curve(5),
+    "veronese": veronese_surface,
+    "scroll": scroll_surface,
+    "tc-cone": twisted_cubic_cone_p5,
+    "ci222": lambda: complete_intersection([2, 2, 2], seed=1),
+    "points5": lambda: points_on_rational_normal_curve(3, 5),
+}
+
+
+@pytest.mark.parametrize("label", list(GENERIC))
+def test_catalog_in_generic_coordinates(label):
+    ideal = GENERIC[label]().ideal
+    ring = ideal.ring
+    assert ring.field == QQ
+    rng = random.Random(f"generic/{label}")
+    ideal = substitute_ideal(ideal, random_invertible(rng, ring.num_vars, ring.field))
+    key = top_key(ring, 1)
+    gens = [poly_to_vector(g) for g in ideal.generators]
+    gb = assert_same_engine(gens, ring, (0,), key)
+    for g in gens:
+        assert_pseudo_remainder(g, gb, key, ring)
+        # termwise rescaled, so in general outside the ideal
+        assert_pseudo_remainder({t: c * rng.choice((-2, -1, 3)) for t, c in g.items()},
+                                gb, key, ring)
+    for M in minimal_resolution(ideal).differentials:
+        r = M.target.rank
+        # the inputs of the differential's ColumnModule, under its block order
+        columns = []
+        for j, col in enumerate(M.columns()):
+            v = _column_vector(col)
+            v[(ring.one_mono, r + j)] = ring.field.one
+            columns.append(v)
+        basis = assert_same_engine(columns, ring, M.target.twists + M.source.twists,
+                                   block_key(ring, r))
+        # the syzygy vectors that minimal_generating_subset takes next
+        syz = [{(m, p - r): c for (m, p), c in v.items()} for v in basis
+               if all(p >= r for (_, p) in v)]
+        if syz:
+            assert_same_engine(syz, ring, M.source.twists, top_key(ring, M.source.rank))
+
+
+RING = standard_ring(3, QQ)
+TWISTS = (0, 1, 1)
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+
+
+@st.composite
+def module_vectors(draw, homogeneous=True):
+    """A nonzero vector of S(0) + S(-1) + S(-1) with rational coefficients;
+    homogeneous of degree 1..3, or an ideal element of degree <= 2."""
+    if not homogeneous:
+        monos = [m for d in range(3) for m in RING.monomials_of_degree(d)]
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        return {(m, 0): draw(rationals) for m in chosen}
+    degree = draw(st.integers(1, 3))
+    terms = [(m, p) for p, tw in enumerate(TWISTS) for m in RING.monomials_of_degree(degree - tw)]
+    chosen = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=5, unique=True))
+    return {t: draw(rationals) for t in chosen}
+
+
+@given(st.lists(module_vectors(), min_size=1, max_size=5), module_vectors())
+def test_random_rational_modules(vectors, v):
+    key = top_key(RING, len(TWISTS))
+    basis = assert_same_engine(vectors, RING, TWISTS, key)
+    assert_pseudo_remainder(v, basis, key, RING)
+
+
+@given(st.lists(module_vectors(homogeneous=False), min_size=1, max_size=3),
+       module_vectors(homogeneous=False))
+def test_random_inhomogeneous_ideals(vectors, v):
+    key = top_key(RING, 1)
+    basis = assert_same_engine(vectors, RING, (0,), key)
+    assert_pseudo_remainder(v, basis, key, RING)
+
+
+def test_input_scaling_is_invisible():
+    # non-monic, non-integral input gives the monic reduced basis
+    x, y, z = (Polynomial.variable(RING, i) for i in range(3))
+    f = (x * y).scale(QQ.of(-3, 4)) + (z * z).scale(QQ.of(5, 6))
+    g = (y * z).scale(QQ.of(7, 2)) - (x * x).scale(QQ.of(2, 9))
+    key = top_key(RING, 1)
+    want = assert_same_engine([poly_to_vector(f), poly_to_vector(g)], RING, (0,), key)
+    assert all(v[vector_lead(v, key)] == 1 for v in want)

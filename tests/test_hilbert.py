@@ -114,6 +114,31 @@ def test_weighted_values_no_fit():
         dimension_degree(Ideal(ring, [x]))
 
 
+STAIRCASES = {
+    "1200": ((1200, 0), (1199, 1), (0, 1200)),
+    "5000": ((5000, 0), (4999, 1), (0, 5000)),
+    "1200-steps": tuple((1200 - 100 * i, 100 * i) for i in range(13)) + ((1199, 1),),
+}
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2)], ids=["standard", "weighted"])
+@pytest.mark.parametrize("name", list(STAIRCASES))
+def test_deep_staircase_series_counts_standard_monomials(name, weights):
+    # a pivot on a variable recursed once per unit of exponent, past
+    # Python's recursion limit from degree about 1000
+    ring = PolyRing(QQ, ("x", "y"), weights)
+    gb = groebner_basis(
+        Ideal(ring, [Polynomial.from_term(ring, g, ring.field.one) for g in STAIRCASES[name]])
+    )
+    top = 2 * max(ring.mono_degree(g) for g in gb.lead_monomials)
+    values = lead_term_series(gb).values(top)
+    last = max(m for m, v in enumerate(values) if v)  # S/M is Artinian
+    gen_degree = min(ring.mono_degree(g) for g in gb.lead_monomials)
+    degrees = set(range(0, top + 1, top // 10)) | set(range(gen_degree - 3, gen_degree + 4))
+    for m in sorted(degrees | {last, last + 1}):
+        assert values[m] == len(standard_monomials(gb, m)), m
+
+
 def test_alternating_sum_matches_hilbert(catalog_items):
     from pgshell import betti, minimal_resolution, regularity_and_depth
 

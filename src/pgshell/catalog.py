@@ -79,11 +79,7 @@ def determinantal_minors(entries, size: int, ring: PolyRing, name: str = "minors
         for cset in combinations(range(ncols), size):
             sub = [[entries[r][c] for c in cset] for r in rset]
             gens.append(_det(sub, ring))
-    ideal = Ideal(ring, gens)
-    for g in ideal.generators:
-        if g.homogeneous_degree() is None:
-            raise CatalogError("minors are not homogeneous")
-    return CatalogEntry(name, ring, ideal, {}, notes=f"{size}x{size} minors")
+    return CatalogEntry(name, ring, Ideal(ring, gens), {}, notes=f"{size}x{size} minors")
 
 
 def rational_normal_curve(d: int, field: Field | None = None) -> CatalogEntry:
@@ -104,7 +100,7 @@ def rational_normal_curve(d: int, field: Field | None = None) -> CatalogEntry:
         "is_2linear": True,
         "is_complete_intersection": d == 2,
         "delta_genus": 0,
-        "reg_R": 1 if d > 2 else 1,
+        "reg_R": 1,
     }
     entry.notes = "classical: ACM curve of minimal degree, 2-linear resolution"
     return entry
@@ -181,6 +177,9 @@ def complete_intersection(
     degrees = tuple(int(d) for d in degrees)
     if not degrees:
         raise CatalogError("at least one degree required")
+    for d in degrees:
+        if d < 1:
+            raise CatalogError(f"form degrees must be at least 1, got {d}")
     if num_vars is None:
         num_vars = len(degrees) + 2
     if len(degrees) > num_vars - 1:

@@ -54,7 +54,7 @@ from .rings import PolyRing
 # module term orders
 
 
-def top_key(ring: PolyRing, rank: int):
+def top_key(ring: PolyRing):
     """Term-over-position order: ring order on monomials, e_0 > e_1 > ...
 
     The returned key function memoizes per term; reuse one key function
@@ -270,7 +270,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
     homogeneous input they index a minimal generating subset.
     """
     if key is None:
-        key = top_key(ring, len(twists))
+        key = top_key(ring)
     field = ring.field
     mono_degree = ring.mono_degree
     mono_lcm = ring.mono_lcm
@@ -428,7 +428,7 @@ def buchberger_list(polys, ring: PolyRing):
 @memoized
 def groebner_basis(I: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal, cached by value, from one pass."""
-    key = top_key(I.ring, 1)
+    key = top_key(I.ring)
     kept: list[int] = []
     vectors = module_groebner([poly_to_vector(g) for g in I.generators], I.ring, (0,), key, kept)
     return GroebnerBasis(I.ring, vectors, key, kept)

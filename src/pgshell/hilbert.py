@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import EngineError, TailNotStabilizedError, WeightedRingError
+from .errors import EngineError, PreconditionError, TailNotStabilizedError, WeightedRingError
 from .groebner import groebner_basis
 from .poly import Ideal
 
@@ -151,9 +151,12 @@ def hilbert_function(I: Ideal, m_max: int) -> HilbertData:
     Both are exact, read off the lead-term series.  The polynomial
     agrees with the values from degree deg K - N on (deg h - dim), and
     stabilization_degree is the least degree from which it agrees.
-    Raises TailNotStabilizedError when that degree exceeds m_max.
-    Weighted gradings get the values only.
+    Raises TailNotStabilizedError when that degree exceeds m_max, and
+    PreconditionError when m_max < 0.  Weighted gradings get the values
+    only.
     """
+    if m_max < 0:
+        raise PreconditionError(f"m_max must be at least 0, got {m_max}")
     I.require_homogeneous()
     ring = I.ring
     series = lead_term_series(groebner_basis(I))

@@ -3,14 +3,14 @@
 A GradedFreeModule is just its twist list: twists (d_1..d_r) mean
 (+)_i S(-d_i).  A GradedMatrix maps source -> target with the degree-0
 convention: entry (i, j) is zero or homogeneous of degree
-source.twists[j] - target.twists[i].  Columns are images of the source
-basis vectors.
+source.twists[j] - target.twists[i].  Column j is the image of source
+basis vector j, kept as a module vector of the Groebner engine: a dict
+(monomial, row) -> nonzero coefficient.
 """
 
 from __future__ import annotations
 
 from .errors import EngineError
-from .poly import Polynomial
 from .rings import PolyRing
 
 
@@ -45,85 +45,61 @@ class GradedFreeModule:
 
 
 class GradedMatrix:
-    __slots__ = ("ring", "source", "target", "entries")
+    __slots__ = ("ring", "source", "target", "columns")
 
-    def __init__(self, ring: PolyRing, source: GradedFreeModule, target: GradedFreeModule, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if len(entries) != target.rank or any(len(r) != source.rank for r in entries):
+    def __init__(self, ring: PolyRing, source: GradedFreeModule, target: GradedFreeModule, columns):
+        columns = tuple(columns)
+        rows = target.rank
+        if len(columns) != source.rank or any(
+            not 0 <= pos < rows for col in columns for (_, pos) in col
+        ):
             raise EngineError(
-                f"entry shape {len(entries)}x{(len(entries[0]) if entries else 0)} "
-                f"does not match target rank {target.rank} x source rank {source.rank}"
+                f"{len(columns)} columns do not fit a map from rank {source.rank} "
+                f"to rank {rows}"
             )
         self.ring = ring
         self.source = source
         self.target = target
-        self.entries = entries
-
-    @classmethod
-    def from_columns(cls, ring, source, target, columns):
-        entries = [
-            [columns[j][i] for j in range(source.rank)] for i in range(target.rank)
-        ]
-        return cls(ring, source, target, entries)
-
-    def column(self, j: int):
-        return [self.entries[i][j] for i in range(self.target.rank)]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.source.rank)]
+        self.columns = columns
 
     def validate_degrees(self):
         """Check the degree-0 map convention; raises EngineError on failure."""
-        for i in range(self.target.rank):
-            for j in range(self.source.rank):
-                e = self.entries[i][j]
-                if e.is_zero():
-                    continue
+        mono_degree = self.ring.mono_degree
+        for j, col in enumerate(self.columns):
+            for (mono, i) in col:
                 want = self.source.twists[j] - self.target.twists[i]
-                got = e.homogeneous_degree()
+                got = mono_degree(mono)
                 if got != want:
                     raise EngineError(
-                        f"entry ({i},{j}) has degree {got}, expected {want}"
+                        f"entry ({i},{j}) has a term of degree {got}, expected {want}"
                     )
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.columns)
 
     def compose(self, other: "GradedMatrix") -> "GradedMatrix":
         """self o other (apply other first)."""
         if other.target != self.source:
             raise EngineError("composition shape mismatch")
-        ring = self.ring
-        zero = Polynomial.zero(ring)
-        rows = self.target.rank
-        mid = self.source.rank
-        cols = other.source.rank
+        field = self.ring.field
+        zero, add, mul = field.zero, field.add, field.mul
         out = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                acc = zero
-                for k in range(mid):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return GradedMatrix(ring, other.source, self.target, out)
-
-    def constant_part(self):
-        """Entries' constant coefficients as a field matrix (reduction mod S_+)."""
-        return [
-            [e.constant_coeff() for e in row]
-            for row in self.entries
-        ]
+        for v in other.columns:
+            acc: dict = {}
+            for (m, k), c in v.items():
+                for (m2, i), c2 in self.columns[k].items():
+                    t = (tuple(a + b for a, b in zip(m, m2)), i)
+                    s = add(acc.get(t, zero), mul(c, c2))
+                    if s == zero:
+                        acc.pop(t, None)
+                    else:
+                        acc[t] = s
+            out.append(acc)
+        return GradedMatrix(self.ring, other.source, self.target, out)
 
     def has_unit_entry(self) -> bool:
-        zero = self.ring.field.zero
-        return any(
-            e.constant_coeff() != zero for row in self.entries for e in row
-        )
+        one = self.ring.one_mono
+        return any(mono == one for col in self.columns for (mono, _) in col)
 
     def __eq__(self, other):
         return (
@@ -131,11 +107,12 @@ class GradedMatrix:
             and other.ring == self.ring
             and other.source == self.source
             and other.target == self.target
-            and other.entries == self.entries
+            and other.columns == self.columns
         )
 
     def __hash__(self):
-        return hash((self.ring, self.source, self.target, self.entries))
+        # columns are dicts, so the hash reads the shape only
+        return hash((self.ring, self.source, self.target))
 
     def __repr__(self):
         return f"GradedMatrix({self.target.rank}x{self.source.rank})"

@@ -14,6 +14,8 @@ is asserted, never assumed).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import EngineError, InternalCheckError, WeightedRingError
 from .groebner import (
     block_key,
@@ -22,19 +24,13 @@ from .groebner import (
     module_groebner,
     poly_to_vector,
     reduce_vector,
-    vector_component,
     vector_degree,
 )
 from .hilbert import HilbertSeries
 from .memo import memoized
 from .modules import GradedFreeModule, GradedMatrix
-from .poly import Ideal, Polynomial
+from .poly import Ideal
 from .rings import PolyRing
-
-
-def _column_vector(column) -> dict:
-    """Module vector of a column given as a list of polynomials."""
-    return {t: c for pos, p in enumerate(column) for t, c in poly_to_vector(p, pos).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +74,8 @@ class ColumnModule:
     def __init__(self, M: GradedMatrix):
         ring = M.ring
         r = M.target.rank
-        vectors = []
-        for j, col in enumerate(M.columns()):
-            v = _column_vector(col)
-            v[(ring.one_mono, r + j)] = ring.field.one
-            vectors.append(v)
+        one = ring.field.one
+        vectors = [{**col, (ring.one_mono, r + j): one} for j, col in enumerate(M.columns)]
         self.matrix = M
         self.key = block_key(ring, r)
         twists = M.target.twists + M.source.twists
@@ -98,19 +91,15 @@ class ColumnModule:
             if all(p >= r for (_, p) in v)
         ]
 
-    def solve(self, column):
-        """x with M x = column (a list of polynomials), or None."""
-        M = self.matrix
-        ring = M.ring
-        r = M.target.rank
-        rem = reduce_vector(_column_vector(column), self.basis, self.leads, self.key, ring)
+    def solve(self, u):
+        """The vector x with M x = u (a vector of the target), or None."""
+        ring = self.matrix.ring
+        r = self.matrix.target.rank
+        rem = reduce_vector(u, self.basis, self.leads, self.key, ring)
         if any(p < r for (_, p) in rem):
             return None
         neg = ring.field.neg
-        return [
-            Polynomial(ring, {m: neg(c) for (m, p), c in rem.items() if p == r + j})
-            for j in range(M.source.rank)
-        ]
+        return {(m, p - r): neg(c) for (m, p), c in rem.items()}
 
 
 @memoized
@@ -134,9 +123,8 @@ def syzygies(M: GradedMatrix) -> GradedMatrix:
     syz_vectors = column_module(M).syzygy_vectors()
     twists = M.source.twists
     chosen = [syz_vectors[i] for i in minimal_generating_subset(syz_vectors, ring, twists)]
-    columns = [[vector_component(v, pos, ring) for pos in range(s)] for v in chosen]
     new_source = GradedFreeModule([vector_degree(v, ring, twists) for v in chosen])
-    out = GradedMatrix.from_columns(ring, new_source, M.source, columns)
+    out = GradedMatrix(ring, new_source, M.source, chosen)
     out.validate_degrees()
     return out
 
@@ -171,11 +159,7 @@ class FreeResolution:
         if 1 <= q <= self.length:
             return self.differentials[q - 1]
         source = self.module(q)
-        target = self.module(q - 1)
-        zero = Polynomial.zero(self.ring)
-        return GradedMatrix(
-            self.ring, source, target, [[zero] * source.rank for _ in range(target.rank)]
-        )
+        return GradedMatrix(self.ring, source, self.module(q - 1), [{}] * source.rank)
 
     def __repr__(self):
         return " <- ".join(repr(m) for m in self.modules)
@@ -207,7 +191,7 @@ class BettiTable:
     def degrees_of(self, q: int):
         out = []
         for m in self.row_support(q):
-            out.extend([m] * self.entries[(q, m)])
+            out.extend([m] * self.get(q, m))
         return out
 
     def convolve(self, other: "BettiTable") -> "BettiTable":
@@ -250,11 +234,7 @@ def betti(res: FreeResolution) -> BettiTable:
     """beta_{q,m} read off the twists of a minimal resolution."""
     if not res.minimal:
         raise EngineError("Betti numbers require a minimal resolution")
-    entries: dict = {}
-    for q, mod in enumerate(res.modules):
-        for t in mod.twists:
-            entries[(q, t)] = entries.get((q, t), 0) + 1
-    return BettiTable(entries)
+    return BettiTable(Counter((q, t) for q, mod in enumerate(res.modules) for t in mod.twists))
 
 
 @memoized
@@ -279,7 +259,7 @@ def minimal_resolution(I: Ideal) -> FreeResolution:
     gens = [gens[i] for i in order]
     degs = [degs[i] for i in order]
     f1 = GradedFreeModule(degs)
-    d1 = GradedMatrix(ring, f1, f0, [list(gens)])
+    d1 = GradedMatrix(ring, f1, f0, [poly_to_vector(g) for g in gens])
     modules = [f0, f1]
     diffs = [d1]
     current = d1
@@ -390,9 +370,8 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
     composite_ok = all(c["ok"] for c in report.checks if c["name"].startswith("composition"))
     if composite_ok and res.modules[0].rank > 0:
         # image of d_1 equals the resolved ideal
-        cols = [res.differential(1).entries[0][j] for j in range(res.module(1).rank)]
-        img = Ideal(ring, cols)
-        ok = groebner_basis(img).elements == groebner_basis(res.resolved).elements
+        img = module_groebner(res.differential(1).columns, ring, (0,))
+        ok = img == groebner_basis(res.resolved).vectors
         report.add("image of d_1 is the resolved ideal", ok)
         # exactness in the middle: Syz(d_q) inside im(d_{q+1}); the syzygy
         # vectors of a ColumnModule already form a Groebner basis of ker d_q
@@ -400,12 +379,7 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
         for q in range(1, res.length + 1):
             kernel = modules[q - 1].syzygy_vectors()
             if q < res.length:
-                s = res.module(q).rank
-                ok = all(
-                    modules[q].solve([vector_component(v, pos, ring) for pos in range(s)])
-                    is not None
-                    for v in kernel
-                )
+                ok = all(modules[q].solve(v) is not None for v in kernel)
                 report.add(f"exactness at F_{q}", ok)
             else:
                 report.add(f"kernel of d_{q} vanishes", not kernel)

@@ -40,7 +40,7 @@ from .koszul import koszul_tor, taylor_degree_bound, tor_comparison
 from .linalg import rank
 from .memo import memoized
 from .modules import GradedFreeModule, GradedMatrix
-from .poly import Ideal, Polynomial
+from .poly import Ideal
 from .resolution import (
     BettiTable,
     FreeResolution,
@@ -87,17 +87,14 @@ class ChainMap:
     def map(self, q: int) -> GradedMatrix:
         if q < len(self.maps):
             return self.maps[q]
-        ring = self.source.ring
         src = self.source.module(q)
-        tgt = self.target.module(q)
-        zero = Polynomial.zero(ring)
-        return GradedMatrix(ring, src, tgt, [[zero] * src.rank for _ in range(tgt.rank)])
+        return GradedMatrix(self.source.ring, src, self.target.module(q), [{}] * src.rank)
 
     def _verify(self):
         for q in range(1, self.source.length + 1):
             lhs = self.target.differential(q).compose(self.map(q))
             rhs = self.map(q - 1).compose(self.source.differential(q))
-            if lhs.entries != rhs.entries:
+            if lhs.columns != rhs.columns:
                 raise InternalCheckError(f"chain map fails to commute at q={q}")
 
 
@@ -108,8 +105,8 @@ def lift_chain_map(res_W: FreeResolution, res_V: FreeResolution) -> ChainMap:
     if not check_containment(res_V.resolved, res_W.resolved):
         raise ContainmentError("the resolved ideals do not satisfy I_W <= I_V")
     ring = res_W.ring
-    one = Polynomial.constant(ring, 1)
-    maps = [GradedMatrix(ring, res_W.module(0), res_V.module(0), [[one]])]
+    one = {(ring.one_mono, 0): ring.field.one}
+    maps = [GradedMatrix(ring, res_W.module(0), res_V.module(0), [one])]
     for q in range(1, res_W.length + 1):
         f_q = res_W.module(q)
         g_q = res_V.module(q)
@@ -119,48 +116,21 @@ def lift_chain_map(res_W: FreeResolution, res_V: FreeResolution) -> ChainMap:
                 raise InternalCheckError(
                     f"no lift possible at q={q}: target module vanished early"
                 )
-            maps.append(GradedMatrix(ring, f_q, g_q, []))
+            maps.append(GradedMatrix(ring, f_q, g_q, [{}] * f_q.rank))
             continue
-        d_g = res_V.differential(q)
-        image = column_module(d_g)
+        image = column_module(res_V.differential(q))
         columns = []
-        for j in range(f_q.rank):
-            col = image.solve(u.column(j))
-            if col is None:
+        for j, col in enumerate(u.columns):
+            x = image.solve(col)
+            if x is None:
                 raise InternalCheckError(
                     f"lift infeasible at q={q}, column {j} (should never happen)"
                 )
-            columns.append(col)
-        phi = GradedMatrix.from_columns(ring, f_q, g_q, columns)
+            columns.append(x)
+        phi = GradedMatrix(ring, f_q, g_q, columns)
         phi.validate_degrees()
         maps.append(phi)
     return ChainMap(res_W, res_V, maps)
-
-
-class TorMap:
-    """mu_q as per-degree scalar blocks of a chain map reduced mod S_+."""
-
-    __slots__ = ("q", "blocks")
-
-    def __init__(self, q: int, blocks: dict):
-        self.q = q
-        self.blocks = blocks  # m -> (rows, source_dim, target_dim)
-
-    @classmethod
-    def from_chain_map(cls, cm: ChainMap, q: int) -> "TorMap":
-        phi = cm.map(q)
-        src_tw = phi.source.twists
-        tgt_tw = phi.target.twists
-        blocks = {}
-        for m in sorted(set(src_tw)):
-            src_idx = [j for j, t in enumerate(src_tw) if t == m]
-            tgt_idx = [i for i, t in enumerate(tgt_tw) if t == m]
-            rows = [
-                [phi.entries[i][j].constant_coeff() for j in src_idx]
-                for i in tgt_idx
-            ]
-            blocks[m] = (rows, len(src_idx), len(tgt_idx))
-        return cls(q, blocks)
 
 
 class ShellReport:
@@ -235,16 +205,20 @@ def pgshell_check(I_V: Ideal, I_W: Ideal, oracle_spot: bool = True) -> ShellRepo
     res_v = minimal_resolution(I_V)
     cm = lift_chain_map(res_w, res_v)
     field = I_V.ring.field
+    one = I_V.ring.one_mono
     table = {}
     failing = None
     for q in range(1, res_w.length + 1):
-        tor = TorMap.from_chain_map(cm, q)
-        for m in sorted(tor.blocks):
-            rows, src_dim, tgt_dim = tor.blocks[m]
-            inj = rank(rows, field) == src_dim
+        # mu_q in degree m: the constant terms of phi_q between twist-m basis vectors
+        phi = cm.map(q)
+        for m in sorted(set(phi.source.twists)):
+            src_idx = [j for j, t in enumerate(phi.source.twists) if t == m]
+            tgt_idx = [i for i, t in enumerate(phi.target.twists) if t == m]
+            rows = [[phi.columns[j].get((one, i), field.zero) for j in src_idx] for i in tgt_idx]
+            inj = rank(rows, field) == len(src_idx)
             table[(q, m)] = {
-                "source_dim": src_dim,
-                "target_dim": tgt_dim,
+                "source_dim": len(src_idx),
+                "target_dim": len(tgt_idx),
                 "injective": inj,
             }
             if not inj and failing is None:
@@ -651,7 +625,7 @@ def tensor_resolution(I_Y: Ideal, I_Z: Ideal):
         )
 
     a, b = res_y.length, res_z.length
-    zero = Polynomial.zero(ring)
+    neg = ring.field.neg
 
     def block_range(q):
         return [(p, q - p) for p in range(max(0, q - b), min(a, q) + 1)]
@@ -676,35 +650,27 @@ def tensor_resolution(I_Y: Ideal, I_Z: Ideal):
 
     differentials = []
     for q in range(1, a + b + 1):
-        src = modules[q]
-        tgt = modules[q - 1]
-        entries = [[zero] * src.rank for _ in range(tgt.rank)]
+        columns = []
         for (p, r) in block_range(q):
-            fp = res_y.module(p)
-            gr = res_z.module(r)
-            base = layouts[q][(p, r)]
-            for i in range(fp.rank):
-                for j in range(gr.rank):
-                    col = base + i * gr.rank + j
+            d_f = res_y.differential(p)
+            d_g = res_z.differential(r)
+            g_rank = res_z.module(r).rank
+            g_prev = res_z.module(r - 1).rank
+            # dx (x) y lands in block (p-1, r) and x (x) dy in block (p, r-1),
+            # so their terms never share a key
+            f_base = layouts[q - 1].get((p - 1, r))
+            g_base = layouts[q - 1].get((p, r - 1))
+            for i in range(res_y.module(p).rank):
+                for j in range(g_rank):
+                    col = {}
                     if p >= 1:
-                        d_f = res_y.differential(p)
-                        tgt_base = layouts[q - 1][(p - 1, r)]
-                        for i2 in range(res_y.module(p - 1).rank):
-                            e = d_f.entries[i2][i]
-                            if not e.is_zero():
-                                row = tgt_base + i2 * gr.rank + j
-                                entries[row][col] = entries[row][col] + e
+                        for (m, i2), c in d_f.columns[i].items():
+                            col[(m, f_base + i2 * g_rank + j)] = c
                     if r >= 1:
-                        d_g = res_z.differential(r)
-                        tgt_base = layouts[q - 1][(p, r - 1)]
-                        sign = -1 if p % 2 else 1
-                        for j2 in range(res_z.module(r - 1).rank):
-                            e = d_g.entries[j2][j]
-                            if not e.is_zero():
-                                row = tgt_base + i * res_z.module(r - 1).rank + j2
-                                term = e if sign == 1 else -e
-                                entries[row][col] = entries[row][col] + term
-        differentials.append(GradedMatrix(ring, src, tgt, entries))
+                        for (m, j2), c in d_g.columns[j].items():
+                            col[(m, g_base + i * g_prev + j2)] = neg(c) if p % 2 else c
+                    columns.append(col)
+        differentials.append(GradedMatrix(ring, modules[q], modules[q - 1], columns))
 
     res_x = FreeResolution(ring, modules, differentials, I_X, minimal=True)
     report_checks = verify_complex(res_x)

@@ -5,6 +5,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from pgshell import (
+    GradedMatrix,
     Ideal,
     Polynomial,
     PolyRing,
@@ -16,6 +17,7 @@ from pgshell import (
     twisted_cubic_cone_p5,
     veronese_surface,
 )
+from pgshell.groebner import poly_to_vector
 from pgshell.linalg import determinant
 
 settings.register_profile(
@@ -124,6 +126,14 @@ def random_invertible(rng: random.Random, n: int, field):
         rows = [[field.of(x) for x in row] for row in m]
         if determinant(rows, field) != field.zero:
             return m
+
+
+def dense_matrix(ring, source, target, rows):
+    """The GradedMatrix whose entry (i, j) is the polynomial rows[i][j]."""
+    return GradedMatrix(ring, source, target, [
+        {t: c for i, row in enumerate(rows) for t, c in poly_to_vector(row[j], i).items()}
+        for j in range(source.rank)
+    ])
 
 
 def recombine_generators(I: Ideal, rng: random.Random) -> Ideal:

@@ -145,6 +145,13 @@ def test_complete_intersection_bad_params():
         complete_intersection([2, 2, 2, 2], num_vars=4)
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+def test_complete_intersection_rejects_degree_below_one(bad):
+    # a degree-0 form is a unit and no form has negative degree
+    with pytest.raises(CatalogError, match=f"got {bad}$"):
+        complete_intersection([2, bad])
+
+
 def test_points_entry(points5_entry):
     inv = invariants(points5_entry.ideal)
     assert (inv.dim, inv.degree, inv.depth) == (0, 5, 1)

@@ -197,6 +197,20 @@ def test_hilbert_small_max(corpus_file, tmp_path, capsys):
     assert run(["hilbert", str(path), "P", "--max", "2"])[0] == EXIT_OK
 
 
+def test_hilbert_negative_max_exit_2(corpus_file, weighted_file, capsys):
+    # a negative m_max is refused the same way on standard and weighted rings
+    for path, name in ((corpus_file, "V"), (weighted_file, "V")):
+        code, text = run(["hilbert", path, name, "--max", "-1"])
+        assert (code, text) == (EXIT_INPUT, "")
+        assert "error: m_max must be at least 0, got -1" in capsys.readouterr().err
+
+
+def test_catalog_ci_degree_below_one_exit_2(capsys):
+    for bad in ("0", "-1"):
+        assert run(["catalog", "ci", "2", bad]) == (EXIT_INPUT, "")
+        assert f"form degrees must be at least 1, got {bad}" in capsys.readouterr().err
+
+
 def test_hilbert_deep_staircase(tmp_path, capsys):
     gens = "x^1200, x^1199*y, y^1200"
     weighted = tmp_path / "weighted.ideal"

@@ -83,7 +83,7 @@ def test_all_spolys_reduce_to_zero(twisted_cubic, veronese_entry):
 
     for ideal in (twisted_cubic, veronese_entry.ideal):
         gb = groebner_basis(ideal)
-        key = top_key(ideal.ring, 1)
+        key = top_key(ideal.ring)
         basis = [poly_to_vector(g) for g in gb.elements]
         leads = [(vector_lead(v, key), v[vector_lead(v, key)]) for v in basis]
         for i in range(len(basis)):

@@ -39,7 +39,6 @@ from pgshell.groebner import (
     top_key,
     vector_lead,
 )
-from pgshell.resolution import _column_vector
 
 from conftest import random_invertible
 
@@ -223,7 +222,7 @@ def test_catalog_in_generic_coordinates(label):
     assert ring.field == QQ
     rng = random.Random(f"generic/{label}")
     ideal = substitute_ideal(ideal, random_invertible(rng, ring.num_vars, ring.field))
-    key = top_key(ring, 1)
+    key = top_key(ring)
     gens = [poly_to_vector(g) for g in ideal.generators]
     gb = assert_same_engine(gens, ring, (0,), key)
     for g in gens:
@@ -234,18 +233,15 @@ def test_catalog_in_generic_coordinates(label):
     for M in minimal_resolution(ideal).differentials:
         r = M.target.rank
         # the inputs of the differential's ColumnModule, under its block order
-        columns = []
-        for j, col in enumerate(M.columns()):
-            v = _column_vector(col)
-            v[(ring.one_mono, r + j)] = ring.field.one
-            columns.append(v)
+        columns = [{**col, (ring.one_mono, r + j): ring.field.one}
+                   for j, col in enumerate(M.columns)]
         basis = assert_same_engine(columns, ring, M.target.twists + M.source.twists,
                                    block_key(ring, r))
         # the syzygy vectors that minimal_generating_subset takes next
         syz = [{(m, p - r): c for (m, p), c in v.items()} for v in basis
                if all(p >= r for (_, p) in v)]
         if syz:
-            assert_same_engine(syz, ring, M.source.twists, top_key(ring, M.source.rank))
+            assert_same_engine(syz, ring, M.source.twists, top_key(ring))
 
 
 RING = standard_ring(3, QQ)
@@ -269,7 +265,7 @@ def module_vectors(draw, homogeneous=True):
 
 @given(st.lists(module_vectors(), min_size=1, max_size=5), module_vectors())
 def test_random_rational_modules(vectors, v):
-    key = top_key(RING, len(TWISTS))
+    key = top_key(RING)
     basis = assert_same_engine(vectors, RING, TWISTS, key)
     assert_pseudo_remainder(v, basis, key, RING)
 
@@ -277,7 +273,7 @@ def test_random_rational_modules(vectors, v):
 @given(st.lists(module_vectors(homogeneous=False), min_size=1, max_size=3),
        module_vectors(homogeneous=False))
 def test_random_inhomogeneous_ideals(vectors, v):
-    key = top_key(RING, 1)
+    key = top_key(RING)
     basis = assert_same_engine(vectors, RING, (0,), key)
     assert_pseudo_remainder(v, basis, key, RING)
 
@@ -287,6 +283,6 @@ def test_input_scaling_is_invisible():
     x, y, z = (Polynomial.variable(RING, i) for i in range(3))
     f = (x * y).scale(QQ.of(-3, 4)) + (z * z).scale(QQ.of(5, 6))
     g = (y * z).scale(QQ.of(7, 2)) - (x * x).scale(QQ.of(2, 9))
-    key = top_key(RING, 1)
+    key = top_key(RING)
     want = assert_same_engine([poly_to_vector(f), poly_to_vector(g)], RING, (0,), key)
     assert all(v[vector_lead(v, key)] == 1 for v in want)

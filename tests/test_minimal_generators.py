@@ -41,7 +41,7 @@ def reference_subset(vectors, ring, twists):
     scratch after each kept vector."""
     degrees = [vector_degree(v, ring, twists) for v in vectors]
     order = sorted(range(len(vectors)), key=lambda i: degrees[i])
-    key = top_key(ring, len(twists))
+    key = top_key(ring)
     kept = []
     kept_gb = []
     for idx in order:

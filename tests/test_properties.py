@@ -1,5 +1,5 @@
-"""Property tests on small random homogeneous ideals and modules, over
-GF(p) and over QQ.
+"""Property tests on small random homogeneous ideals, modules and
+matrices, over GF(p) and over QQ.
 
 Examples come from the derandomized "pgshell" profile of conftest.py.
 Coefficients are nonzero ratios with both signs and denominators 1..4,
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from pgshell import (
     QQ,
     Field,
+    GradedFreeModule,
     Ideal,
     Polynomial,
     betti,
@@ -27,6 +28,8 @@ from pgshell import (
     standard_ring,
 )
 from pgshell.groebner import module_groebner, standard_monomials
+
+from conftest import dense_matrix
 
 # each test runs its check over both rings in turn, under its own name
 RINGS = (standard_ring(3, Field(32003)), standard_ring(3, QQ))
@@ -136,5 +139,78 @@ def test_module_groebner_independent_of_input_order():
             shuffled = list(vectors)
             rnd.shuffle(shuffled)
             assert module_groebner(shuffled, ring, TWISTS) == module_groebner(vectors, ring, TWISTS)
+
+        check()
+
+
+def dense_compose(a_rows, b_rows, ring):
+    """The product of two dense polynomial matrices, as GradedMatrix.compose
+    computed it when matrices were grids of polynomials."""
+    zero = Polynomial.zero(ring)
+    out = []
+    for i in range(len(a_rows)):
+        row = []
+        for j in range(len(b_rows[0])):
+            acc = zero
+            for k in range(len(b_rows)):
+                a = a_rows[i][k]
+                b = b_rows[k][j]
+                if not a.is_zero() and not b.is_zero():
+                    acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@st.composite
+def matrix_pairs(draw, ring):
+    """(G, F, E twists, rows of A: F -> G, rows of B: E -> F, cancel).
+
+    Entries are homogeneous of the degree the twists ask for, or zero.
+    With `cancel`, A repeats its first column as its last and B ends with
+    the column (f, 0, ..., 0, -f), which A sends to zero term by term.
+    """
+    zero = Polynomial.zero(ring)
+
+    def rows(row_twists, col_twists):
+        return [[draw(forms(ring, s - t)) if s >= t and draw(st.integers(0, 3)) else zero
+                 for s in col_twists] for t in row_twists]
+
+    g_tw = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    f_tw = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    e_tw = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    a = rows(g_tw, f_tw)
+    cancel = draw(st.booleans())
+    if cancel:
+        f_tw.append(f_tw[0])
+        for row in a:
+            row.append(row[0])
+    b = rows(f_tw, e_tw)
+    if cancel:
+        d = draw(st.integers(0, 2))
+        f = draw(forms(ring, d))
+        e_tw.append(f_tw[0] + d)
+        for k, row in enumerate(b):
+            row.append(f if k == 0 else -f if k == len(f_tw) - 1 else zero)
+    return g_tw, f_tw, e_tw, a, b, cancel
+
+
+def test_sparse_compose_matches_dense_compose():
+    for ring in RINGS:
+        @given(matrix_pairs(ring))
+        def check(case):
+            g_tw, f_tw, e_tw, a, b, cancel = case
+            G, F, E = GradedFreeModule(g_tw), GradedFreeModule(f_tw), GradedFreeModule(e_tw)
+            A = dense_matrix(ring, F, G, a)
+            B = dense_matrix(ring, E, F, b)
+            A.validate_degrees()
+            B.validate_degrees()
+            want = dense_compose(a, b, ring)
+            got = A.compose(B)
+            got.validate_degrees()
+            assert got == dense_matrix(ring, E, G, want)
+            assert got.is_zero() == all(p.is_zero() for row in want for p in row)
+            if cancel:
+                assert got.columns[-1] == {}
 
         check()

@@ -16,7 +16,15 @@ from pgshell import (
     verify_complex,
 )
 from pgshell.errors import EngineError, WeightedRingError
+from pgshell.groebner import vector_component
 from pgshell.resolution import BettiTable
+
+from conftest import dense_matrix
+
+
+def column(M, j):
+    """Column j of M as a list of polynomials, one per target row."""
+    return [vector_component(M.columns[j], i, M.ring) for i in range(M.target.rank)]
 
 
 def test_syzygies_twisted_cubic(R4, twisted_cubic):
@@ -34,17 +42,17 @@ def test_syzygies_single_nonzerodivisor(R4, zvars):
     z = zvars
     f0 = GradedFreeModule((0,))
     f1 = GradedFreeModule((2,))
-    m = GradedMatrix(R4, f1, f0, [[z[0] * z[1] - z[2] * z[3]]])
+    m = dense_matrix(R4, f1, f0, [[z[0] * z[1] - z[2] * z[3]]])
     assert syzygies(m).source.rank == 0
 
 
 def test_syzygies_koszul_pair(R4, zvars):
     z = zvars
     f, g = z[0], z[1] * z[1]
-    m = GradedMatrix(R4, GradedFreeModule((1, 2)), GradedFreeModule((0,)), [[f, g]])
+    m = dense_matrix(R4, GradedFreeModule((1, 2)), GradedFreeModule((0,)), [[f, g]])
     syz = syzygies(m)
     assert syz.source.rank == 1
-    col = syz.column(0)
+    col = column(syz, 0)
     # the Koszul syzygy (g, -f) up to a scalar
     ratio = None
     for got, want in zip(col, [g, -f]):
@@ -87,7 +95,7 @@ def test_syzygies_match_dense_kernels_on_random_matrices():
                         ring, {m: field.of(rng.randint(-3, 3)) for m in chosen}
                     ))
             entries.append(row)
-        m = GradedMatrix(
+        m = dense_matrix(
             ring, GradedFreeModule(src_twists), GradedFreeModule(tgt_twists), entries
         )
         syz = syzygies(m)
@@ -127,7 +135,7 @@ def test_syzygies_match_dense_kernels_on_random_matrices():
             kernel_dim = src_dim - mat_rank(rows, field)
             span = RowSpace(src_dim, field)
             for jj in range(syz.source.rank):
-                col = syz.column(jj)
+                col = column(syz, jj)
                 for mono in ring.monomials_of_degree(d - syz.source.twists[jj]):
                     shifted = [p.mul_term(mono, field.one) for p in col]
                     span.add(embed(shifted, d, src_layout, src_dim))
@@ -175,7 +183,7 @@ def test_resolution_deterministic(R4, tc_quadrics):
     b = minimal_resolution(Ideal(R4, list(tc_quadrics)))
     assert [m.twists for m in a.modules] == [m.twists for m in b.modules]
     for q in range(1, a.length + 1):
-        assert a.differential(q).entries == b.differential(q).entries
+        assert a.differential(q).columns == b.differential(q).columns
 
 
 def test_regularity_and_depth(R4, twisted_cubic, ci23):
@@ -205,8 +213,8 @@ def test_verify_complex_negative_control_not_a_complex(R4, zvars):
     f0 = GradedFreeModule((0,))
     f1 = GradedFreeModule((1, 1))
     f2 = GradedFreeModule((2,))
-    d1 = GradedMatrix(R4, f1, f0, [[z[0], z[1]]])
-    d2 = GradedMatrix(R4, f2, f1, [[z[1]], [z[0]]])  # d1 d2 = 2 z0 z1 != 0
+    d1 = dense_matrix(R4, f1, f0, [[z[0], z[1]]])
+    d2 = dense_matrix(R4, f2, f1, [[z[1]], [z[0]]])  # d1 d2 = 2 z0 z1 != 0
     from pgshell.resolution import FreeResolution
 
     fake = FreeResolution(R4, [f0, f1, f2], [d1, d2], Ideal(R4, [z[0], z[1]]), True)
@@ -222,8 +230,8 @@ def test_verify_complex_negative_control_nonminimal(R4, zvars):
     f0 = GradedFreeModule((0,))
     f1 = GradedFreeModule((1, 1))
     f2 = GradedFreeModule((1,))
-    d1 = GradedMatrix(R4, f1, f0, [[z[0], z[0]]])
-    d2 = GradedMatrix(R4, f2, f1, [[one], [-one]])
+    d1 = dense_matrix(R4, f1, f0, [[z[0], z[0]]])
+    d2 = dense_matrix(R4, f2, f1, [[one], [-one]])
     from pgshell.resolution import FreeResolution
 
     fake = FreeResolution(R4, [f0, f1, f2], [d1, d2], Ideal(R4, [z[0]]), False)
@@ -241,9 +249,9 @@ def test_verify_complex_negative_control_not_exact(R4, zvars):
     f0 = GradedFreeModule((0,))
     f1 = GradedFreeModule((1, 1, 1))
     f2 = GradedFreeModule((2,))
-    d1 = GradedMatrix(R4, f1, f0, [[z[0], z[1], z[2]]])
+    d1 = dense_matrix(R4, f1, f0, [[z[0], z[1], z[2]]])
     # one Koszul relation of three: a complex, not exact at F_1
-    d2 = GradedMatrix(R4, f2, f1, [[z[1]], [-z[0]], [Polynomial.zero(R4)]])
+    d2 = dense_matrix(R4, f2, f1, [[z[1]], [-z[0]], [Polynomial.zero(R4)]])
     from pgshell.resolution import FreeResolution
 
     fake = FreeResolution(R4, [f0, f1, f2], [d1, d2], Ideal(R4, [z[0], z[1], z[2]]), False)
@@ -321,6 +329,11 @@ def test_graded_matrix_validation(R4, zvars):
     z = zvars
     f0 = GradedFreeModule((0,))
     f1 = GradedFreeModule((3,))
-    bad = GradedMatrix(R4, f1, f0, [[z[0] * z[1]]])  # degree 2 entry, expected 3
+    bad = dense_matrix(R4, f1, f0, [[z[0] * z[1]]])  # degree 2 entry, expected 3
     with pytest.raises(EngineError):
         bad.validate_degrees()
+    # one column per source basis vector, each inside the target's rows
+    with pytest.raises(EngineError, match="2 columns do not fit"):
+        GradedMatrix(R4, f1, f0, [{}, {}])
+    with pytest.raises(EngineError, match="1 columns do not fit"):
+        GradedMatrix(R4, f1, f0, [{(R4.one_mono, 1): R4.field.one}])

@@ -231,6 +231,10 @@ def points_on_rational_normal_curve(
     evaluation matrix and verified to be saturated with the expected
     constant Hilbert polynomial.
     """
+    if d < 1:
+        raise CatalogError(f"curve degree must be at least 1, got {d}")
+    if count < 1:
+        raise CatalogError(f"point count must be at least 1, got {count}")
     if params is None:
         params = _DEFAULT_PARAMS[:count]
     if len(params) != count or len(set(params)) != count:

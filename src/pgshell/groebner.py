@@ -181,7 +181,7 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
     field = ring.field
     integral = bool(lead_terms) and _is_integral(lead_terms[0][1], field)
     zero, sub, mul = _arithmetic(integral, field)
-    mono_div = ring.mono_div
+    mono_div, mono_mul = ring.mono_div, ring.mono_mul
     work = dict(v)
     remainder = {}
     nbasis = len(basis)
@@ -211,7 +211,7 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
             else:
                 factor = field.div(c, gc)
             for (m2, p2), c2 in basis[idx].items():
-                k2 = (tuple(a + b for a, b in zip(q, m2)), p2)
+                k2 = (mono_mul(q, m2), p2)
                 s = sub(work.get(k2, zero), mul(factor, c2))
                 if s == zero:
                     work.pop(k2, None)
@@ -247,12 +247,12 @@ def _spoly(f, g, ltf, ltg, ring: PolyRing):
         scale_f, scale_g = gc // d, fc // d
     else:
         scale_f, scale_g = field.inv(fc), field.inv(gc)
+    mono_mul = ring.mono_mul
     out: dict = {}
     for (m, p), c in f.items():
-        k = (tuple(a + b for a, b in zip(qf, m)), p)
-        out[k] = mul(scale_f, c)
+        out[mono_mul(qf, m), p] = mul(scale_f, c)
     for (m, p), c in g.items():
-        k = (tuple(a + b for a, b in zip(qg, m)), p)
+        k = (mono_mul(qg, m), p)
         s = sub(out.get(k, zero), mul(scale_g, c))
         if s == zero:
             out.pop(k, None)
@@ -273,7 +273,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
         key = top_key(ring)
     field = ring.field
     mono_degree = ring.mono_degree
-    mono_lcm = ring.mono_lcm
+    mono_lcm, mono_mul = ring.mono_lcm, ring.mono_mul
     mono_divides = ring.mono_divides
     sort_key = ring.sort_key
     ideal = len(twists) == 1
@@ -324,7 +324,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
         (mi, pi), _ = leads[i]
         (mj, _), _ = leads[j]
         # product criterion (ideals only: invalid for modules)
-        if ideal and tuple(a + b for a, b in zip(mi, mj)) == lcm:
+        if ideal and mono_mul(mi, mj) == lcm:
             continue
         # chain criterion
         skip = False

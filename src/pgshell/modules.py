@@ -83,12 +83,13 @@ class GradedMatrix:
             raise EngineError("composition shape mismatch")
         field = self.ring.field
         zero, add, mul = field.zero, field.add, field.mul
+        mono_mul = self.ring.mono_mul
         out = []
         for v in other.columns:
             acc: dict = {}
             for (m, k), c in v.items():
                 for (m2, i), c2 in self.columns[k].items():
-                    t = (tuple(a + b for a, b in zip(m, m2)), i)
+                    t = (mono_mul(m, m2), i)
                     s = add(acc.get(t, zero), mul(c, c2))
                     if s == zero:
                         acc.pop(t, None)

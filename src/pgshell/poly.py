@@ -118,6 +118,7 @@ class Polynomial:
         self._require_same_ring(other)
         field = self.ring.field
         zero = field.zero
+        mono_mul = self.ring.mono_mul
         out: dict = {}
         if len(self.terms) > len(other.terms):
             a, b = other, self
@@ -125,7 +126,7 @@ class Polynomial:
             a, b = self, other
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = mono_mul(m1, m2)
                 s = field.add(out.get(m, zero), field.mul(c1, c2))
                 if s == zero:
                     out.pop(m, None)
@@ -145,12 +146,10 @@ class Polynomial:
         field = self.ring.field
         if coeff == field.zero:
             return Polynomial.zero(self.ring)
+        mono_mul = self.ring.mono_mul
         return Polynomial(
             self.ring,
-            {
-                tuple(x + y for x, y in zip(m, mono)): field.mul(c, coeff)
-                for m, c in self.terms.items()
-            },
+            {mono_mul(m, mono): field.mul(c, coeff) for m, c in self.terms.items()},
         )
 
     def monic(self) -> "Polynomial":

@@ -16,6 +16,7 @@ Orders:
 from __future__ import annotations
 
 from math import comb
+from operator import add, le
 
 from .errors import EngineError
 from .fields import Field
@@ -111,12 +112,12 @@ class PolyRing:
 
     @staticmethod
     def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     @staticmethod
     def mono_divides(a: Monomial, b: Monomial) -> bool:
         """a | b componentwise."""
-        return all(x <= y for x, y in zip(a, b))
+        return all(map(le, a, b))
 
     @staticmethod
     def mono_div(a: Monomial, b: Monomial):
@@ -130,7 +131,7 @@ class PolyRing:
 
     @staticmethod
     def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-        return tuple(max(x, y) for x, y in zip(a, b))
+        return tuple(map(max, a, b))
 
     def monomials_of_degree(self, m: int) -> list:
         """All monomials of weighted degree exactly m, largest first.

@@ -152,6 +152,18 @@ def test_complete_intersection_rejects_degree_below_one(bad):
         complete_intersection([2, bad])
 
 
+@pytest.mark.parametrize("d,count,bad", [
+    (0, 1, "curve degree must be at least 1, got 0"),
+    (-2, 3, "curve degree must be at least 1, got -2"),
+    (3, 0, "point count must be at least 1, got 0"),
+    (3, -1, "point count must be at least 1, got -1"),
+])
+def test_points_on_rnc_rejects_parameters_below_one(d, count, bad):
+    # d = 0 gave the zero ideal of one point in P^0; count = 0 an unsaturated ideal
+    with pytest.raises(CatalogError, match=f"^{bad}$"):
+        points_on_rational_normal_curve(d, count)
+
+
 def test_points_entry(points5_entry):
     inv = invariants(points5_entry.ideal)
     assert (inv.dim, inv.degree, inv.depth) == (0, 5, 1)

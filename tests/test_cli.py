@@ -211,6 +211,22 @@ def test_catalog_ci_degree_below_one_exit_2(capsys):
         assert f"form degrees must be at least 1, got {bad}" in capsys.readouterr().err
 
 
+def test_catalog_points_rnc_parameters_below_one_exit_2(capsys):
+    for params, bad in ((("0", "1"), "curve degree"), (("3", "0"), "point count"),
+                        (("0", "3"), "curve degree")):
+        assert run(["catalog", "points-rnc", *params]) == (EXIT_INPUT, "")
+        assert f"error: {bad} must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exit_2(tmp_path, capsys):
+    # a file that does not decode is an input error, not a crash (exit 1 is a verdict)
+    path = tmp_path / "utf16.ideal"
+    path.write_bytes("ring S = QQ[x];\nideal I = x;\n".encode("utf-16"))
+    assert run(["gb", str(path), "I"]) == (EXIT_INPUT, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_hilbert_deep_staircase(tmp_path, capsys):
     gens = "x^1200, x^1199*y, y^1200"
     weighted = tmp_path / "weighted.ideal"

@@ -77,6 +77,10 @@ def _invocations():
         ["catalog", "ci", "2", "0"],
         ["catalog", "rnc", "x"],
         ["catalog", "nothing"],
+        ["catalog", "points-rnc", "0", "1"],
+        ["catalog", "points-rnc", "3", "0"],
+        ["catalog", "points-rnc", "0", "3"],
+        ["gb", "utf16.ideal", "I"],
         ["frobnicate"],
         [],
         ["--help"],

@@ -227,7 +227,7 @@ def points_on_rational_normal_curve(
     """The vanishing ideal of `count` rational points on the degree-d curve.
 
     Points are (s^d : s^{d-1} t : ... : t^d) for fixed parameter pairs;
-    the ideal is assembled degree by degree from the nullspace of the
+    the ideal is assembled degree by degree from the kernel of the
     evaluation matrix and verified to be saturated with the expected
     constant Hilbert polynomial.
     """
@@ -255,10 +255,9 @@ def points_on_rational_normal_curve(
         pts.append(tuple(coords))
 
     from .groebner import multiples_span
-    from .linalg import nullspace
+    from .linalg import eliminate
 
     gens = []
-    zero = f.zero
     m = 0
     reached = None
     while True:
@@ -266,22 +265,22 @@ def points_on_rational_normal_curve(
         if m > 4 * (count + d):
             raise CatalogError("point ideal did not stabilize (degenerate parameters?)")
         monos = ring.monomials_of_degree(m)
-        eval_rows = []
-        for p in pts:
-            row = []
-            for mono in monos:
+        eval_cols = []
+        for mono in monos:
+            col = {}
+            for i, p in enumerate(pts):
                 v = f.one
                 for e, x in zip(mono, p):
                     for _ in range(e):
                         v = f.mul(v, x)
-                row.append(v)
-            eval_rows.append(row)
-        kernel = nullspace(eval_rows, len(monos), f)
+                col[i] = v
+            eval_cols.append(col)
+        kernel = eliminate(eval_cols, count, f)[1]
         hf_m = len(monos) - len(kernel)
         span, _ = multiples_span(gens, m, ring)
         for v in kernel:
             if span.add(v):
-                gens.append(Polynomial(ring, {monos[i]: c for i, c in enumerate(v) if c != zero}))
+                gens.append(Polynomial(ring, {monos[i]: c for i, c in v.items()}))
         if hf_m == count:
             if reached is not None and reached == m - 1:
                 break

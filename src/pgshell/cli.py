@@ -216,9 +216,10 @@ def _hilbert(args, parsed, ideal):
 
 
 # name -> (help, ideal arguments, handler, further arguments as (flag, kwargs)).
-# A command with ideal arguments reads a source file and reports the ideal
-# names and the field mode; one on a pair of ideals first checks that both
-# are saturated and reports a warning for each that is not.
+# A command with ideal arguments reads a source file, takes --strict and
+# --field-check, and reports the ideal names and the field mode; one on a
+# pair of ideals first checks that both are saturated and reports a warning
+# for each that is not.
 COMMANDS = {
     "gb": ("reduced Groebner basis", ("ideal",), _gb, ()),
     "betti": ("Betti table of the minimal free resolution", ("ideal",), _betti, ()),
@@ -245,11 +246,13 @@ def run_command(argv, out=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, ideal_args, _, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
+        p.add_argument("--json", action="store_true", help="machine-readable output")
         if ideal_args:
             p.add_argument("file", help="ideal-description source file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--strict", action="store_true", help="inhomogeneous generators become errors")
-        p.add_argument("--field-check", action="store_true", help="self-check field axioms first")
+            p.add_argument("--strict", action="store_true",
+                           help="inhomogeneous generators become errors")
+            p.add_argument("--field-check", action="store_true",
+                           help="self-check field axioms first")
         p.add_argument("--seed", type=int, default=1, help="seed for randomized checks/constructions")
         for arg in ideal_args:
             p.add_argument(arg)

@@ -58,6 +58,8 @@ class Field:
         p = self.characteristic
         if p == 0:
             return Fraction(numerator, denominator)
+        if isinstance(numerator, Fraction):
+            numerator, denominator = numerator.numerator, numerator.denominator * denominator
         num = numerator % p
         if denominator == 1:
             return num

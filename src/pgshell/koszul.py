@@ -10,10 +10,9 @@ monomial bases of the graded pieces.  Wedge factors are indexed by
 subsets of the variables in lexicographic order; on weighted rings each
 subset contributes its total weight to the internal degree.
 
-Each differential d_q is eliminated once per context and (q, m) on the
-sparse kernel `linalg.RowSpace`, its columns tagged with their indices:
-the span is the boundaries B_{q-1}(m), the tags of the dependent
-columns are a basis of the cycles Z_q(m), and
+Each differential d_q is eliminated once per context and (q, m) by
+`linalg.eliminate`: the image is the boundaries B_{q-1}(m), the kernel
+is a basis of the cycles Z_q(m), and
 dim Tor_q = dim C_q - dim B_{q-1} - dim B_q, so neighbouring q share
 their ranks.  Representative cycles are the cycle basis vectors that
 are independent modulo B_q, and the span they build (tagged with their
@@ -21,7 +20,9 @@ positions) reads the homology coordinates of any cycle in one reduction.
 
 The same chain spaces realize the comparison maps mu_q between two
 quotients S/I_W -> S/I_V, giving the resolution-free route to the
-shell predicate.
+shell predicate; the kernel of mu_q comes from one more `eliminate`.
+Every chain vector, cycle, homology coordinate vector and column of
+mu_q is a sparse dict {index: value}.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import combinations
 
 from .errors import InternalCheckError
 from .groebner import groebner_basis, standard_monomials
-from .linalg import RowSpace, nullspace
+from .linalg import RowSpace, eliminate
 from .memo import memoized
 from .poly import Ideal, Polynomial
 
@@ -128,21 +129,10 @@ class KoszulContext:
 
     @memoized
     def _eliminated(self, q: int, m: int):
-        """(image, kernel) of d_q in degree m, from one elimination.
-
-        The image B_{q-1}(m) is a RowSpace over C_{q-1}(m).  The kernel
-        Z_q(m) is the canonical basis of `linalg.nullspace`: each column
-        of d_q is added tagged with its index, and each one that depends
-        on the earlier columns leaves a kernel vector, 1 at its index.
-        """
-        n = self.chain_dim(q - 1, m)
-        span = RowSpace(n, self.ring.field)
-        one = self.ring.field.one
-        for j, col in enumerate(self.differential(q, m)):
-            col[n + j] = one
-            span.add(col)
-        kernel = [{c - n: x for c, x in rel.items()} for rel in span.relations]
-        return span.untagged(), kernel
+        """(image, kernel) of d_q in degree m, from one `linalg.eliminate`:
+        the image B_{q-1}(m) as a RowSpace over C_{q-1}(m), the kernel
+        Z_q(m) as its canonical sparse basis."""
+        return eliminate(self.differential(q, m), self.chain_dim(q - 1, m), self.ring.field)
 
     def boundaries(self, q: int, m: int) -> RowSpace:
         """B_q(m), the image of d_{q+1} in C_q(m); shared, do not add to it."""
@@ -151,6 +141,24 @@ class KoszulContext:
     def cycles(self, q: int, m: int) -> list:
         """A basis of Z_q(m) = ker d_q as sparse vectors over C_q(m)."""
         return self._eliminated(q, m)[1]
+
+    @memoized
+    def homology(self, q: int, m: int):
+        """(representative cycles, class reader) of H_q(m).
+
+        The representatives are the cycle basis vectors that are
+        independent modulo B_q(m), in order.  Each is added to a copy of
+        B_q(m) tagged with its position; that span, the class reader,
+        reduces a cycle to minus its homology coordinates in the tags.
+        """
+        ncols = self.chain_dim(q, m)
+        span = self.boundaries(q, m).untagged()
+        one = self.ring.field.one
+        reps = []
+        for z in self.cycles(q, m):
+            if span.add({**z, ncols + len(reps): one}):
+                reps.append(z)
+        return reps, span
 
 
 @memoized
@@ -161,52 +169,37 @@ def koszul_context(I: Ideal) -> KoszulContext:
 class TorPiece:
     """Tor_q(S/I, k)_m: dimension plus an explicit cycle basis on demand."""
 
-    __slots__ = ("ctx", "q", "m", "dimension", "_reps", "_reducer")
+    __slots__ = ("ctx", "q", "m", "dimension")
 
     def __init__(self, ctx: KoszulContext, q: int, m: int, dimension: int):
         self.ctx = ctx
         self.q = q
         self.m = m
         self.dimension = dimension
-        self._reps = None
-        self._reducer = None
+
+    def _homology(self):
+        reps, reader = self.ctx.homology(self.q, self.m)
+        if len(reps) != self.dimension:
+            raise InternalCheckError(
+                f"cycle extraction found {len(reps)} classes, expected {self.dimension}"
+            )
+        return reps, reader
 
     @property
     def cycle_basis(self):
-        """Representative cycles, dense coordinates in the chain basis.
+        """Representative cycles, sparse vectors over the chain basis."""
+        return self._homology()[0]
 
-        The kernel vectors of d_q that are independent modulo the
-        boundaries, in order.  Each is added to a copy of B_q(m) tagged
-        with its position, and that span is kept to read homology
-        coordinates from (`class_coordinates`).
-        """
-        if self._reps is None:
-            ctx, q, m = self.ctx, self.q, self.m
-            field = ctx.ring.field
-            ncols = ctx.chain_dim(q, m)
-            span = ctx.boundaries(q, m).untagged()
-            reps = []
-            for z in ctx.cycles(q, m):
-                if span.add({**z, ncols + len(reps): field.one}):
-                    reps.append([z.get(i, field.zero) for i in range(ncols)])
-            if len(reps) != self.dimension:
-                raise InternalCheckError(
-                    f"cycle extraction found {len(reps)} classes, expected {self.dimension}"
-                )
-            self._reps = reps
-            self._reducer = span
-        return self._reps
-
-    def class_coordinates(self, vec):
-        """Coordinates of the class of a cycle on `cycle_basis`, or None
-        when vec (a sparse or dense chain vector) is not a cycle."""
-        h = len(self.cycle_basis)
-        ncols = self._reducer.ncols
-        rest = self._reducer.reduce(vec)
+    def class_coordinates(self, vec: dict):
+        """Sparse coordinates of the class of a cycle on `cycle_basis`, or
+        None when the sparse chain vector vec is not a cycle."""
+        reader = self._homology()[1]
+        ncols = reader.ncols
+        rest = reader.reduce(vec)
         if any(c < ncols for c in rest):
             return None
-        field = self.ctx.ring.field
-        return [field.neg(rest[ncols + k]) if ncols + k in rest else field.zero for k in range(h)]
+        neg = self.ctx.ring.field.neg
+        return {c - ncols: neg(x) for c, x in rest.items()}
 
     def labels(self):
         return self.ctx.chain_basis(self.q, self.m)[0]
@@ -248,7 +241,10 @@ def taylor_degree_bound(I: Ideal, q: int) -> int:
 
 
 class TorComparison:
-    """The induced map mu_q on degree-m Koszul Tor of S/I_W -> S/I_V."""
+    """The induced map mu_q on degree-m Koszul Tor of S/I_W -> S/I_V.
+
+    `matrix` holds the sparse columns of mu_q, one per source class.
+    """
 
     __slots__ = (
         "q", "m", "dim_source", "dim_target", "matrix", "injective", "witness"
@@ -264,17 +260,15 @@ class TorComparison:
         self.witness = witness
 
 
-def _chain_map_image(ctx_w: KoszulContext, ctx_v: KoszulContext, q, m, vec) -> dict:
-    """Image in C_q^V(m), as a sparse vector, of a dense chain vector of C_q^W(m)."""
+def _chain_map_image(ctx_w: KoszulContext, ctx_v: KoszulContext, q, m, vec: dict) -> dict:
+    """Image in C_q^V(m) of a chain vector of C_q^W(m), both sparse."""
     ring = ctx_w.ring
     field = ring.field
     zero = field.zero
     labels_w, _ = ctx_w.chain_basis(q, m)
     _, layout_v = ctx_v.chain_basis(q, m)
     out = {}
-    for idx, c in enumerate(vec):
-        if not c:
-            continue
+    for idx, c in vec.items():
         T, mono = labels_w[idx]
         piece = m - sum(ring.weights[t] for t in T)
         off, _ = layout_v[T]
@@ -311,18 +305,16 @@ def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
                 f"image of a Koszul cycle is not a cycle class at (q={q}, m={m})"
             )
         mu_cols.append(x)
-    mu_rows = [[mu_cols[j][i] for j in range(h_w)] for i in range(h_v)]
-    kernel = nullspace(mu_rows, h_w, field)
+    kernel = eliminate(mu_cols, h_v, field)[1]
 
     witness = None
     if kernel:
         c = kernel[0]
-        cycle = [zero] * ctx_w.chain_dim(q, m)
-        for ck, z in zip(c, src.cycle_basis):
-            if ck:
-                for i, x in enumerate(z):
-                    if x:
-                        cycle[i] = field.add(cycle[i], field.mul(ck, x))
+        cycle = {}
+        for k, ck in c.items():
+            for i, x in src.cycle_basis[k].items():
+                cycle[i] = field.add(cycle.get(i, zero), field.mul(ck, x))
+        cycle = {i: x for i, x in cycle.items() if x}
         if ctx_w.boundaries(q, m).contains(cycle):
             raise InternalCheckError("witness cycle is a boundary on the source side")
         if not ctx_v.boundaries(q, m).contains(_chain_map_image(ctx_w, ctx_v, q, m, cycle)):
@@ -334,4 +326,4 @@ def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
             "cycle": cycle,
             "labels": src.labels(),
         }
-    return TorComparison(q, m, h_w, h_v, mu_rows, not kernel, witness)
+    return TorComparison(q, m, h_w, h_v, mu_cols, not kernel, witness)

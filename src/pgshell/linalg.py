@@ -9,11 +9,13 @@ where it came from, so a vector that reduces to zero in the first
 ncols columns leaves a linear relation among the tagged inputs: that
 is how kernels, solves and coordinates come out of one elimination.
 
-`rref`, `rank`, `nullspace` and `determinant` take dense matrices
-(lists of row lists of Fraction or int mod p) and run on it.
-Everything is deterministic: the pivot of a new row is its first
-nonzero column, so identical inputs give identical echelon forms,
-kernels and ranks.
+`eliminate` takes a matrix as sparse columns and returns its image and
+its canonical kernel basis from that one elimination.  Every vector in
+and out is a sparse dict; only `rref` and `determinant` take dense
+matrices (lists of row lists of Fraction or int mod p), converting each
+row on the way in.  Everything is deterministic: the pivot of a new row
+is its first nonzero column, so identical inputs give identical echelon
+forms, kernels and ranks.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class RowSpace:
 
     Rows are stored by pivot column, each monic at its pivot and zero at
     every other pivot, so reducing a vector is one pass over the pivots
-    it touches.  Vectors may be given as dense lists or as sparse dicts.
+    it touches.  Vectors are sparse dicts {column: value}.
     """
 
     __slots__ = ("field", "ncols", "rows", "relations")
@@ -39,8 +41,7 @@ class RowSpace:
 
     def reduce(self, vec) -> dict:
         """vec minus the multiples of the rows that clear it at every pivot."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {c: x for c, x in items if x}
+        v = {c: x for c, x in vec.items() if x}
         rows = self.rows
         for p in [c for c in v if c in rows]:
             _subtract(v, v[p], rows[p], self.field)
@@ -97,61 +98,45 @@ def _subtract(v: dict, f, row: dict, field: Field):
             del v[j]
 
 
-def _dense(vec: dict, ncols: int, field: Field) -> list:
-    out = [field.zero] * ncols
-    for c, x in vec.items():
-        out[c] = x
-    return out
+def eliminate(columns, nrows: int, field: Field):
+    """(image, kernel) of the matrix with the given sparse columns.
 
-
-def _row_span(rows, field: Field) -> RowSpace:
-    span = RowSpace(len(rows[0]) if rows else 0, field)
-    for row in rows:
-        span.add(row)
-    return span
+    The columns are added in order, column j tagged with e_j.  The image
+    is their span, tags dropped, as a RowSpace over the nrows rows.  The
+    kernel is the canonical rref basis, one sparse vector per column
+    that depends on the earlier ones: 1 at its own index, zero at the
+    other free columns.
+    """
+    span = RowSpace(nrows, field)
+    one = field.one
+    for j, col in enumerate(columns):
+        span.add({**col, nrows + j: one})
+    kernel = [{c - nrows: x for c, x in rel.items()} for rel in span.relations]
+    del columns  # often a temporary of the caller: free it before the span is copied
+    return span.untagged(), kernel
 
 
 def rref(rows, field: Field):
-    """Reduced row echelon form.
+    """Reduced row echelon form of a dense matrix.
 
     Returns (echelon_rows, pivot_columns); the echelon rows are padded
     with zero rows to the input's row count.  The input is not modified.
     """
-    span = _row_span(rows, field)
+    ncols = len(rows[0]) if rows else 0
+    span = RowSpace(ncols, field)
+    for row in rows:
+        span.add(dict(enumerate(row)))
     pivots = sorted(span.rows)
-    ncols = span.ncols
-    echelon = [_dense(span.rows[p], ncols, field) for p in pivots]
-    echelon += [[field.zero] * ncols for _ in range(len(rows) - len(pivots))]
+    zero = field.zero
+    echelon = [[span.rows[p].get(c, zero) for c in range(ncols)] for p in pivots]
+    echelon += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
     return echelon, pivots
 
 
-def rank(rows, field: Field) -> int:
-    return _row_span(rows, field).dim
-
-
-def nullspace(rows, ncols: int, field: Field):
-    """Basis of the right kernel of the matrix, as a list of vectors.
-
-    The canonical rref-based basis: one vector per free column, with 1
-    in the free position and zeros at the other free columns.  The
-    columns are added in order, column j tagged with e_j; each one that
-    depends on the earlier ones leaves exactly that vector in its tags.
-    """
-    nrows = len(rows)
-    span = RowSpace(nrows, field)
-    one = field.one
-    for j in range(ncols):
-        col = {i: row[j] for i, row in enumerate(rows)}
-        col[nrows + j] = one
-        span.add(col)
-    return [
-        _dense({c - nrows: x for c, x in rel.items()}, ncols, field) for rel in span.relations
-    ]
-
-
 def determinant(rows, field: Field):
-    """Exact determinant: the product of the pivots met while adding the
-    rows, times the sign of the permutation of pivot columns."""
+    """Exact determinant of a dense square matrix: the product of the
+    pivots met while adding the rows, times the sign of the permutation
+    of pivot columns."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
@@ -159,7 +144,7 @@ def determinant(rows, field: Field):
     det = field.one
     order = []
     for row in rows:
-        v = span.reduce(row)
+        v = span.reduce(dict(enumerate(row)))
         if not v:
             return field.zero
         p = min(v)
@@ -168,4 +153,3 @@ def determinant(rows, field: Field):
         span.add(v)
     inversions = sum(1 for i in range(n) for j in range(i) if order[j] > order[i])
     return field.neg(det) if inversions % 2 else det
-

@@ -289,7 +289,7 @@ def linear_substitute(p: Polynomial, matrix) -> Polynomial:
     from .linalg import determinant
 
     field = ring.field
-    rows = [[field.of(x) if isinstance(x, int) else x for x in row] for row in matrix]
+    rows = [[field.of(x) for x in row] for row in matrix]
     if determinant(rows, field) == field.zero:
         raise ValueError("substitution matrix is singular")
 

@@ -37,7 +37,7 @@ from .groebner import (
     same_ideal,
 )
 from .koszul import koszul_tor, taylor_degree_bound, tor_comparison
-from .linalg import rank
+from .linalg import eliminate
 from .memo import memoized
 from .modules import GradedFreeModule, GradedMatrix
 from .poly import Ideal
@@ -172,9 +172,7 @@ def _witness_payload(witness, ring) -> dict:
     labels = witness["labels"]
     cycle = witness["cycle"]
     parts = []
-    for idx, c in enumerate(cycle):
-        if c == 0:
-            continue
+    for idx, c in sorted(cycle.items()):
         T, mono = labels[idx]
         wedge = "^".join(f"e[{ring.names[t]}]" for t in T) or "1"
         parts.append(f"({c})*{wedge}(x){ring.mono_str(mono)}")
@@ -214,8 +212,10 @@ def pgshell_check(I_V: Ideal, I_W: Ideal, oracle_spot: bool = True) -> ShellRepo
         for m in sorted(set(phi.source.twists)):
             src_idx = [j for j, t in enumerate(phi.source.twists) if t == m]
             tgt_idx = [i for i, t in enumerate(phi.target.twists) if t == m]
-            rows = [[phi.columns[j].get((one, i), field.zero) for j in src_idx] for i in tgt_idx]
-            inj = rank(rows, field) == len(src_idx)
+            pos = {i: k for k, i in enumerate(tgt_idx)}
+            cols = [{pos[i]: c for (mono, i), c in phi.columns[j].items()
+                     if mono == one and i in pos} for j in src_idx]
+            inj = not eliminate(cols, len(tgt_idx), field)[1]
             table[(q, m)] = {
                 "source_dim": len(src_idx),
                 "target_dim": len(tgt_idx),
@@ -451,6 +451,8 @@ def criteria_suite(I_V: Ideal, I_W: Ideal, neighborhood_orders=(1, 2)) -> dict:
     """
     if not check_containment(I_V, I_W):
         raise ContainmentError("I_W is not contained in I_V")
+    if not I_V.ring.standard_graded:
+        raise WeightedRingError("criteria need a standard-graded ring")
     direct = pgshell_check(I_V, I_W, oracle_spot=True)
     observed = direct.verdict
     inv_v = invariants(I_V)

@@ -18,7 +18,6 @@ from pgshell import (
     veronese_surface,
 )
 from pgshell.groebner import poly_to_vector
-from pgshell.linalg import determinant
 
 settings.register_profile(
     "pgshell", derandomize=True, max_examples=30, deadline=None, database=None
@@ -124,7 +123,7 @@ def random_invertible(rng: random.Random, n: int, field):
     while True:
         m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         rows = [[field.of(x) for x in row] for row in m]
-        if determinant(rows, field) != field.zero:
+        if dense_determinant(rows, field) != field.zero:
             return m
 
 
@@ -187,6 +186,11 @@ def dense_rref(rows, field):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def dense_vector(vec, n, field):
+    """The dense list of length n of a sparse vector {index: value}."""
+    return [vec.get(i, field.zero) for i in range(n)]
 
 
 def dense_rank(rows, field):

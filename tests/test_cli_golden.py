@@ -80,6 +80,7 @@ def _invocations():
         ["catalog", "points-rnc", "0", "1"],
         ["catalog", "points-rnc", "3", "0"],
         ["catalog", "points-rnc", "0", "3"],
+        ["catalog", "rnc", "2", "--strict"],
         ["gb", "utf16.ideal", "I"],
         ["frobnicate"],
         [],

@@ -52,3 +52,14 @@ def test_prime_field_representatives():
     assert f.inv(3) == 2
     with pytest.raises(ZeroDivisionError):
         f.of(1, 5)
+
+
+def test_prime_field_of_fraction():
+    f = Field(7)
+    assert f.of(Fraction(1, 2)) == 4
+    assert f.of(Fraction(-3, 4)) == f.div(f.of(-3), f.of(4))
+    assert f.of(Fraction(3, 2), 5) == f.div(f.of(3), f.of(10))
+    assert f.of(Fraction(14, 3)) == 0
+    with pytest.raises(ZeroDivisionError):
+        f.of(Fraction(1, 7))
+    assert QQ.of(Fraction(1, 2)) == Fraction(1, 2)

@@ -13,7 +13,7 @@ from pgshell import (
 )
 from pgshell.koszul import koszul_context, taylor_degree_bound, tor_comparison
 
-from conftest import dense_nullspace, dense_rank, dense_solve
+from conftest import dense_nullspace, dense_rank, dense_solve, dense_vector
 
 
 def test_tor_examples(twisted_cubic):
@@ -40,7 +40,7 @@ def test_cycle_basis_sizes(twisted_cubic):
         image = {}
         for j, col in enumerate(cols):
             for i, a in col.items():
-                image[i] = image.get(i, 0) + a * z[j]
+                image[i] = image.get(i, 0) + a * z.get(j, 0)
         assert not any(image.values())
 
 
@@ -84,7 +84,7 @@ def test_tor_comparison_negative_with_verified_witness(R4, zvars, twisted_cubic,
     assert not comp.injective
     assert comp.witness is not None
     assert comp.witness["q"] == 1 and comp.witness["m"] == 3
-    assert any(c != 0 for c in comp.witness["cycle"])
+    assert any(c != 0 for c in comp.witness["cycle"].values())
 
 
 # -- the oracle against a copy of its dense path -------------------------------
@@ -140,6 +140,11 @@ def dense_image(ctx_w, ctx_v, q, m, vec):
     return out
 
 
+def dense(vectors, n, field):
+    """Dense lists of length n of sparse vectors."""
+    return [dense_vector(v, n, field) for v in vectors]
+
+
 def dense_comparison(I_V, I_W, q, m):
     """(source reps, target reps, mu rows, witness cycle or None)."""
     ctx_w, ctx_v = koszul_context(I_W), koszul_context(I_V)
@@ -188,10 +193,14 @@ def test_oracle_matches_dense_path(name, kind):
             if koszul_tor(I_W, q, m).dimension == 0:
                 continue
             src, tgt, mu_rows, cycle = dense_comparison(I_V, I_W, q, m)
-            assert koszul_tor(I_W, q, m).cycle_basis == src, (q, m)
-            assert koszul_tor(I_V, q, m).cycle_basis == tgt, (q, m)
+            field = I_W.ring.field
+            n_w, n_v = koszul_context(I_W).chain_dim(q, m), koszul_context(I_V).chain_dim(q, m)
+            assert dense(koszul_tor(I_W, q, m).cycle_basis, n_w, field) == src, (q, m)
+            assert dense(koszul_tor(I_V, q, m).cycle_basis, n_v, field) == tgt, (q, m)
             comp = tor_comparison(I_V, I_W, q, m)
-            assert comp.matrix == mu_rows, (q, m)
-            assert (comp.witness and comp.witness["cycle"]) == cycle, (q, m)
+            mu = dense(comp.matrix, len(tgt), field)
+            assert [list(row) for row in zip(*mu)] == mu_rows, (q, m)
+            witness = comp.witness and dense_vector(comp.witness["cycle"], n_w, field)
+            assert witness == cycle, (q, m)
             checked += 1
     assert checked

@@ -5,19 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pgshell import QQ, Field
-from pgshell.linalg import (
-    RowSpace,
-    determinant,
-    nullspace,
-    rank,
-    rref,
-)
+from pgshell.linalg import RowSpace, determinant, eliminate, rref
 
-from conftest import dense_determinant, dense_nullspace, dense_rref
+from conftest import dense_determinant, dense_nullspace, dense_rank, dense_rref, dense_vector
 
 
 def F(x):
     return Fraction(x)
+
+
+def columns(rows, ncols):
+    """The sparse columns of a dense matrix."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
 def tagged_solve(rows, rhs, field):
@@ -30,7 +29,7 @@ def tagged_solve(rows, rhs, field):
     span = RowSpace(nrows, field)
     for j in range(ncols):
         span.add({**{i: row[j] for i, row in enumerate(rows)}, nrows + j: field.one})
-    rest = span.reduce(rhs)
+    rest = span.reduce(dict(enumerate(rhs)))
     if any(c < nrows for c in rest):
         return None
     return [field.neg(rest.get(nrows + j, field.zero)) for j in range(ncols)]
@@ -40,19 +39,21 @@ def test_rref_and_rank():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(1), F(0), F(1)]]
     ech, pivots = rref(rows, QQ)
     assert pivots == [0, 1]
-    assert rank(rows, QQ) == 2
+    assert eliminate(columns(rows, 3), 3, QQ)[0].dim == 2
 
 
-def test_nullspace_is_kernel():
+def test_eliminate_kernel_is_kernel():
     rng = random.Random(9)
     for _ in range(25):
         nrow, ncol = rng.randint(1, 5), rng.randint(1, 6)
         rows = [[F(rng.randint(-4, 4)) for _ in range(ncol)] for _ in range(nrow)]
-        basis = nullspace(rows, ncol, QQ)
-        assert len(basis) == ncol - rank(rows, QQ)
-        for v in basis:
+        image, kernel = eliminate(columns(rows, ncol), nrow, QQ)
+        assert image.dim == dense_rank(rows, QQ)
+        assert len(kernel) == ncol - image.dim
+        for v in kernel:
+            assert v and all(v.values())
             for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+                assert sum(row[j] * x for j, x in v.items()) == 0
 
 
 def test_determinant():
@@ -85,11 +86,11 @@ def test_solve_prime_field():
 
 def test_rowspace_membership():
     rs = RowSpace(3, QQ)
-    assert rs.add([F(1), F(0), F(1)])
-    assert rs.add([F(0), F(1), F(1)])
-    assert not rs.add([F(1), F(1), F(2)])  # dependent
-    assert rs.contains([F(2), F(-1), F(1)])
-    assert not rs.contains([F(0), F(0), F(1)])
+    assert rs.add({0: F(1), 2: F(1)})
+    assert rs.add({1: F(1), 2: F(1)})
+    assert not rs.add({0: F(1), 1: F(1), 2: F(2)})  # dependent
+    assert rs.contains({0: F(2), 1: F(-1), 2: F(1)})
+    assert not rs.contains({2: F(1)})
     assert rs.dim == 2
 
 
@@ -116,11 +117,14 @@ def sparse_matrices(draw, square=False):
 
 
 @given(sparse_matrices())
-def test_rref_and_nullspace_match_dense_reference(case):
+def test_rref_and_eliminate_match_dense_reference(case):
     field, rows = case
     ncols = len(rows[0]) if rows else 0
     assert rref(rows, field) == dense_rref(rows, field)
-    assert nullspace(rows, ncols, field) == dense_nullspace(rows, ncols, field)
+    image, kernel = eliminate(columns(rows, ncols), len(rows), field)
+    assert image.dim == dense_rank(rows, field)
+    dense_kernel = [dense_vector(v, ncols, field) for v in kernel]
+    assert dense_kernel == dense_nullspace(rows, ncols, field)
 
 
 @given(sparse_matrices(square=True))
@@ -134,4 +138,5 @@ def test_rank_equals_rank_of_transpose(case):
     field, rows = case
     ncols = len(rows[0]) if rows else 0
     transpose = [[row[j] for row in rows] for j in range(ncols)]
-    assert rank(rows, field) == rank(transpose, field)
+    column_rank = eliminate(columns(rows, ncols), len(rows), field)[0].dim
+    assert column_rank == eliminate(columns(transpose, len(rows)), ncols, field)[0].dim

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from pgshell import Ideal, Polynomial, PolyRing, QQ, linear_substitute, standard_ring
+from pgshell import Field, Ideal, Polynomial, PolyRing, QQ, linear_substitute, standard_ring
 from pgshell.errors import NotHomogeneousError, RingMismatchError, WeightedRingError
 
 from conftest import random_invertible
@@ -75,6 +76,34 @@ def test_linear_substitute_rejections(R4, zvars):
     weighted = PolyRing(QQ, ("a", "b"), (1, 2))
     with pytest.raises(WeightedRingError):
         linear_substitute(Polynomial.variable(weighted, 0), [[1, 0], [0, 1]])
+
+
+def test_linear_substitute_fraction_entries_over_prime_field():
+    ring = standard_ring(2, Field(7))
+    x, y = (Polynomial.variable(ring, i) for i in range(2))
+    half = Fraction(1, 2)
+    # z0 -> z0/2 + z1, z1 -> z1, and 1/2 = 4 in GF(7)
+    assert linear_substitute(x * y, [[half, 1], [0, 1]]) == (x.scale(4) + y) * y
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)])
+def test_linear_substitute_rejects_singular_matrix(field):
+    ring = standard_ring(3, field)
+    z = Polynomial.variable(ring, 0)
+    rank_two = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    with pytest.raises(ValueError, match="singular"):
+        linear_substitute(z, rank_two)
+    with pytest.raises(ValueError, match="singular"):
+        linear_substitute(z, [[Fraction(1, 2), 1, 0], [1, 2, 0], [0, 0, 1]])
+
+
+def test_linear_substitute_singular_only_mod_p():
+    # determinant 7: invertible over QQ, singular over GF(7)
+    matrix = [[1, 0, 0], [0, 1, 0], [0, 0, 7]]
+    z = Polynomial.variable(standard_ring(3), 2)
+    assert linear_substitute(z, matrix) == z.scale(QQ.of(7))
+    with pytest.raises(ValueError, match="singular"):
+        linear_substitute(Polynomial.variable(standard_ring(3, Field(7)), 2), matrix)
 
 
 def test_determinism_of_str(R4, zvars):

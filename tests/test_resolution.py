@@ -19,7 +19,7 @@ from pgshell.errors import EngineError, WeightedRingError
 from pgshell.groebner import vector_component
 from pgshell.resolution import BettiTable
 
-from conftest import dense_matrix
+from conftest import dense_matrix, dense_rank
 
 
 def column(M, j):
@@ -72,7 +72,7 @@ def test_syzygies_match_dense_kernels_on_random_matrices():
     """
     import random
 
-    from pgshell.linalg import RowSpace, rank as mat_rank
+    from pgshell.linalg import RowSpace
 
     rng = random.Random(777)
     for trial in range(25):
@@ -132,13 +132,13 @@ def test_syzygies_match_dense_kernels_on_random_matrices():
                     vec = embed(image, d, tgt_layout, tgt_dim)
                     for r in range(tgt_dim):
                         rows[r][off + k] = vec[r]
-            kernel_dim = src_dim - mat_rank(rows, field)
+            kernel_dim = src_dim - dense_rank(rows, field)
             span = RowSpace(src_dim, field)
             for jj in range(syz.source.rank):
                 col = column(syz, jj)
                 for mono in ring.monomials_of_degree(d - syz.source.twists[jj]):
                     shifted = [p.mul_term(mono, field.one) for p in col]
-                    span.add(embed(shifted, d, src_layout, src_dim))
+                    span.add(dict(enumerate(embed(shifted, d, src_layout, src_dim))))
             assert span.dim == kernel_dim, (trial, d)
 
 

@@ -3,6 +3,7 @@ import pytest
 from pgshell import (
     Ideal,
     Polynomial,
+    PolyRing,
     QQ,
     betti,
     check_containment,
@@ -16,9 +17,11 @@ from pgshell import (
     pgshell_report,
     tensor_resolution,
 )
-from pgshell.errors import ContainmentError, PreconditionError
+from pgshell.errors import ContainmentError, PreconditionError, WeightedRingError
 from pgshell.resolution import ColumnModule, column_module, verify_complex
 from pgshell.shell import NOT_PG_SHELL, PG_SHELL, ideal_power_plus
+
+from conftest import dense_rank
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +88,7 @@ def test_lift_chain_map_quadric(R4, twisted_cubic, tc_quadrics):
     consts = [phi1.columns[0].get((R4.one_mono, i), 0) for i in range(phi1.target.rank)]
     assert sum(1 for c in consts if c != 0) >= 1
     # the reduction mod S_+ of a minimal-generator inclusion has full rank 1
-    from pgshell.linalg import rank
-
-    assert rank([[c] for c in consts], QQ) == 1
+    assert dense_rank([[c] for c in consts], QQ) == 1
 
 
 def test_lift_chain_map_identity(twisted_cubic):
@@ -243,6 +244,13 @@ def test_criteria_suite_negative_case(R4, zvars, twisted_cubic, tc_quadrics):
     assert suite["all_consistent"]
     by_name = {r["criterion"]: r for r in suite["criteria"]}
     assert by_name["hypersurface-minimal-generator"]["predicted"] == NOT_PG_SHELL
+
+
+def test_criteria_suite_rejects_weighted_ring_by_name():
+    ring = PolyRing(QQ, ("a", "b", "c"), (1, 1, 2))
+    a, b = Polynomial.variable(ring, 0), Polynomial.variable(ring, 1)
+    with pytest.raises(WeightedRingError, match="criteria need a standard-graded ring"):
+        criteria_suite(Ideal(ring, [a]), Ideal(ring, [a * b]))
 
 
 def test_transitivity_to_intermediates(R4, twisted_cubic, tc_quadrics):

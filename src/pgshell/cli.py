@@ -244,8 +244,9 @@ def run_command(argv, out=None) -> int:
         description="Exact graded commutative algebra: resolutions, Betti tables, shell checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, (help_, ideal_args, _, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
+        p = subparsers[name] = sub.add_parser(name, help=help_)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if ideal_args:
             p.add_argument("file", help="ideal-description source file")
@@ -260,7 +261,12 @@ def run_command(argv, out=None) -> int:
             p.add_argument(flag, **kwargs)
 
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # an unknown argument after the command is reported with its usage
+            before = argv[:argv.index(args.command)]
+            owner = parser if extras[0] in before else subparsers[args.command]
+            owner.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
 

@@ -60,6 +60,8 @@ class Field:
             return Fraction(numerator, denominator)
         if isinstance(numerator, Fraction):
             numerator, denominator = numerator.numerator, numerator.denominator * denominator
+        if isinstance(denominator, Fraction):
+            numerator, denominator = numerator * denominator.denominator, denominator.numerator
         num = numerator % p
         if denominator == 1:
             return num
@@ -113,9 +115,6 @@ class Field:
         return (a * pow(b, -1, self.characteristic)) % self.characteristic
 
     # -- misc ----------------------------------------------------------------
-
-    def coeff_str(self, a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.characteristic == self.characteristic

@@ -5,8 +5,9 @@ Everything is built on one representation: a *vector* is a dict mapping
 positions carry twists.  An ideal element is a vector of rank 1
 (position always 0, twist 0).  One engine, `module_groebner`, serves
 normal forms, ideal membership, minimal generating sets, syzygies (via
-an elimination block order on an extended module) and chain-map
-lifting.
+an elimination block order on an extended module), chain-map lifting
+and saturation (via a z_i-last order).  The ring's grevlex is the
+default order; every other order is a term key passed to the engine.
 
 Strategy: S-pairs sit in a heap ordered by their twisted degree, then
 by the monomial order on the lcm, then by basis index.  Input vectors
@@ -84,6 +85,28 @@ def block_key(ring: PolyRing, block: int):
         if k is None:
             mono, pos = term
             k = (1 if pos < block else 0, sk(mono), -pos)
+            cache[term] = k
+        return k
+
+    return key
+
+
+def last_variable_key(ring: PolyRing, i: int):
+    """Grevlex with z_i moved to the last position.
+
+    Among terms of one degree, fewer factors z_i means a bigger term, so
+    z_i divides the lead term of a homogeneous f iff it divides f
+    (Bayer-Stillman).  Memoized per term, like `top_key`.
+    """
+    mono_degree = ring.mono_degree
+    cache: dict = {}
+
+    def key(term):
+        k = cache.get(term)
+        if k is None:
+            mono, pos = term
+            rest = mono[:i] + mono[i + 1:]
+            k = (mono_degree(mono), -mono[i], tuple(-e for e in reversed(rest)), -pos)
             cache[term] = k
         return k
 
@@ -377,12 +400,13 @@ class GroebnerBasis:
     to the Buchberger pass: for homogeneous ideals, minimal generators.
     """
 
-    __slots__ = ("ring", "elements", "order", "reduced", "kept", "key", "vectors", "leads",
+    __slots__ = ("ring", "elements", "reduced", "kept", "key", "vectors", "leads",
                  "lead_monomials")
+
+    order = "grevlex"
 
     def __init__(self, ring: PolyRing, vectors, key, kept):
         self.ring = ring
-        self.order = ring.order
         self.reduced = True
         self.kept = tuple(kept)
         self.key = key
@@ -417,12 +441,6 @@ class GroebnerBasis:
 
     def is_unit_ideal(self) -> bool:
         return len(self.elements) == 1 and self.elements[0].degree() == 0
-
-
-def buchberger_list(polys, ring: PolyRing):
-    """Reduced Groebner basis of arbitrary (possibly inhomogeneous) input."""
-    gb = module_groebner([poly_to_vector(p) for p in polys], ring, (0,))
-    return [vector_component(v, 0, ring) for v in gb]
 
 
 @memoized

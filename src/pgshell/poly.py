@@ -64,9 +64,6 @@ class Polynomial:
     def lead_coeff(self):
         return self.terms[self.lead_monomial()]
 
-    def constant_coeff(self):
-        return self.terms.get(self.ring.one_mono, self.ring.field.zero)
-
     def degree(self):
         """Max weighted degree of a term; None for the zero polynomial."""
         if not self.terms:
@@ -197,11 +194,11 @@ class Polynomial:
             mag = -coeff if negative else coeff
             mono_s = ring.mono_str(mono)
             if mono_s == "1":
-                body = field.coeff_str(mag)
+                body = str(mag)
             elif mag == one:
                 body = mono_s
             else:
-                body = f"{field.coeff_str(mag)}*{mono_s}"
+                body = f"{mag}*{mono_s}"
             if i == 0:
                 parts.append(f"-{body}" if negative else body)
             else:

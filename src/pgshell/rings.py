@@ -1,16 +1,13 @@
-"""Graded polynomial rings: variables, weights, and monomial orders.
+"""Graded polynomial rings: variables, weights, and the monomial order.
 
 Monomials are plain exponent tuples.  The ring object owns every
 monomial-level operation (degree, order key, divisibility) so the
-polynomial layer never needs to know about weights or order tags.
+polynomial layer never needs to know about weights.
 
-Orders:
-
-* ``grevlex`` -- (weighted-)degree first, ties by reverse lexicographic
-  with the first variable largest.  The default everywhere.
-* ``elim_last`` -- eliminates the last variable: any monomial containing
-  it beats any monomial free of it, with grevlex inside each block.
-  Used internally for colon/saturation computations.
+The ring has one order, grevlex: (weighted) degree first, ties by
+reverse lexicographic with the first variable largest.  Any other order
+the engine needs is a term key handed to `groebner.module_groebner`
+(`block_key`, `last_variable_key`).
 """
 
 from __future__ import annotations
@@ -23,18 +20,13 @@ from .fields import Field
 
 Monomial = tuple  # exponent tuple, length == num_vars
 
-ORDERS = ("grevlex", "elim_last")
-
 
 class PolyRing:
-    """Descriptor of k[z_0..z_N] with positive integer weights and an order."""
+    """Descriptor of k[z_0..z_N] with positive integer weights, ordered by grevlex."""
 
-    __slots__ = (
-        "field", "names", "weights", "order", "num_vars", "standard_graded",
-        "_key_cache",
-    )
+    __slots__ = ("field", "names", "weights", "num_vars", "standard_graded", "_key_cache")
 
-    def __init__(self, field: Field, names, weights=None, order: str = "grevlex"):
+    def __init__(self, field: Field, names, weights=None):
         names = tuple(names)
         if len(names) < 1:
             raise EngineError("a polynomial ring needs at least one variable")
@@ -47,12 +39,9 @@ class PolyRing:
             raise EngineError("one weight per variable required")
         if any(w < 1 for w in weights):
             raise EngineError(f"weights must be positive, got {weights}")
-        if order not in ORDERS:
-            raise EngineError(f"unknown monomial order {order!r}")
         self.field = field
         self.names = names
         self.weights = weights
-        self.order = order
         self.num_vars = len(names)
         self.standard_graded = all(w == 1 for w in weights)
         self._key_cache = {}
@@ -60,7 +49,7 @@ class PolyRing:
     # -- identity ------------------------------------------------------------
 
     def _sig(self):
-        return (self.field, self.names, self.weights, self.order)
+        return (self.field, self.names, self.weights)
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and other._sig() == self._sig()
@@ -92,7 +81,7 @@ class PolyRing:
         return sum(w * e for w, e in zip(self.weights, mono))
 
     def sort_key(self, mono: Monomial):
-        """Key with bigger monomial (in the ring order) == bigger key.
+        """Grevlex key: bigger monomial == bigger key.
 
         Memoized per ring: the same monomials recur constantly in
         division loops, and building the key tuples dominates there.
@@ -100,13 +89,7 @@ class PolyRing:
         k = self._key_cache.get(mono)
         if k is not None:
             return k
-        if self.order == "grevlex":
-            k = (self.mono_degree(mono), tuple(-e for e in reversed(mono)))
-        else:
-            # elim_last: last-variable exponent dominates, grevlex on the rest
-            head = mono[:-1]
-            hdeg = sum(w * e for w, e in zip(self.weights[:-1], head))
-            k = (mono[-1], hdeg, tuple(-e for e in reversed(head)))
+        k = (self.mono_degree(mono), tuple(-e for e in reversed(mono)))
         self._key_cache[mono] = k
         return k
 
@@ -168,20 +151,6 @@ class PolyRing:
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
-
-    # -- derived rings -------------------------------------------------------
-
-    def extended_elimination_ring(self) -> "PolyRing":
-        """Adjoin one auxiliary variable, eliminated by the order."""
-        name = "_t"
-        while name in self.names:
-            name += "_"
-        return PolyRing(
-            self.field,
-            self.names + (name,),
-            self.weights + (1,),
-            order="elim_last",
-        )
 
 
 def standard_ring(num_vars: int, field: Field | None = None, prefix: str = "z") -> PolyRing:

@@ -1,15 +1,21 @@
-"""Ideal quotients by powers, intersections, and saturation at S_+.
+"""Quotients by powers of a variable, intersections, and saturation at S_+.
 
-(I : f^inf) uses the classical trick: adjoin t, compute a Groebner
-basis of I + (t*f - 1) under an order eliminating t, keep the t-free
-elements.  I cap J uses t*I + (1-t)*J with the same elimination.  The
-saturation at the irrelevant ideal is the intersection over all
+Both constructions run on the one module Groebner engine and return the
+reduced grevlex basis of the result.  (I : z_i^inf) follows
+Bayer-Stillman: under grevlex with z_i last, z_i divides the lead term
+of a form only if it divides the form, so the reduced basis of I, each
+element divided by its largest power of z_i, is a basis of the quotient.
+I cap J is generated by the sums sum_i s_i f_i over the syzygies (s ; t)
+of [f_1..f_a | g_1..g_b], read off a rank-2 module with one position
+eliminated.
+
+The saturation at the irrelevant ideal is the intersection over all
 variables, cap_i (I : z_i^inf), taken once: that intersection already
 equals (I : S_+^inf).  Composing the single-variable saturations
 instead would wrongly delete components lying inside coordinate
 hyperplanes.  Whether I is saturated at all is read off its minimal
-resolution (`resolution.is_saturated`), so the eliminations run only
-on ideals that do change.
+resolution (`resolution.is_saturated`), so the sweep runs only on
+ideals that do change.
 
 All three are graded operations and raise NotHomogeneousError on an
 inhomogeneous ideal or polynomial.
@@ -17,36 +23,27 @@ inhomogeneous ideal or polynomial.
 
 from __future__ import annotations
 
-from .errors import EngineError, NotHomogeneousError
-from .groebner import buchberger_list
+from .errors import EngineError, NotHomogeneousError, PreconditionError
+from .groebner import (
+    block_key,
+    last_variable_key,
+    module_groebner,
+    poly_to_vector,
+    vector_component,
+)
 from .poly import Ideal, Polynomial
 from .resolution import is_saturated
-from .rings import PolyRing
 
 
-def _lift(p: Polynomial, ext: PolyRing) -> Polynomial:
-    return Polynomial(ext, {m + (0,): c for m, c in p.terms.items()})
-
-
-def _drop(p: Polynomial, ring: PolyRing) -> Polynomial:
-    return Polynomial(ring, {m[:-1]: c for m, c in p.terms.items()})
-
-
-def _eliminate_and_normalize(gens_ext, ext: PolyRing, ring: PolyRing) -> Ideal:
-    """Groebner-eliminate the last variable and return a canonical ideal.
-
-    The t-free part of the basis generates the contraction to S.  For a
-    homogeneous contraction it is homogeneous, because the order of
-    `ext` restricts to a graded order on S; a reduced basis in the order
-    of S makes the output independent of the elimination path.
-    """
-    basis = buchberger_list(gens_ext, ext)
-    pieces = [_drop(p, ring) for p in basis if all(m[-1] == 0 for m in p.terms)]
-    return Ideal(ring, buchberger_list(pieces, ring))
+def _reduced(ring, polys) -> Ideal:
+    """The ideal generated by `polys`, given by its reduced grevlex basis."""
+    basis = module_groebner([poly_to_vector(p) for p in polys], ring, (0,))
+    return Ideal(ring, [vector_component(v, 0, ring) for v in basis])
 
 
 def ideal_quotient_saturation(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f^inf), generated by the t-free basis of I + (t*f - 1)."""
+    """(I : f^inf) for a variable f = c*z_i: the reduced basis of I under
+    the z_i-last order, each element divided by its largest power of z_i."""
     if f.is_zero():
         raise EngineError("cannot saturate by the zero polynomial")
     ring = I.ring
@@ -55,15 +52,22 @@ def ideal_quotient_saturation(I: Ideal, f: Polynomial) -> Ideal:
     I.require_homogeneous()
     if f.homogeneous_degree() is None:
         raise NotHomogeneousError(f"inhomogeneous polynomial: {f}")
-    ext = ring.extended_elimination_ring()
-    t = Polynomial.variable(ext, ext.num_vars - 1)
-    gens = [_lift(g, ext) for g in I.generators]
-    gens.append(t * _lift(f, ext) - Polynomial.constant(ext, 1))
-    return _eliminate_and_normalize(gens, ext, ring)
+    mono = next(iter(f.terms))
+    if len(f.terms) != 1 or sum(mono) != 1:
+        raise PreconditionError(f"can only saturate by a variable, got {f}")
+    i = mono.index(1)
+    key = last_variable_key(ring, i)
+    parts = []
+    for v in module_groebner([poly_to_vector(g) for g in I.generators], ring, (0,), key):
+        k = min(m[i] for m, _ in v)
+        parts.append(Polynomial(ring, {m[:i] + (m[i] - k,) + m[i + 1:]: c
+                                       for (m, _), c in v.items()}))
+    return _reduced(ring, parts)
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J via elimination on t*I + (1-t)*J."""
+    """I cap J: the elements (0 ; h) of a basis of the module spanned by
+    (f_i ; f_i) and (g_j ; 0), with position 0 eliminated."""
     ring = I.ring
     if J.ring != ring:
         raise EngineError("ideals live in different rings")
@@ -71,12 +75,11 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     J.require_homogeneous()
     if not I.generators or not J.generators:
         return Ideal(ring, [])
-    ext = ring.extended_elimination_ring()
-    t = Polynomial.variable(ext, ext.num_vars - 1)
-    one_minus_t = Polynomial.constant(ext, 1) - t
-    gens = [t * _lift(g, ext) for g in I.generators]
-    gens += [one_minus_t * _lift(h, ext) for h in J.generators]
-    return _eliminate_and_normalize(gens, ext, ring)
+    vectors = [{**poly_to_vector(f), **poly_to_vector(f, 1)} for f in I.generators]
+    vectors += [poly_to_vector(g) for g in J.generators]
+    basis = module_groebner(vectors, ring, (0, 0), block_key(ring, 1))
+    return _reduced(ring, [vector_component(v, 1, ring) for v in basis
+                           if all(p == 1 for _, p in v)])
 
 
 def saturate_irrelevant(I: Ideal):

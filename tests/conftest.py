@@ -98,9 +98,13 @@ def catalog_items(twisted_cubic, ci23, rnc4_entry, veronese_entry, scroll_entry,
 
 
 @st.composite
-def graded_ideals(draw, field, weighted):
-    """Forms, some times a variable, and some degree-3 monomials, in 3 variables."""
-    weights = draw(st.tuples(*[st.integers(1, 3)] * 3)) if weighted else (1, 1, 1)
+def graded_ideals(draw, field, weighted, weights=None):
+    """Forms, some times a variable, and some degree-3 monomials, in 3 variables.
+
+    `weights`, if given, fixes the ring's weights.
+    """
+    if weights is None:
+        weights = draw(st.tuples(*[st.integers(1, 3)] * 3)) if weighted else (1, 1, 1)
     ring = PolyRing(field, ("x", "y", "z"), weights)
     degrees = [d for d in range(1, 5) if ring.monomials_of_degree(d)]
     gens = []

@@ -125,12 +125,13 @@ def test_precheck_keeps_input_errors(weighted_file, capsys):
 
 def test_commands_run_no_elimination(corpus_file, tmp_path, monkeypatch):
     # saturated input: the pre-check and the catalog check read the resolution
-    from pgshell.rings import PolyRing
+    from pgshell import saturation
 
-    def refuse(self):
-        raise AssertionError("elimination ring built")
+    def refuse(*args):
+        raise AssertionError("saturation computed")
 
-    monkeypatch.setattr(PolyRing, "extended_elimination_ring", refuse)
+    monkeypatch.setattr(saturation, "ideal_quotient_saturation", refuse)
+    monkeypatch.setattr(saturation, "ideal_intersection", refuse)
     for method in ("chain", "oracle", "both"):
         assert run(["pgshell", corpus_file, "V", "W", "--method", method])[0] == EXIT_OK
     assert run(["criteria", corpus_file, "V", "W"])[0] == EXIT_OK
@@ -138,6 +139,8 @@ def test_commands_run_no_elimination(corpus_file, tmp_path, monkeypatch):
     path.write_text(TENSOR_SRC)
     assert run(["tensor-res", str(path), "Y", "Z"])[0] == EXIT_OK
     assert run(["catalog", "points-rnc", "3", "5"])[0] == EXIT_OK
+    with pytest.raises(AssertionError, match="saturation computed"):
+        run(["saturate", corpus_file, "Unsat"])
 
 
 def test_invariants_human_json_agreement(corpus_file):
@@ -203,6 +206,18 @@ def test_hilbert_negative_max_exit_2(corpus_file, weighted_file, capsys):
         code, text = run(["hilbert", path, name, "--max", "-1"])
         assert (code, text) == (EXIT_INPUT, "")
         assert "error: m_max must be at least 0, got -1" in capsys.readouterr().err
+
+
+def test_unknown_flag_reported_with_the_owning_usage(corpus_file, capsys):
+    # after the command: that command's usage; before it: the top-level usage
+    assert run(["gb", corpus_file, "V", "--bogus"])[0] == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pgshell gb ")
+    assert "pgshell gb: error: unrecognized arguments: --bogus" in err
+    assert run(["--bogus", "gb", corpus_file, "V"])[0] == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pgshell [-h]")
+    assert "pgshell: error: unrecognized arguments: --bogus" in err
 
 
 def test_catalog_ci_degree_below_one_exit_2(capsys):

@@ -81,6 +81,7 @@ def _invocations():
         ["catalog", "points-rnc", "3", "0"],
         ["catalog", "points-rnc", "0", "3"],
         ["catalog", "rnc", "2", "--strict"],
+        ["gb", "corpus.ideal", "V", "--bogus"],
         ["gb", "utf16.ideal", "I"],
         ["frobnicate"],
         [],

@@ -63,3 +63,14 @@ def test_prime_field_of_fraction():
     with pytest.raises(ZeroDivisionError):
         f.of(Fraction(1, 7))
     assert QQ.of(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_prime_field_of_fraction_denominator():
+    # a Fraction denominator folds like a Fraction numerator, as over QQ
+    f = Field(7)
+    assert f.of(1, Fraction(1, 2)) == 2
+    assert QQ.of(1, Fraction(1, 2)) == 2
+    assert f.of(3, Fraction(2, 5)) == f.div(f.of(15), f.of(2))
+    assert f.of(Fraction(1, 3), Fraction(2, 5)) == f.div(f.of(5), f.of(6))
+    with pytest.raises(ZeroDivisionError):
+        f.of(1, Fraction(7, 2))

@@ -16,8 +16,6 @@ from pgshell import (
     standard_ring,
     substitute_ideal,
 )
-from pgshell.groebner import buchberger_list
-
 from conftest import random_invertible
 
 
@@ -67,8 +65,8 @@ def test_buchberger_permutation_invariance(R4, tc_quadrics):
 
     renderings = set()
     for perm in itertools.permutations(tc_quadrics):
-        gb = buchberger_list(list(perm), R4)
-        renderings.add("; ".join(str(g) for g in gb))
+        gb = groebner_basis(Ideal(R4, list(perm)))
+        renderings.add("; ".join(str(g) for g in gb.elements))
     assert len(renderings) == 1
 
 

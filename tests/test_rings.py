@@ -41,13 +41,6 @@ def test_grevlex_first_variable_largest():
     assert ring.sort_key((0, 0, 0, 2)) > ring.sort_key(z0)
 
 
-def test_elim_last_order_eliminates():
-    ring = PolyRing(QQ, ("x", "y", "t"), order="elim_last")
-    with_t = (5, 5, 1)
-    without_t = (9, 9, 0)
-    assert ring.sort_key(with_t) > ring.sort_key(without_t)
-
-
 def test_monomials_of_degree_counts():
     ring = standard_ring(4)
     monos = ring.monomials_of_degree(2)
@@ -74,8 +67,6 @@ def test_ring_validation():
         PolyRing(QQ, ("x", "x"))
     with pytest.raises(EngineError):
         PolyRing(QQ, ("x",), (0,))
-    with pytest.raises(EngineError):
-        PolyRing(QQ, ("x",), order="lex")
 
 
 def test_ring_value_semantics():

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pgshell import (
     Field,
     Ideal,
     Polynomial,
+    PolyRing,
     groebner_basis,
     ideal_intersection,
     ideal_quotient_saturation,
@@ -13,8 +15,8 @@ from pgshell import (
     saturate_irrelevant,
     standard_ring,
 )
-from pgshell.errors import EngineError, NotHomogeneousError
-from pgshell.groebner import standard_monomials
+from pgshell.errors import EngineError, NotHomogeneousError, PreconditionError
+from pgshell.groebner import module_groebner, poly_to_vector, standard_monomials
 
 from conftest import graded_ideals
 
@@ -31,6 +33,15 @@ def test_quotient_power_examples(R4, zvars):
     )
     with pytest.raises(EngineError):
         ideal_quotient_saturation(Ideal(R4, []), Polynomial.zero(R4))
+
+
+def test_quotient_only_by_a_variable(R4, zvars):
+    z = zvars
+    I = Ideal(R4, [z[0] * z[1]])
+    assert same_ideal(ideal_quotient_saturation(I, z[0].scale(R4.field.of(3))), Ideal(R4, [z[1]]))
+    for f in (z[0] + z[1], z[0] * z[0], z[0] * z[1], Polynomial.constant(R4, 2)):
+        with pytest.raises(PreconditionError):
+            ideal_quotient_saturation(I, f)
 
 
 def test_quotient_idempotent_on_saturated(twisted_cubic, zvars):
@@ -100,6 +111,51 @@ def test_saturation_idempotent_and_never_shrinks(R4, zvars, tc_quadrics):
         assert len(standard_monomials(gb_after, m)) <= len(standard_monomials(gb_before, m))
 
 
+# Reference: the classical elimination route, independent of the Bayer-Stillman
+# quotient and the syzygy intersection under test.  Adjoin t, compute a basis
+# under an order in which any power of t beats every t-free term (grevlex on
+# the rest), and keep the t-free elements.
+
+
+def _extended(ring):
+    return PolyRing(ring.field, ring.names + ("_t",), ring.weights + (1,))
+
+
+def _lift(p, ext, k=0):
+    """p * t^k in S[t]."""
+    return Polynomial(ext, {m + (k,): c for m, c in p.terms.items()})
+
+
+def _eliminate_t(gens, ext, ring):
+    """(gens) cap S, given by its reduced grevlex basis."""
+    def key(term):
+        mono = term[0]
+        return (mono[-1], ring.sort_key(mono[:-1]))
+
+    basis = module_groebner([poly_to_vector(g) for g in gens], ext, (0,), key)
+    pieces = [Polynomial(ring, {m[:-1]: c for (m, _), c in v.items()})
+              for v in basis if all(m[-1] == 0 for m, _ in v)]
+    return Ideal(ring, groebner_basis(Ideal(ring, pieces)).elements)
+
+
+def reference_quotient(I, f):
+    """(I : f^inf) from the t-free part of I + (t*f - 1)."""
+    ext = _extended(I.ring)
+    gens = [_lift(g, ext) for g in I.generators]
+    gens.append(_lift(f, ext, 1) - Polynomial.constant(ext, 1))
+    return _eliminate_t(gens, ext, I.ring)
+
+
+def reference_intersection(I, J):
+    """I cap J from the t-free part of t*I + (1-t)*J."""
+    if not I.generators or not J.generators:
+        return Ideal(I.ring, [])
+    ext = _extended(I.ring)
+    gens = [_lift(g, ext, 1) for g in I.generators]
+    gens += [_lift(h, ext) - _lift(h, ext, 1) for h in J.generators]
+    return _eliminate_t(gens, ext, I.ring)
+
+
 def fixpoint_saturation(I):
     """Reference: the sweep cap_i (J : z_i^inf) repeated until it is a fixpoint."""
     ring = I.ring
@@ -107,12 +163,12 @@ def fixpoint_saturation(I):
     current_gb = groebner_basis(current).elements
     while True:
         parts = [
-            ideal_quotient_saturation(current, Polynomial.variable(ring, i))
+            reference_quotient(current, Polynomial.variable(ring, i))
             for i in range(ring.num_vars)
         ]
         nxt = parts[0]
         for p in parts[1:]:
-            nxt = ideal_intersection(nxt, p)
+            nxt = reference_intersection(nxt, p)
         nxt_gb = groebner_basis(nxt).elements
         if nxt_gb == current_gb:
             break
@@ -131,7 +187,7 @@ def saturation_cases(ring):
         "twisted cubic": tc,
         "z_i*q": Ideal(ring, [z[i] * quadrics[0] for i in range(4)]),
         "tc*S_+": Ideal(ring, [z[i] * q for q in quadrics for i in range(4)]),
-        "tc cap S_+^3": ideal_intersection(tc, cubes),
+        "tc cap S_+^3": reference_intersection(tc, cubes),
         "monomial": Ideal(
             ring, [z[0] * z[0] * z[1], z[0] * z[1] * z[1], z[1] * z[2] * z[3], z[2] * z[2] * z[2]]
         ),
@@ -156,5 +212,26 @@ def test_is_saturated_matches_elimination(p, weighted):
     @given(graded_ideals(Field(p), weighted))
     def check(I):
         assert is_saturated(I) != fixpoint_saturation(I)[1]
+
+    check()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["standard", "weighted"])
+@pytest.mark.parametrize("p", [0, 32003])
+def test_saturation_matches_elimination_reference(p, weighted):
+    # both sides return reduced bases, so equal ideals have equal generators
+    @given(st.data())
+    def check(data):
+        I = data.draw(graded_ideals(Field(p), weighted))
+        ring = I.ring
+        J = data.draw(graded_ideals(Field(p), weighted, ring.weights))
+        for i in range(ring.num_vars):
+            z = Polynomial.variable(ring, i)
+            assert ideal_quotient_saturation(I, z) == reference_quotient(I, z)
+        assert ideal_intersection(I, J) == reference_intersection(I, J)
+        sat, changed = saturate_irrelevant(I)
+        ref, ref_changed = fixpoint_saturation(I)
+        assert changed == ref_changed
+        assert groebner_basis(sat).elements == groebner_basis(ref).elements
 
     check()

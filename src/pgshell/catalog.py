@@ -227,15 +227,20 @@ def points_on_rational_normal_curve(
     """The vanishing ideal of `count` rational points on the degree-d curve.
 
     Points are (s^d : s^{d-1} t : ... : t^d) for fixed parameter pairs;
-    the ideal is assembled degree by degree from the kernel of the
-    evaluation matrix and verified to be saturated with the expected
-    constant Hilbert polynomial.
+    without `params`, the first `count` of ten default pairs.  The
+    kernels of the evaluation matrices, degree by degree, span the ideal;
+    their minimal generating subset is verified to be saturated with the
+    expected constant Hilbert polynomial.
     """
     if d < 1:
         raise CatalogError(f"curve degree must be at least 1, got {d}")
     if count < 1:
         raise CatalogError(f"point count must be at least 1, got {count}")
     if params is None:
+        if count > len(_DEFAULT_PARAMS):
+            raise CatalogError(
+                f"at most {len(_DEFAULT_PARAMS)} points without explicit parameter pairs, got {count}"
+            )
         params = _DEFAULT_PARAMS[:count]
     if len(params) != count or len(set(params)) != count:
         raise CatalogError("need `count` distinct parameter pairs")
@@ -254,10 +259,10 @@ def points_on_rational_normal_curve(
             coords.append(v)
         pts.append(tuple(coords))
 
-    from .groebner import multiples_span
     from .linalg import eliminate
+    from .resolution import betti, is_saturated, minimal_generators, minimal_resolution
 
-    gens = []
+    forms = []
     m = 0
     reached = None
     while True:
@@ -277,16 +282,13 @@ def points_on_rational_normal_curve(
             eval_cols.append(col)
         kernel = eliminate(eval_cols, count, f)[1]
         hf_m = len(monos) - len(kernel)
-        span, _ = multiples_span(gens, m, ring)
-        for v in kernel:
-            if span.add(v):
-                gens.append(Polynomial(ring, {monos[i]: c for i, c in v.items()}))
+        forms += [Polynomial(ring, {monos[i]: c for i, c in v.items()}) for v in kernel]
         if hf_m == count:
             if reached is not None and reached == m - 1:
                 break
             reached = m
 
-    ideal = Ideal(ring, gens)
+    ideal = Ideal(ring, minimal_generators(Ideal(ring, forms)))
     entry = CatalogEntry(
         f"points{count}-rnc{d}",
         ring,
@@ -294,8 +296,6 @@ def points_on_rational_normal_curve(
         {"dim": 0, "degree": count, "depth": 1, "is_ACM": True},
         notes=f"{count} rational points on the degree-{d} rational normal curve",
     )
-    from .resolution import betti, is_saturated, minimal_resolution
-
     if not is_saturated(ideal):
         raise CatalogError("point ideal came out unsaturated")
     if betti(minimal_resolution(ideal)).dimension_degree(ring) != (0, count):
@@ -326,33 +326,36 @@ def zero_ideal(num_vars: int = 4, field: Field | None = None) -> CatalogEntry:
     )
 
 
+# name -> (fewest and most parameters, None for no bound; what they
+# are, as the count error says it; constructor on the integer parameters)
+_ENTRIES = {
+    "rnc": (1, 1, "1 parameter (the degree)",
+            lambda p, seed, field: rational_normal_curve(*p, field)),
+    "veronese": (0, 0, "no parameters", lambda p, seed, field: veronese_surface(field)),
+    "scroll": (0, 0, "no parameters", lambda p, seed, field: scroll_surface(field)),
+    "tc-cone": (0, 0, "no parameters", lambda p, seed, field: twisted_cubic_cone_p5(field)),
+    "ci": (1, None, "at least 1 parameter (the form degrees)",
+           lambda p, seed, field: complete_intersection(p, seed=seed, field=field)),
+    "points-rnc": (2, 2, "2 parameters (the curve degree and the point count)",
+                   lambda p, seed, field: points_on_rational_normal_curve(*p, field=field)),
+    "hyperplane": (0, 1, "at most 1 parameter (the number of variables)",
+                   lambda p, seed, field: hyperplane(*p, field=field)),
+    "zero": (0, 1, "at most 1 parameter (the number of variables)",
+             lambda p, seed, field: zero_ideal(*p, field=field)),
+}
+
+CATALOG_NAMES = tuple(_ENTRIES)
+
+
 def build_catalog_entry(name: str, args, seed: int = 1, field: Field | None = None) -> CatalogEntry:
     """CLI registry: name plus integer parameters -> entry."""
+    if name not in _ENTRIES:
+        raise CatalogError(f"unknown catalog entry {name!r}")
+    least, most, takes, build = _ENTRIES[name]
+    if len(args) < least or (most is not None and len(args) > most):
+        raise CatalogError(f"catalog entry {name!r} takes {takes}, got {len(args)}")
     try:
-        if name == "rnc":
-            (d,) = args
-            return rational_normal_curve(int(d), field)
-        if name == "veronese":
-            return veronese_surface(field)
-        if name == "scroll":
-            return scroll_surface(field)
-        if name == "tc-cone":
-            return twisted_cubic_cone_p5(field)
-        if name == "ci":
-            degrees = [int(a) for a in args]
-            return complete_intersection(degrees, seed=seed, field=field)
-        if name == "points-rnc":
-            d, count = (int(a) for a in args)
-            return points_on_rational_normal_curve(d, count, field=field)
-        if name == "hyperplane":
-            n = int(args[0]) if args else 4
-            return hyperplane(n, field)
-        if name == "zero":
-            n = int(args[0]) if args else 4
-            return zero_ideal(n, field)
+        params = [int(a) for a in args]
     except ValueError as e:
         raise CatalogError(f"bad parameters for catalog entry {name!r}: {e}") from e
-    raise CatalogError(f"unknown catalog entry {name!r}")
-
-
-CATALOG_NAMES = ("rnc", "veronese", "scroll", "tc-cone", "ci", "points-rnc", "hyperplane", "zero")
+    return build(params, seed, field)

@@ -4,10 +4,12 @@ Everything is built on one representation: a *vector* is a dict mapping
 (monomial, position) -> nonzero coefficient, inside a free module whose
 positions carry twists.  An ideal element is a vector of rank 1
 (position always 0, twist 0).  One engine, `module_groebner`, serves
-normal forms, ideal membership, minimal generating sets, syzygies (via
-an elimination block order on an extended module), chain-map lifting
-and saturation (via a z_i-last order).  The ring's grevlex is the
-default order; every other order is a term key passed to the engine.
+normal forms, ideal membership, minimal generating sets and every
+minimal-generator test (is a form, or a set of forms, independent
+modulo S_+ I?), syzygies (via an elimination block order on an
+extended module), chain-map lifting and saturation (via a z_i-last
+order).  The ring's grevlex is the default order; every other order
+is a term key passed to the engine.
 
 Strategy: S-pairs sit in a heap ordered by their twisted degree, then
 by the monomial order on the lcm, then by basis index.  Input vectors
@@ -46,7 +48,6 @@ from operator import mul as int_mul
 from operator import sub as int_sub
 
 from .errors import NotHomogeneousError, RingMismatchError
-from .linalg import RowSpace
 from .memo import memoized
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
@@ -495,39 +496,22 @@ def standard_monomials(gb: GroebnerBasis, m: int) -> list:
     ]
 
 
-def multiples_span(polys, d: int, ring: PolyRing):
-    """(RowSpace, mono -> column) of the degree-d multiples of `polys`.
-
-    Only positive-degree multiples count: a polynomial of degree >= d
-    (or inhomogeneous) contributes nothing, so for generators of an
-    ideal I the span is (S_+ I)_d.  Callers test a degree-d polynomial p
-    by its sparse coordinates {index[mono]: c for mono, c in p.terms.items()}.
-    """
-    index = {mono: i for i, mono in enumerate(ring.monomials_of_degree(d))}
-    span = RowSpace(len(index), ring.field)
-    one = ring.field.one
-    for g in polys:
-        dg = g.homogeneous_degree()
-        if dg is None or dg >= d:
-            continue
-        for mono in ring.monomials_of_degree(d - dg):
-            span.add({index[t]: c for t, c in g.mul_term(mono, one).terms.items()})
-    return span, index
-
-
 def is_minimal_generator(F: Polynomial, I: Ideal) -> bool:
     """Is F part of a minimal generating system of I?
 
-    Decided by exact linear algebra on the degree-m graded piece:
-    F is a minimal generator iff its image in (I / S_+ I)_m is nonzero.
+    F of degree m is one iff it is not in (S_+ I)_m, which the generators
+    of I of degree < m span in degree m: iff the one Buchberger pass over
+    those generators followed by F keeps F.
     """
     if F.is_zero():
         raise ValueError("zero polynomial cannot be a generator")
     m = F.homogeneous_degree()
     if m is None:
         raise NotHomogeneousError(f"inhomogeneous polynomial: {F}")
-    gb = groebner_basis(I)
-    if not membership(F, gb):
+    I.require_homogeneous()
+    if not membership(F, I):
         raise ValueError("polynomial does not lie in the ideal")
-    span, index = multiples_span(gb.elements, m, I.ring)
-    return not span.contains({index[t]: c for t, c in F.terms.items()})
+    lower = [poly_to_vector(g) for g in I.generators if g.homogeneous_degree() < m]
+    kept: list[int] = []
+    module_groebner(lower + [poly_to_vector(F)], I.ring, (0,), kept=kept)
+    return len(lower) in kept

@@ -159,7 +159,7 @@ class Polynomial:
         return self.scale(inv)
 
     def evaluate(self, point):
-        """Evaluate at a tuple of field values (used for point ideals)."""
+        """Value at a tuple of field values."""
         field = self.ring.field
         total = field.zero
         for m, c in self.terms.items():

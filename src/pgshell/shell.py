@@ -33,7 +33,8 @@ from .groebner import (
     groebner_basis,
     is_minimal_generator,
     membership,
-    multiples_span,
+    module_groebner,
+    poly_to_vector,
     same_ideal,
 )
 from .koszul import koszul_tor, taylor_degree_bound, tor_comparison
@@ -424,21 +425,16 @@ def ideal_power_plus(I_V: Ideal, power: int, I_W: Ideal) -> Ideal:
 def part_of_minimal_generators(I_W: Ideal, I_V: Ideal) -> bool:
     """Do the minimal generators of I_W extend to minimal generators of I_V?
 
-    True iff their images in (I_V / S_+ I_V) are linearly independent,
-    tested degree by degree with exact linear algebra.
+    True iff their images in (I_V / S_+ I_V) are linearly independent:
+    iff the one Buchberger pass over them followed by the generators of
+    I_V keeps every one of them.  Ties in degree keep input order, so in
+    each degree the W generators enter first.
     """
-    ring = I_V.ring
-    gb_v = groebner_basis(I_V)
     w_gens = minimal_generators(I_W)
-    by_degree: dict = {}
-    for g in w_gens:
-        by_degree.setdefault(g.homogeneous_degree(), []).append(g)
-    for d, gens in sorted(by_degree.items()):
-        span, index = multiples_span(gb_v.elements, d, ring)
-        for g in gens:
-            if not span.add({index[t]: c for t, c in g.terms.items()}):
-                return False
-    return True
+    vectors = [poly_to_vector(g) for g in (*w_gens, *I_V.generators)]
+    kept: list[int] = []
+    module_groebner(vectors, I_V.ring, (0,), kept=kept)
+    return set(range(len(w_gens))) <= set(kept)
 
 
 def criteria_suite(I_V: Ideal, I_W: Ideal, neighborhood_orders=(1, 2)) -> dict:
@@ -608,6 +604,8 @@ def tensor_resolution(I_Y: Ideal, I_Z: Ideal):
     if I_Y.ring != I_Z.ring:
         raise RingMismatchError("ideals live in different rings")
     ring = I_Y.ring
+    if not ring.standard_graded:
+        raise WeightedRingError("tensor resolutions need a standard-graded ring")
     inv_y = invariants(I_Y)
     inv_z = invariants(I_Z)
     if not inv_y.is_ACM:

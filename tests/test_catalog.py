@@ -182,3 +182,23 @@ def test_build_catalog_entry_registry():
     assert entry.name == "ci-2-3-seed1"
     with pytest.raises(CatalogError):
         build_catalog_entry("nope", [])
+
+
+@pytest.mark.parametrize("name, args, takes", [
+    ("rnc", ["3", "4"], "1 parameter"),
+    ("veronese", ["5"], "no parameters"),
+    ("ci", [], "at least 1 parameter"),
+    ("points-rnc", ["3"], "2 parameters"),
+    ("hyperplane", ["3", "4"], "at most 1 parameter"),
+])
+def test_build_catalog_entry_checks_the_parameter_count(name, args, takes):
+    with pytest.raises(CatalogError, match=f"catalog entry '{name}' takes {takes}.*, got {len(args)}$"):
+        build_catalog_entry(name, args)
+
+
+def test_points_without_params_name_the_default_limit():
+    with pytest.raises(CatalogError, match="at most 10 points"):
+        points_on_rational_normal_curve(3, 11)
+    # explicit pairs lift the limit
+    params = [(1, k) for k in range(11)]
+    assert points_on_rational_normal_curve(1, 11, params=params).ideal.generators

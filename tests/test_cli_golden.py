@@ -22,11 +22,24 @@ from pgshell.cli import run_command
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
+# V is a complete intersection of two quadrics and a cubic in P^3.  The
+# generators of W1 and W2 extend to minimal generators of V; the second
+# generator of Wbad is a variable times one of V's quadrics.
+CI_SRC = """\
+ring S = QQ[z0,z1,z2,z3];
+ideal V = z0*z1 - z2*z3, z0^2 - z1^2 + z2*z3, z0*z2^2 + z1*z3^2 - z3^3;
+ideal W1 = z0*z1 - z2*z3;
+ideal W2 = z0*z1 - z2*z3, z0*z2^2 + z1*z3^2 - z3^3;
+ideal Wbad = z0*z1 - z2*z3, z3*z0^2 - z3*z1^2 + z2*z3^2;
+"""
+
 INPUTS = {
     "corpus.ideal": CORPUS_SRC.encode(),
     "gf.ideal": CORPUS_SRC.replace("QQ", "ZZ/32003").encode(),
     "weighted.ideal": WEIGHTED_SRC.encode(),
     "tensor.ideal": TENSOR_SRC.encode(),
+    "ci.ideal": CI_SRC.encode(),
+    "ci-gf.ideal": CI_SRC.replace("QQ", "ZZ/32003").encode(),
     "inhom.ideal": b"ring S = QQ[x,y];\nideal I = x + y^2, x*y;\n",
     "broken.ideal": b"ideal I = z0 +",
     "utf16.ideal": "ring S = QQ[x];\nideal I = x;\n".encode("utf-16"),
@@ -56,12 +69,15 @@ def _invocations():
             ["pgshell", "weighted.ideal", "V", "W"] + fmt,
             ["criteria", "weighted.ideal", "V", "W"] + fmt,
             ["tensor-res", "tensor.ideal", "Y", "Z"] + fmt,
+            ["tensor-res", "weighted.ideal", "V", "W"] + fmt,
             ["catalog", "rnc", "4"] + fmt,
             ["catalog", "points-rnc", "3", "5"] + fmt,
             ["catalog", "ci", "2", "3", "--seed", "2"] + fmt,
             ["gb", "corpus.ideal", "V", "--field-check"] + fmt,
             ["gb", "inhom.ideal", "I"] + fmt,
         ]
+        for src in ("ci.ideal", "ci-gf.ideal"):
+            out += [["criteria", src, "V", w] + fmt for w in ("W1", "W2", "Wbad")]
     # input errors, exit 2
     out += [
         ["gb", "corpus.ideal", "MISSING"],
@@ -81,6 +97,9 @@ def _invocations():
         ["catalog", "points-rnc", "3", "0"],
         ["catalog", "points-rnc", "0", "3"],
         ["catalog", "rnc", "2", "--strict"],
+        ["catalog", "rnc", "3", "extra"],
+        ["catalog", "veronese", "5"],
+        ["catalog", "points-rnc", "3", "11"],
         ["gb", "corpus.ideal", "V", "--bogus"],
         ["gb", "utf16.ideal", "I"],
         ["frobnicate"],

@@ -1,15 +1,22 @@
 """Differential tests: the one-pass minimal generating subset against the
-greedy loop that re-runs Buchberger after every kept vector, and the
-minimal generators of an ideal read from its one Groebner pass."""
+greedy loop that re-runs Buchberger after every kept vector, the
+minimal generators of an ideal read from its one Groebner pass, and the
+minimal-generator tests of the shell criteria against linear algebra on
+the degree-m multiples."""
 
 import random
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pgshell import (
+    QQ,
     Field,
     Ideal,
+    Polynomial,
+    PolyRing,
     clear_caches,
     complete_intersection,
     groebner,
@@ -22,7 +29,9 @@ from pgshell import (
     substitute_ideal,
     veronese_surface,
 )
+from pgshell.errors import NotHomogeneousError
 from pgshell.groebner import (
+    is_minimal_generator,
     lead_terms,
     module_groebner,
     poly_to_vector,
@@ -30,9 +39,11 @@ from pgshell.groebner import (
     top_key,
     vector_degree,
 )
+from pgshell.linalg import RowSpace
 from pgshell.resolution import column_module, minimal_generating_subset
+from pgshell.shell import part_of_minimal_generators
 
-from conftest import random_invertible
+from conftest import graded_ideals, random_invertible
 
 
 def reference_subset(vectors, ring, twists):
@@ -141,3 +152,89 @@ def test_minimal_generators_reuse_the_groebner_pass(monkeypatch, twisted_cubic, 
     groebner_basis(ideal)
     assert minimal_generators(ideal) == gens
     assert len(calls) == 1
+
+
+# The minimal-generator tests against exact linear algebra on the degree-m
+# piece: (S_+ I)_m is spanned by the degree-m multiples of the Groebner
+# basis elements of degree < m.
+
+
+def multiples_span(I, m):
+    """(RowSpace of (S_+ I)_m, coordinates of a degree-m form)."""
+    ring = I.ring
+    index = {mono: i for i, mono in enumerate(ring.monomials_of_degree(m))}
+
+    def coords(p):
+        return {index[t]: c for t, c in p.terms.items()}
+
+    span = RowSpace(len(index), ring.field)
+    for g in groebner_basis(I).elements:
+        dg = g.homogeneous_degree()
+        if dg < m:
+            for mono in ring.monomials_of_degree(m - dg):
+                span.add(coords(g.mul_term(mono, ring.field.one)))
+    return span, coords
+
+
+def reference_is_minimal(F, I):
+    span, coords = multiples_span(I, F.homogeneous_degree())
+    return not span.contains(coords(F))
+
+
+def reference_part(I_W, I_V):
+    spans = {}
+    for g in minimal_generators(I_W):
+        m = g.homogeneous_degree()
+        if m not in spans:
+            spans[m] = multiples_span(I_V, m)
+        span, coords = spans[m]
+        if not span.add(coords(g)):
+            return False
+    return True
+
+
+def elements(I, draw):
+    """Generators, variable multiples and same-degree sums of generators."""
+    ring = I.ring
+    gens = list(I.generators)
+    out = list(gens)
+    for g in gens:
+        out.append(g.mul_term(ring.variable_mono(draw(st.integers(0, ring.num_vars - 1))),
+                              ring.field.one))
+        same = [h for h in gens if h.homogeneous_degree() == g.homogeneous_degree()]
+        out.append(g + draw(st.sampled_from(same)).scale(ring.field.of(draw(st.integers(1, 3)))))
+    return [f for f in out if not f.is_zero()]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["standard", "weighted"])
+@pytest.mark.parametrize("p", [0, 32003], ids=["QQ", "GF32003"])
+def test_minimal_generator_tests_match_linear_algebra(p, weighted):
+    answers = set()
+
+    @given(st.data())
+    def check(data):
+        I_V = data.draw(graded_ideals(Field(p), weighted))
+        candidates = elements(I_V, data.draw)
+        for F in candidates:
+            want = reference_is_minimal(F, I_V)
+            assert is_minimal_generator(F, I_V) == want, F
+            answers.add(("is_minimal_generator", want))
+        chosen = data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3))
+        I_W = Ideal(I_V.ring, chosen)
+        want = reference_part(I_W, I_V)
+        assert part_of_minimal_generators(I_W, I_V) == want, chosen
+        answers.add(("part_of_minimal_generators", want))
+
+    check()
+    assert answers == {(name, b) for name in ("is_minimal_generator", "part_of_minimal_generators")
+                       for b in (True, False)}
+
+
+def test_is_minimal_generator_needs_a_homogeneous_ideal():
+    ring = PolyRing(QQ, ("x", "y"), (1, 1))
+    x, y = (Polynomial.variable(ring, i) for i in range(2))
+    I = Ideal(ring, [x + y * y, x * y], allow_inhomogeneous=True)
+    # both lie in S_+ I: y^3 = y (x + y^2) - x y and x^2 = x (x + y^2) - y (x y)
+    for F in (y * y * y, x * x):
+        with pytest.raises(NotHomogeneousError):
+            is_minimal_generator(F, I)

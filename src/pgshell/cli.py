@@ -6,13 +6,15 @@ human-readable lines and the exit code, and prints nothing; `run_command`
 builds the subparsers from the table, loads the source file, picks the
 named ideals, adds the keys every report shares and prints either the
 payload (--json) or the lines.  Exit codes: 0 success, 1 negative shell
-verdict, 2 input error, 3 internal-check failure.
+verdict, 2 input error, 3 internal-check failure; a reader that closes
+stdout early changes neither the exit code nor stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import CATALOG_NAMES, build_catalog_entry
@@ -297,10 +299,18 @@ def run_command(argv, out=None) -> int:
         return EXIT_INPUT
 
     payload.update(result)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-    else:
-        print(*(f"warning: {w}" for w in warnings), *lines, sep="\n", file=out)
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        else:
+            print(*(f"warning: {w}" for w in warnings), *lines, sep="\n", file=out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader left early; the verdict stands, so keep its exit code
+        # and send what the interpreter flushes at exit to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
     return code
 
 

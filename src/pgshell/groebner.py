@@ -21,6 +21,13 @@ basis in the input's degree, so the inputs that survive form a minimal
 generating subset (La Scala-Stillman).  The product criterion is used
 for ideals only, the chain criterion always.
 
+Reduction: `reduce_vector` divides the largest remaining term first.
+The terms still to divide sit in a heap, keyed by the term key
+negated and flattened to one int tuple; each term key memoizes that
+heap key per term next to the key itself.  A term is pushed when it
+enters the work vector and skipped when popped after it has cancelled,
+so a step costs O(log n), not a scan of the whole work vector.
+
 QQ arithmetic: over the rationals the pass runs fraction-free, on
 primitive integer vectors (integer coefficients with gcd 1 and a
 positive lead coefficient).  Inputs are cleared of denominators; an
@@ -41,7 +48,7 @@ independent of generator permutation.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd
 from math import lcm as int_lcm
 from operator import mul as int_mul
@@ -56,40 +63,66 @@ from .rings import PolyRing
 # module term orders
 
 
-def top_key(ring: PolyRing):
-    """Term-over-position order: ring order on monomials, e_0 > e_1 > ...
+def _memoized_term_key(compute, compute_heap):
+    """The term key `compute`, memoized per term.
 
-    The returned key function memoizes per term; reuse one key function
-    per computation so division loops share the cache.
+    The key also carries `key.heap_key(term)`, memoized alongside it:
+    `compute_heap` gives the key negated and flattened to one int tuple,
+    so that `reduce_vector`'s min-heap pops the largest term first.
+    Both memos live as long as the key function, so reuse one key
+    function per computation so that division loops share them.
     """
-    sk = ring.sort_key
     cache: dict = {}
+    heap_cache: dict = {}
 
     def key(term):
         k = cache.get(term)
         if k is None:
-            mono, pos = term
-            k = (sk(mono), -pos)
-            cache[term] = k
+            k = cache[term] = compute(term)
         return k
 
+    def heap_key(term):
+        h = heap_cache.get(term)
+        if h is None:
+            h = heap_cache[term] = compute_heap(term)
+        return h
+
+    key.heap_key = heap_key
     return key
+
+
+class _Descending:
+    """A heap entry for a key function without `heap_key`: larger keys
+    pop first."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k):
+        self.k = k
+
+    def __lt__(self, other):
+        return self.k > other.k
+
+
+# The heap keys below spell out the negated keys: the grevlex sort key
+# of a monomial is (degree, its exponents reversed and negated).
+
+
+def top_key(ring: PolyRing):
+    """Term-over-position order: ring order on monomials, e_0 > e_1 > ..."""
+    sk, degree = ring.sort_key, ring.mono_degree
+    return _memoized_term_key(
+        lambda term: (sk(term[0]), -term[1]),
+        lambda term: (-degree(term[0]), *reversed(term[0]), term[1]))
 
 
 def block_key(ring: PolyRing, block: int):
     """Elimination order: the first `block` positions dominate the rest."""
-    sk = ring.sort_key
-    cache: dict = {}
-
-    def key(term):
-        k = cache.get(term)
-        if k is None:
-            mono, pos = term
-            k = (1 if pos < block else 0, sk(mono), -pos)
-            cache[term] = k
-        return k
-
-    return key
+    sk, degree = ring.sort_key, ring.mono_degree
+    return _memoized_term_key(
+        lambda term: (1 if term[1] < block else 0, sk(term[0]), -term[1]),
+        lambda term: (-1 if term[1] < block else 0, -degree(term[0]),
+                      *reversed(term[0]), term[1]))
 
 
 def last_variable_key(ring: PolyRing, i: int):
@@ -97,21 +130,20 @@ def last_variable_key(ring: PolyRing, i: int):
 
     Among terms of one degree, fewer factors z_i means a bigger term, so
     z_i divides the lead term of a homogeneous f iff it divides f
-    (Bayer-Stillman).  Memoized per term, like `top_key`.
+    (Bayer-Stillman).
     """
-    mono_degree = ring.mono_degree
-    cache: dict = {}
+    degree = ring.mono_degree
 
-    def key(term):
-        k = cache.get(term)
-        if k is None:
-            mono, pos = term
-            rest = mono[:i] + mono[i + 1:]
-            k = (mono_degree(mono), -mono[i], tuple(-e for e in reversed(rest)), -pos)
-            cache[term] = k
-        return k
+    def compute(term):
+        mono, pos = term
+        rest = mono[:i] + mono[i + 1:]
+        return (degree(mono), -mono[i], tuple(-e for e in reversed(rest)), -pos)
 
-    return key
+    def compute_heap(term):
+        mono, pos = term
+        return (-degree(mono), mono[i], *reversed(mono[:i] + mono[i + 1:]), pos)
+
+    return _memoized_term_key(compute, compute_heap)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +229,14 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
     division coefficients are accumulated into it, so that
     v = sum_i quotients[i] * basis[i] + remainder.
 
+    The terms still to divide sit in a heap under `key.heap_key`, pushed
+    when they enter the work vector; a popped term that has since
+    cancelled is skipped.  Every term a division step adds lies below
+    the term it cancels, so terms leave the work vector largest first
+    and the remainder is built in decreasing key order.  This module's
+    term keys carry `heap_key`; any other key function is wrapped so
+    that larger keys pop first.
+
     Over QQ, an integer basis (module_groebner's primitive vectors)
     pseudo-divides an integer v: the remainder is the field remainder
     times a nonzero rational, returned primitive.  `quotients` needs
@@ -206,14 +246,19 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
     integral = bool(lead_terms) and _is_integral(lead_terms[0][1], field)
     zero, sub, mul = _arithmetic(integral, field)
     mono_div, mono_mul = ring.mono_div, ring.mono_mul
+    heap_key = getattr(key, "heap_key", None) or (lambda t: _Descending(key(t)))
     work = dict(v)
+    heap = [(heap_key(t), t) for t in work]
+    heapify(heap)
     remainder = {}
     nbasis = len(basis)
     steps = 0
     while work:
-        t = max(work, key=key)
+        t = heappop(heap)[1]
+        c = work.get(t)
+        if c is None:
+            continue
         tm, tp = t
-        c = work[t]
         for idx in range(nbasis):
             (gm, gp), gc = lead_terms[idx]
             if gp != tp:
@@ -236,9 +281,14 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
                 factor = field.div(c, gc)
             for (m2, p2), c2 in basis[idx].items():
                 k2 = (mono_mul(q, m2), p2)
-                s = sub(work.get(k2, zero), mul(factor, c2))
+                old = work.get(k2)
+                if old is None:
+                    work[k2] = sub(zero, mul(factor, c2))
+                    heappush(heap, (heap_key(k2), k2))
+                    continue
+                s = sub(old, mul(factor, c2))
                 if s == zero:
-                    work.pop(k2, None)
+                    del work[k2]
                 else:
                     work[k2] = s
             if quotients is not None:

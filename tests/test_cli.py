@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -351,3 +354,26 @@ def test_saturate_inhomogeneous_exit_2(tmp_path):
     code, text = run(["saturate", str(path), "J"])
     assert code == EXIT_INPUT
     assert text == ""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["pgshell", "V", "Wbad", "--json"], EXIT_NEGATIVE),
+    (["betti", "V"], EXIT_OK),
+])
+def test_closed_stdout_keeps_the_exit_code(corpus_file, argv, expected):
+    # stdout is a pipe whose read end is already closed, so the first
+    # write of the output fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pgshell.cli", argv[0], corpus_file, *argv[1:]],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == expected

@@ -17,12 +17,14 @@ from pgshell import (
     GradedFreeModule,
     Ideal,
     Polynomial,
+    PolyRing,
     betti,
     groebner_basis,
     hilbert_function,
     koszul_tor,
     minimal_resolution,
     parse_source,
+    pgshell_check,
     pgshell_report,
     render_source,
     standard_ring,
@@ -102,16 +104,52 @@ def test_source_round_trips():
         check()
 
 
+def shell_pairs(ring):
+    """(generators of V, the indices of those that generate W)."""
+    return form_lists(ring).flatmap(lambda gens: st.tuples(
+        st.just(gens), st.sets(st.sampled_from(range(len(gens))), min_size=1)
+    ))
+
+
 def test_chain_map_and_oracle_verdicts_agree():
     for ring in RINGS:
-        @given(form_lists(ring).flatmap(lambda gens: st.tuples(
-            st.just(gens), st.sets(st.sampled_from(range(len(gens))), min_size=1)
-        )))
+        @given(shell_pairs(ring))
         def check(case):
             gens, chosen = case
             # "both" raises InternalCheckError when the routes disagree
             W = Ideal(ring, [gens[i] for i in sorted(chosen)])
             pgshell_report(Ideal(ring, gens), W, "both")
+
+        check()
+
+
+def report_payload(report):
+    return report.verdict, report.table, report.witness
+
+
+def test_shell_check_ignores_generators_above_the_source_degrees():
+    # V's generators of degree > D, D the top twist of F_q (q >= 1) for
+    # S/I_W, cannot change mu_q; products of V's generators are such
+    # forms, and adding them leaves the ideal I_V itself unchanged
+    weighted = PolyRing(Field(32003), ("x", "y", "z"), (1, 1, 2))
+    for ring in RINGS + (weighted,):
+        @given(shell_pairs(ring), st.lists(st.integers(0, 3), min_size=2, max_size=6))
+        def check(case, picks):
+            gens, chosen = case
+            V = Ideal(ring, gens)
+            W = Ideal(ring, [gens[i] for i in sorted(chosen)])
+            res_w = minimal_resolution(W)
+            top = max(t for F in res_w.modules[1:] for t in F.twists)
+            # a product of at least two generators, of degree > D
+            factors = [gens[i % len(gens)] for i in picks] + [gens[0]] * (top + 1)
+            extra = factors[0] * factors[1]
+            for f in factors[2:]:
+                if extra.homogeneous_degree() > top:
+                    break
+                extra = extra * f
+            padded = Ideal(ring, list(gens) + [extra])
+            assert len(padded.generators) > len(V.generators)
+            assert report_payload(pgshell_check(padded, W)) == report_payload(pgshell_check(V, W))
 
         check()
 

@@ -1,0 +1,185 @@
+"""Differential test: `reduce_vector`'s heap worklist against the
+`max`-scan loop it replaced.
+
+`ref_reduce_vector` below is `reduce_vector` as it was before the heap:
+it picks the next term with `max(work, key=key)`.  While a test runs,
+every reduction the engine makes goes through both.  That covers the
+field path over GF(p), `Fraction` inputs and quotients over QQ
+(`normal_form_with_quotients`) and the fraction-free path on the integer
+vectors of a `module_groebner` pass, under `top_key`, `block_key` and
+`last_variable_key`.  Remainders, their key order and quotients must be
+identical.
+"""
+
+from collections import Counter
+from math import gcd
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pgshell import (
+    QQ,
+    Field,
+    Polynomial,
+    PolyRing,
+    clear_caches,
+    groebner_basis,
+    minimal_resolution,
+)
+from pgshell import groebner, resolution, saturation
+from pgshell.groebner import (
+    CONTENT_STEPS,
+    _arithmetic,
+    _is_integral,
+    _primitive,
+    normal_form_with_quotients,
+)
+from pgshell.saturation import ideal_quotient_saturation
+
+from conftest import graded_ideals
+
+
+def ref_reduce_vector(v, basis, lead_terms, key, ring, quotients=None) -> dict:
+    """The max-scan loop: the largest term of the work vector, each step."""
+    field = ring.field
+    integral = bool(lead_terms) and _is_integral(lead_terms[0][1], field)
+    zero, sub, mul = _arithmetic(integral, field)
+    mono_div, mono_mul = ring.mono_div, ring.mono_mul
+    work = dict(v)
+    remainder = {}
+    nbasis = len(basis)
+    steps = 0
+    while work:
+        t = max(work, key=key)
+        tm, tp = t
+        c = work[t]
+        for idx in range(nbasis):
+            (gm, gp), gc = lead_terms[idx]
+            if gp != tp:
+                continue
+            q = mono_div(tm, gm)
+            if q is None:
+                continue
+            if integral:
+                steps += 1
+                d = gcd(*work.values(), *remainder.values()) if steps % CONTENT_STEPS == 0 else 1
+                c //= d
+                g = gcd(c, gc)
+                factor, scale = c // g, gc // g
+                if d != 1 or scale != 1:
+                    work = {k: x // d * scale for k, x in work.items()}
+                    remainder = {k: x // d * scale for k, x in remainder.items()}
+            else:
+                factor = field.div(c, gc)
+            for (m2, p2), c2 in basis[idx].items():
+                k2 = (mono_mul(q, m2), p2)
+                s = sub(work.get(k2, zero), mul(factor, c2))
+                if s == zero:
+                    work.pop(k2, None)
+                else:
+                    work[k2] = s
+            if quotients is not None:
+                qd = quotients[idx]
+                qd[q] = field.add(qd.get(q, zero), factor)
+            break
+        else:
+            remainder[t] = c
+            del work[t]
+    if integral and remainder:
+        return _primitive(remainder, next(iter(remainder)))
+    return remainder
+
+
+class Differential:
+    """Stands in for `reduce_vector`: runs it and the reference on the
+    same arguments, compares, and counts (key, arithmetic) pairs seen."""
+
+    def __init__(self, real):
+        self.real = real
+        self.key_names = {}
+        self.seen = Counter()
+
+    def named(self, name, make):
+        def make_named(*args):
+            key = make(*args)
+            self.key_names[key] = name
+            return key
+        return make_named
+
+    def __call__(self, v, basis, lead_terms, key, ring, quotients=None):
+        want_quotients = None if quotients is None else [dict(q) for q in quotients]
+        want = ref_reduce_vector(v, basis, lead_terms, key, ring, want_quotients)
+        got = self.real(v, basis, lead_terms, key, ring, quotients)
+        assert list(got.items()) == list(want.items())
+        if quotients is not None:
+            assert [list(q.items()) for q in quotients] == \
+                [list(q.items()) for q in want_quotients]
+        if ring.field.characteristic:
+            arithmetic = "gf"
+        elif lead_terms and _is_integral(lead_terms[0][1], ring.field):
+            arithmetic = "qq-integer"
+        else:
+            arithmetic = "qq-fraction"
+        name = self.key_names.get(key, "other")
+        self.seen[name, arithmetic] += 1
+        if quotients is not None:
+            self.seen[name, arithmetic, "quotients"] += 1
+        return got
+
+
+@pytest.fixture
+def differential(monkeypatch):
+    d = Differential(groebner.reduce_vector)
+    for module in (groebner, resolution):
+        monkeypatch.setattr(module, "reduce_vector", d)
+    monkeypatch.setattr(groebner, "top_key", d.named("top", groebner.top_key))
+    monkeypatch.setattr(resolution, "block_key", d.named("block", groebner.block_key))
+    monkeypatch.setattr(saturation, "last_variable_key",
+                        d.named("last-variable", groebner.last_variable_key))
+    clear_caches()
+    yield d
+    clear_caches()
+
+
+@st.composite
+def polynomials(draw, ring):
+    """A few terms of degree <= 4 with coefficients n/d, d in 1..4."""
+    monos = [m for deg in range(5) for m in ring.monomials_of_degree(deg)]
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=5, unique=True))
+    return Polynomial(ring, {m: ring.field.of(draw(st.integers(-5, 5).filter(bool)),
+                                              draw(st.integers(1, 4))) for m in chosen})
+
+
+@pytest.mark.parametrize("field, weighted", [(Field(32003), False), (QQ, False), (QQ, True)],
+                         ids=["gf", "qq", "qq-weighted"])
+def test_reductions_match_max_scan(differential, field, weighted):
+    @given(graded_ideals(field, weighted).flatmap(
+        lambda ideal: st.tuples(st.just(ideal), polynomials(ideal.ring))))
+    def check(case):
+        ideal, p = case
+        gb = groebner_basis(ideal)
+        quotients, r = normal_form_with_quotients(p, gb)
+        assert p == sum((q * g for q, g in zip(quotients, gb.elements)), r)
+        minimal_resolution(ideal)
+        for i in range(ideal.ring.num_vars):
+            ideal_quotient_saturation(ideal, Polynomial.variable(ideal.ring, i))
+
+    check()
+    arithmetic = ("gf",) if field.characteristic else ("qq-integer", "qq-fraction")
+    for name in ("top", "block", "last-variable"):
+        assert any(differential.seen[name, a] for a in arithmetic), name
+    if not field.characteristic:
+        assert differential.seen["top", "qq-integer"]
+    quotient_path = "gf" if field.characteristic else "qq-fraction"
+    assert differential.seen["top", quotient_path, "quotients"]
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3)], ids=["standard", "weighted"])
+def test_heap_key_orders_terms_largest_first(weights):
+    ring = PolyRing(QQ, ("x", "y", "z"), weights)
+    terms = [(m, p) for d in range(4) for m in ring.monomials_of_degree(d) for p in range(3)]
+    keys = [groebner.top_key(ring), groebner.block_key(ring, 1), groebner.block_key(ring, 2)]
+    keys += [groebner.last_variable_key(ring, i) for i in range(3)]
+    for key in keys:
+        assert sorted(terms, key=key.heap_key) == sorted(terms, key=key, reverse=True)

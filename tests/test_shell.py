@@ -5,9 +5,12 @@ from pgshell import (
     Polynomial,
     PolyRing,
     QQ,
+    Field,
     betti,
     check_containment,
     ci_chain_report,
+    clear_caches,
+    complete_intersection,
     criteria_suite,
     invariants,
     lift_chain_map,
@@ -329,3 +332,20 @@ def test_source_resolution_longer_than_target(R4, zvars):
     assert chain.verdict == NOT_PG_SHELL == oracle.verdict
     assert chain.table == oracle.table
     assert chain.table[(4, 5)]["target_dim"] == 0
+
+
+def test_second_neighbourhood_reuses_the_resolution_of_w():
+    # W = two quadrics of a CI (2, 2, 2): the top twist of W's resolution
+    # is 4 and every generator of I_V^3 has degree 6, so the k = 2 check
+    # lifts onto the resolution of I_W, which criteria has already made
+    V = complete_intersection([2, 2, 2], seed=1, field=Field(32003)).ideal
+    W = Ideal(V.ring, V.generators[:2])
+    misses = []
+    for orders in ((1,), (1, 2)):
+        clear_caches()
+        report = criteria_suite(V, W, neighborhood_orders=orders)
+        misses.append(minimal_resolution.cache_info().misses)
+    assert report["observed"] == PG_SHELL and report["all_consistent"]
+    assert [r["criterion"] for r in report["criteria"]][2:4] == [
+        "infinitesimal-neighborhood-m1", "infinitesimal-neighborhood-m2"]
+    assert misses[1] == misses[0]

@@ -57,6 +57,7 @@ def _invocations():
                 ["hilbert", src, "V", "--max", "4"] + fmt,
                 ["pgshell", src, "V", "W"] + fmt,
                 ["pgshell", src, "V", "Wbad"] + fmt,
+                ["pgshell", src, "V", "Wbad", "--method", "both"] + fmt,
                 ["pgshell", src, "V", "Unsat", "--method", "oracle"] + fmt,
                 ["criteria", src, "V", "W"] + fmt,
                 ["criteria", src, "V", "Wbad"] + fmt,

@@ -117,17 +117,10 @@ def _betti(args, parsed, ideal):
     return payload, [f"// betti table of S/{args.ideal}", render_betti(bt)], EXIT_OK
 
 
-_INVARIANT_KEYS = (
-    "dim", "codim", "degree", "depth", "pd", "reg_R", "reg_I", "delta_genus",
-    "is_complete_intersection", "is_2linear", "is_ACM", "nondegenerate",
-    "delta_lower_bound_only", "num_min_gens",
-)
-
-
 def _invariants(args, parsed, ideal):
     inv = invariants(ideal).to_json()
     lines = [f"// invariants of {args.ideal}  [{_field_mode(parsed.ring)}]"]
-    lines += [f"  {key} = {inv[key]}" for key in _INVARIANT_KEYS]
+    lines += [f"  {key} = {value}" for key, value in inv.items()]
     return {"ring": repr(parsed.ring), "invariants": inv}, lines, EXIT_OK
 
 

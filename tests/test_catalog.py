@@ -1,6 +1,7 @@
 import pytest
 
 from pgshell import (
+    Field,
     Ideal,
     Polynomial,
     SplitMix64,
@@ -143,6 +144,21 @@ def test_complete_intersection_bad_params():
         complete_intersection([])
     with pytest.raises(CatalogError):
         complete_intersection([2, 2, 2, 2], num_vars=4)
+
+
+def test_complete_intersection_check_resolves_nothing():
+    # the regular-sequence check reads the codimension off the Hilbert
+    # series of the lead terms, not off a minimal resolution
+    misses = minimal_resolution.cache_info().misses
+    complete_intersection([2, 2, 2, 2], seed=1)
+    assert minimal_resolution.cache_info().misses == misses
+
+
+def test_complete_intersection_rejects_a_dependent_sequence():
+    # over GF(7) the three linear forms of seed 21 are linearly dependent
+    msg = r"seed 21 did not give a regular sequence \(codim 2 != 3\)"
+    with pytest.raises(CatalogError, match=msg):
+        complete_intersection([1, 1, 1], seed=21, field=Field(7))
 
 
 @pytest.mark.parametrize("bad", [0, -1])

@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 import pytest
 
 from pgshell import (
@@ -20,11 +23,20 @@ from pgshell import (
     pgshell_report,
     tensor_resolution,
 )
-from pgshell.errors import ContainmentError, PreconditionError, WeightedRingError
+import pgshell.shell as shell_module
+from pgshell.cli import EXIT_INTERNAL, run_command
+from pgshell.errors import (
+    ContainmentError,
+    InternalCheckError,
+    PreconditionError,
+    WeightedRingError,
+)
+from pgshell.koszul import TorComparison
 from pgshell.resolution import ColumnModule, column_module, verify_complex
 from pgshell.shell import NOT_PG_SHELL, PG_SHELL, ideal_power_plus
 
 from conftest import dense_rank
+from test_cli import CORPUS_SRC
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +175,55 @@ def test_method_agreement_on_corpus(corpus_pairs):
 def test_pgshell_report_both(twisted_cubic, tc_quadrics):
     rep = pgshell_report(twisted_cubic, Ideal(twisted_cubic.ring, [tc_quadrics[0]]), "both")
     assert rep.method == "both" and rep.verdict == PG_SHELL
+
+
+def _alter_oracle_cell(monkeypatch, cell, **change):
+    """Make the oracle report `change` at `cell` = (q, m) and the truth elsewhere."""
+    real = shell_module.tor_comparison
+
+    def altered(I_V, I_W, q, m):
+        comp = real(I_V, I_W, q, m)
+        if (q, m) != cell:
+            return comp
+        fields = {name: getattr(comp, name) for name in TorComparison.__slots__}
+        return TorComparison(**{**fields, **change})
+
+    monkeypatch.setattr(shell_module, "tor_comparison", altered)
+
+
+def test_spot_check_compares_target_dim(monkeypatch, R4, twisted_cubic, tc_quadrics):
+    # Tor_1(S/I_V)_2 has dimension 3; only that number is wrong
+    _alter_oracle_cell(monkeypatch, (1, 2), dim_target=2)
+    with pytest.raises(InternalCheckError, match=r"\(q=1, m=2\)"):
+        pgshell_check(twisted_cubic, Ideal(R4, [tc_quadrics[0]]))
+
+
+def test_failing_cell_is_checked_without_spot_check(monkeypatch, R4, zvars, twisted_cubic,
+                                                     tc_quadrics):
+    _alter_oracle_cell(monkeypatch, (1, 3), injective=True, witness=None)
+    with pytest.raises(InternalCheckError, match=r"\(q=1, m=3\)"):
+        pgshell_check(twisted_cubic, Ideal(R4, [zvars[3] * tc_quadrics[0]]), oracle_spot=False)
+
+
+def test_both_compares_every_cell(monkeypatch, points5_entry, twisted_cubic):
+    # five points on the twisted cubic: a positive pair, and (2, 3) is no
+    # spot cell, so only the oracle route sees the change
+    v = points5_entry.ideal
+    _alter_oracle_cell(monkeypatch, (2, 3), dim_target=4)
+    assert pgshell_report(v, twisted_cubic, "chain").is_shell
+    with pytest.raises(InternalCheckError, match="table"):
+        pgshell_report(v, twisted_cubic, "both")
+
+
+def test_cli_exits_3_on_an_oracle_disagreement(monkeypatch, tmp_path):
+    path = tmp_path / "corpus.ideal"
+    path.write_text(CORPUS_SRC)
+    _alter_oracle_cell(monkeypatch, (1, 2), dim_target=2)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_command(["pgshell", str(path), "V", "W"], out=io.StringIO())
+    assert code == EXIT_INTERNAL
+    assert err.getvalue().startswith("internal check failure:")
 
 
 def test_invariants_twisted_cubic(twisted_cubic):

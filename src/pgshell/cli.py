@@ -272,7 +272,7 @@ def run_command(argv, out=None) -> int:
         if ideal_args:
             parsed = _load(args.file, args.strict)
             if args.field_check:
-                field_self_check(parsed.ring.field, samples=1000, seed=args.seed)
+                field_self_check(parsed.ring.field, seed=args.seed)
                 if not args.json:
                     print("field check: ok", file=out)
             for w in parsed.warnings:

@@ -31,9 +31,9 @@ def is_prime(n: int) -> bool:
 class Field:
     """Arithmetic context for an exact field, selected by characteristic.
 
-    characteristic 0 is the rationals ("exact-rationals"); an odd prime
-    p < 2^31 gives GF(p) ("prime-field", labeled probabilistic by report
-    layers since Betti numbers may drop under reduction mod p).
+    characteristic 0 is the rationals; an odd prime p < 2^31 gives GF(p).
+    Reports label GF(p) results probabilistic (`cli._field_mode`), since
+    Betti numbers may drop under reduction mod p.
     """
 
     __slots__ = ("characteristic",)
@@ -46,10 +46,6 @@ class Field:
                     f"characteristic must be 0 or an odd prime < 2^31, got {p}"
                 )
         self.characteristic = characteristic
-
-    @property
-    def kind(self) -> str:
-        return "exact-rationals" if self.characteristic == 0 else "prime-field"
 
     # -- element constructors ------------------------------------------------
 
@@ -129,8 +125,8 @@ class Field:
 QQ = Field(0)
 
 
-def field_self_check(field: Field, samples: int = 1000, seed: int = 0) -> None:
-    """Spot-check the field axioms on pseudo-random triples.
+def field_self_check(field: Field, seed: int = 0) -> None:
+    """Spot-check the field axioms on 1000 pseudo-random triples.
 
     Raises InternalCheckError on any violation; used by the CLI
     --field-check flag and by the test suite.
@@ -148,7 +144,7 @@ def field_self_check(field: Field, samples: int = 1000, seed: int = 0) -> None:
         return rng.randrange(p)
 
     zero, one = field.zero, field.one
-    for _ in range(samples):
+    for _ in range(1000):
         a, b, c = rand_elt(), rand_elt(), rand_elt()
         checks = [
             field.add(field.add(a, b), c) == field.add(a, field.add(b, c)),

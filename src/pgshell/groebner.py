@@ -22,11 +22,12 @@ generating subset (La Scala-Stillman).  The product criterion is used
 for ideals only, the chain criterion always.
 
 Reduction: `reduce_vector` divides the largest remaining term first.
-The terms still to divide sit in a heap, keyed by the term key
-negated and flattened to one int tuple; each term key memoizes that
-heap key per term next to the key itself.  A term is pushed when it
-enters the work vector and skipped when popped after it has cancelled,
-so a step costs O(log n), not a scan of the whole work vector.
+The terms still to divide sit in a heap under `key.heap_key`, the
+term key negated and flattened to one int tuple; every term key is
+built by `_memoized_term_key`, which memoizes both per term.  A term
+is pushed when it enters the work vector and skipped when popped after
+it has cancelled, so a step costs O(log n), not a scan of the whole
+work vector.
 
 QQ arithmetic: over the rationals the pass runs fraction-free, on
 primitive integer vectors (integer coefficients with gcd 1 and a
@@ -89,19 +90,6 @@ def _memoized_term_key(compute, compute_heap):
 
     key.heap_key = heap_key
     return key
-
-
-class _Descending:
-    """A heap entry for a key function without `heap_key`: larger keys
-    pop first."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __lt__(self, other):
-        return self.k > other.k
 
 
 # The heap keys below spell out the negated keys: the grevlex sort key
@@ -233,9 +221,8 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
     when they enter the work vector; a popped term that has since
     cancelled is skipped.  Every term a division step adds lies below
     the term it cancels, so terms leave the work vector largest first
-    and the remainder is built in decreasing key order.  This module's
-    term keys carry `heap_key`; any other key function is wrapped so
-    that larger keys pop first.
+    and the remainder is built in decreasing key order.  `key` must be a
+    term key built by `_memoized_term_key`, as this module's keys are.
 
     Over QQ, an integer basis (module_groebner's primitive vectors)
     pseudo-divides an integer v: the remainder is the field remainder
@@ -246,7 +233,7 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
     integral = bool(lead_terms) and _is_integral(lead_terms[0][1], field)
     zero, sub, mul = _arithmetic(integral, field)
     mono_div, mono_mul = ring.mono_div, ring.mono_mul
-    heap_key = getattr(key, "heap_key", None) or (lambda t: _Descending(key(t)))
+    heap_key = key.heap_key
     work = dict(v)
     heap = [(heap_key(t), t) for t in work]
     heapify(heap)
@@ -451,14 +438,12 @@ class GroebnerBasis:
     to the Buchberger pass: for homogeneous ideals, minimal generators.
     """
 
-    __slots__ = ("ring", "elements", "reduced", "kept", "key", "vectors", "leads",
-                 "lead_monomials")
+    __slots__ = ("ring", "elements", "kept", "key", "vectors", "leads", "lead_monomials")
 
     order = "grevlex"
 
     def __init__(self, ring: PolyRing, vectors, key, kept):
         self.ring = ring
-        self.reduced = True
         self.kept = tuple(kept)
         self.key = key
         self.vectors = vectors

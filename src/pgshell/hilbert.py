@@ -120,13 +120,12 @@ class HilbertData:
     on weighted gradings.
     """
 
-    __slots__ = ("values", "hilbert_polynomial", "stabilization_degree", "m_max")
+    __slots__ = ("values", "hilbert_polynomial", "stabilization_degree")
 
-    def __init__(self, values, hilbert_polynomial, stabilization_degree, m_max):
+    def __init__(self, values, hilbert_polynomial, stabilization_degree):
         self.values = values
         self.hilbert_polynomial = hilbert_polynomial
         self.stabilization_degree = stabilization_degree
-        self.m_max = m_max
 
     def polynomial_value(self, m: int) -> Fraction:
         if self.hilbert_polynomial is None:
@@ -135,14 +134,6 @@ class HilbertData:
         for c in reversed(self.hilbert_polynomial):
             acc = acc * m + c
         return acc
-
-    def polynomial_degree(self) -> int:
-        """Degree of the Hilbert polynomial; -1 for the zero polynomial."""
-        coeffs = self.hilbert_polynomial
-        for i in range(len(coeffs) - 1, -1, -1):
-            if coeffs[i] != 0:
-                return i
-        return -1
 
 
 def hilbert_function(I: Ideal, m_max: int) -> HilbertData:
@@ -161,10 +152,10 @@ def hilbert_function(I: Ideal, m_max: int) -> HilbertData:
     ring = I.ring
     series = lead_term_series(groebner_basis(I))
     if not ring.standard_graded:
-        return HilbertData(dict(enumerate(series.values(m_max))), None, None, m_max)
+        return HilbertData(dict(enumerate(series.values(m_max))), None, None)
     stab = max(0, len(series.numerator) - ring.num_vars)
     values = series.values(max(m_max, stab))
-    data = HilbertData(dict(enumerate(values[: m_max + 1])), series.polynomial(), None, m_max)
+    data = HilbertData(dict(enumerate(values[: m_max + 1])), series.polynomial(), None)
     while stab > 0 and data.polynomial_value(stab - 1) == values[stab - 1]:
         stab -= 1
     if stab > m_max:

@@ -24,9 +24,6 @@ class GradedFreeModule:
     def rank(self) -> int:
         return len(self.twists)
 
-    def is_zero(self) -> bool:
-        return not self.twists
-
     def __eq__(self, other):
         return isinstance(other, GradedFreeModule) and other.twists == self.twists
 

@@ -87,11 +87,10 @@ def tokenize(text: str):
 
 
 class ParsedSource:
-    __slots__ = ("ring", "ring_name", "ideals", "warnings")
+    __slots__ = ("ring", "ideals", "warnings")
 
-    def __init__(self, ring, ring_name, ideals, warnings):
+    def __init__(self, ring, ideals, warnings):
         self.ring = ring
-        self.ring_name = ring_name
         self.ideals = ideals
         self.warnings = warnings
 
@@ -126,7 +125,7 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse_file(self) -> ParsedSource:
-        ring, ring_name = self.parse_ring_decl()
+        ring = self.parse_ring_decl()
         ideals = {}
         while self.peek().kind != "EOF":
             name, ideal = self.parse_ideal_decl(ring)
@@ -135,13 +134,13 @@ class _Parser:
             ideals[name] = ideal
         if not ideals:
             self.fail("expected at least one ideal declaration")
-        return ParsedSource(ring, ring_name, ideals, self.warnings)
+        return ParsedSource(ring, ideals, self.warnings)
 
     def parse_ring_decl(self):
         kw = self.expect("IDENT", "'ring'")
         if kw.value != "ring":
             raise SourceError(f"expected 'ring', found {kw.value!r}", kw.line, kw.col)
-        name = self.expect("IDENT", "ring name").value
+        self.expect("IDENT", "ring name")
         self.expect("=")
         field = self.parse_field()
         self.expect("[")
@@ -166,7 +165,7 @@ class _Parser:
             break
         self.expect("]")
         self.expect(";")
-        return PolyRing(field, names, weights), name
+        return PolyRing(field, names, weights)
 
     def parse_field(self) -> Field:
         tok = self.expect("IDENT", "'QQ' or 'ZZ/p'")
@@ -284,12 +283,12 @@ def parse_source(text: str, strict: bool = False) -> ParsedSource:
 # printing
 
 
-def render_ring(ring: PolyRing, name: str = "S") -> str:
+def render_ring(ring: PolyRing) -> str:
     field = "QQ" if ring.field.characteristic == 0 else f"ZZ/{ring.field.characteristic}"
     vars_ = ",".join(
         n if w == 1 else f"{n}:{w}" for n, w in zip(ring.names, ring.weights)
     )
-    return f"ring {name} = {field}[{vars_}];"
+    return f"ring S = {field}[{vars_}];"
 
 
 def render_ideal(name: str, ideal: Ideal) -> str:
@@ -300,8 +299,8 @@ def render_ideal(name: str, ideal: Ideal) -> str:
     return f"ideal {name} =\n  {body};"
 
 
-def render_source(ring: PolyRing, ideals: dict, ring_name: str = "S") -> str:
-    lines = [render_ring(ring, ring_name)]
+def render_source(ring: PolyRing, ideals: dict) -> str:
+    lines = [render_ring(ring)]
     for name, ideal in ideals.items():
         lines.append(render_ideal(name, ideal))
     return "\n".join(lines) + "\n"

@@ -139,16 +139,6 @@ class Polynomial:
             self.ring, {m: field.mul(c, coeff) for m, c in self.terms.items()}
         )
 
-    def mul_term(self, mono, coeff) -> "Polynomial":
-        field = self.ring.field
-        if coeff == field.zero:
-            return Polynomial.zero(self.ring)
-        mono_mul = self.ring.mono_mul
-        return Polynomial(
-            self.ring,
-            {mono_mul(m, mono): field.mul(c, coeff) for m, c in self.terms.items()},
-        )
-
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
@@ -157,18 +147,6 @@ class Polynomial:
             return self
         inv = self.ring.field.inv(lc)
         return self.scale(inv)
-
-    def evaluate(self, point):
-        """Value at a tuple of field values."""
-        field = self.ring.field
-        total = field.zero
-        for m, c in self.terms.items():
-            val = c
-            for e, x in zip(m, point):
-                for _ in range(e):
-                    val = field.mul(val, x)
-            total = field.add(total, val)
-        return total
 
     # -- value semantics -----------------------------------------------------
 

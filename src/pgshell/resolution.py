@@ -136,14 +136,13 @@ def syzygies(M: GradedMatrix) -> GradedMatrix:
 class FreeResolution:
     """Chain S = F_0 <- F_1 <- ... <- F_len resolving S/I (cyclic)."""
 
-    __slots__ = ("ring", "modules", "differentials", "resolved", "minimal")
+    __slots__ = ("ring", "modules", "differentials", "resolved")
 
-    def __init__(self, ring, modules, differentials, resolved: Ideal, minimal: bool):
+    def __init__(self, ring, modules, differentials, resolved: Ideal):
         self.ring = ring
         self.modules = tuple(modules)
         self.differentials = tuple(differentials)
         self.resolved = resolved
-        self.minimal = minimal
 
     @property
     def length(self) -> int:
@@ -209,10 +208,6 @@ class BettiTable:
             k[m] += (-1) ** q * b
         return HilbertSeries(ring, k)
 
-    def alternating_sum_hilbert(self, ring: PolyRing, m: int) -> int:
-        """dim (S/I)_m predicted by the table."""
-        return self.hilbert_series(ring).values(m)[m]
-
     def dimension_degree(self, ring: PolyRing) -> tuple:
         """(projective dimension, degree) of S/I; (-1, 0) for the empty scheme."""
         return self.hilbert_series(ring).dimension_degree()
@@ -232,8 +227,6 @@ class BettiTable:
 
 def betti(res: FreeResolution) -> BettiTable:
     """beta_{q,m} read off the twists of a minimal resolution."""
-    if not res.minimal:
-        raise EngineError("Betti numbers require a minimal resolution")
     return BettiTable(Counter((q, t) for q, mod in enumerate(res.modules) for t in mod.twists))
 
 
@@ -249,10 +242,10 @@ def minimal_resolution(I: Ideal) -> FreeResolution:
     ring = I.ring
     n = ring.num_vars
     if I.contains_unit():
-        return FreeResolution(ring, [GradedFreeModule(())], [], I, True)
+        return FreeResolution(ring, [GradedFreeModule(())], [], I)
     f0 = GradedFreeModule((0,))
     if not I.generators:
-        return FreeResolution(ring, [f0], [], I, True)
+        return FreeResolution(ring, [f0], [], I)
     gens = minimal_generators(I)
     degs = [g.homogeneous_degree() for g in gens]
     order = sorted(range(len(gens)), key=lambda i: (degs[i], ring.sort_key(gens[i].lead_monomial())))
@@ -277,7 +270,7 @@ def minimal_resolution(I: Ideal) -> FreeResolution:
     for q, d in enumerate(diffs, start=1):
         if d.has_unit_entry():
             raise InternalCheckError(f"unit entry in differential d_{q}")
-    return FreeResolution(ring, modules, diffs, I, True)
+    return FreeResolution(ring, modules, diffs, I)
 
 
 def regularity_and_depth(B: BettiTable, ring: PolyRing) -> tuple:
@@ -334,10 +327,10 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
 
     Exactness is checked algebraically (each syzygy of d_q lies in the
     image of d_{q+1}, the image of d_1 equals the resolved ideal, and
-    the last kernel vanishes).  When the complex is minimal its Betti
-    numbers are additionally compared with the independent Koszul
-    homology oracle at every supported (q, m) and one degree beyond the
-    support of each row.
+    the last kernel vanishes).  When no differential has a unit entry
+    (the minimality check), the Betti numbers are also compared with
+    the independent Koszul homology oracle at every supported (q, m)
+    and one degree beyond the support of each row.
     """
     report = ComplexReport()
     ring = res.ring
@@ -355,14 +348,9 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
         report.add(f"composition d_{q}.d_{q+1} = 0", ok,
                    "" if ok else "nonzero composite entry")
 
-    minimal_ok = True
-    for q in range(1, res.length + 1):
-        if res.differential(q).has_unit_entry():
-            minimal_ok = False
-            report.add("minimality", False, f"unit entry in d_{q}")
-            break
-    if minimal_ok:
-        report.add("minimality", True)
+    units = [q for q in range(1, res.length + 1) if res.differential(q).has_unit_entry()]
+    minimal_ok = not units
+    report.add("minimality", minimal_ok, f"unit entry in d_{units[0]}" if units else "")
 
     if res.modules and res.modules[0].rank > 0:
         report.add("augmentation module is S(0)", res.modules[0].twists == (0,))
@@ -384,7 +372,7 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
             else:
                 report.add(f"kernel of d_{q} vanishes", not kernel)
 
-    if minimal_ok and res.minimal:
+    if minimal_ok:
         from .koszul import koszul_tor
 
         table = betti(res)

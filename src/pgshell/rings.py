@@ -153,8 +153,8 @@ class PolyRing:
         return "*".join(parts) if parts else "1"
 
 
-def standard_ring(num_vars: int, field: Field | None = None, prefix: str = "z") -> PolyRing:
+def standard_ring(num_vars: int, field: Field | None = None) -> PolyRing:
     """k[z0..z_{num_vars-1}], standard graded, grevlex."""
     if field is None:
         field = Field(0)
-    return PolyRing(field, tuple(f"{prefix}{i}" for i in range(num_vars)))
+    return PolyRing(field, tuple(f"z{i}" for i in range(num_vars)))

@@ -65,9 +65,14 @@ NOT_PG_SHELL = "not-pg-shell"
 
 
 def check_containment(I_V: Ideal, I_W: Ideal) -> bool:
-    """True iff I_W <= I_V as ideals (the schemes satisfy V inside W)."""
+    """True iff I_W <= I_V as ideals (the schemes satisfy V inside W).
+
+    No Groebner basis is built when every generator of I_W is one of I_V.
+    """
     if I_V.ring != I_W.ring:
         raise RingMismatchError("ideals live in different rings")
+    if set(I_W.generators) <= set(I_V.generators):
+        return True
     gb_v = groebner_basis(I_V)
     return all(membership(g, gb_v) for g in I_W.generators)
 
@@ -200,7 +205,8 @@ def _verdict(table) -> str:
 
 
 def _require_proper(I: Ideal, name: str):
-    if I.contains_unit() or groebner_basis(I).is_unit_ideal():
+    # a homogeneous ideal is the unit ideal iff a generator is a constant
+    if I.contains_unit() or (not I.homogeneous and groebner_basis(I).is_unit_ideal()):
         raise PreconditionError(f"ideal {name} is the unit ideal (empty scheme)")
 
 
@@ -675,7 +681,7 @@ def tensor_resolution(I_Y: Ideal, I_Z: Ideal):
                     columns.append(col)
         differentials.append(GradedMatrix(ring, modules[q], modules[q - 1], columns))
 
-    res_x = FreeResolution(ring, modules, differentials, I_X, minimal=True)
+    res_x = FreeResolution(ring, modules, differentials, I_X)
     report_checks = verify_complex(res_x)
     if not report_checks.ok:
         raise InternalCheckError(

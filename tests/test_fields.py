@@ -9,9 +9,8 @@ from pgshell.fields import is_prime
 
 
 def test_field_kinds():
-    assert QQ.kind == "exact-rationals"
-    assert Field(32003).kind == "prime-field"
     assert QQ.characteristic == 0
+    assert Field(32003).characteristic == 32003
 
 
 @pytest.mark.parametrize("bad", [4, 2, 9, 15, 2**31 + 11, 32004])
@@ -26,11 +25,11 @@ def test_primality():
 
 
 def test_field_axioms_rationals():
-    field_self_check(QQ, samples=1000, seed=20240811)
+    field_self_check(QQ, seed=20240811)
 
 
 def test_field_axioms_prime():
-    field_self_check(Field(32003), samples=1000, seed=20240811)
+    field_self_check(Field(32003), seed=20240811)
 
 
 def test_rationals_stay_reduced():

@@ -3,20 +3,52 @@ import random
 import pytest
 
 from pgshell import (
+    Field,
     Ideal,
     Polynomial,
     QQ,
+    complete_intersection,
     groebner_basis,
     is_minimal_generator,
     linear_substitute,
     membership,
     normal_form,
     normal_form_with_quotients,
+    points_on_rational_normal_curve,
+    rational_normal_curve,
     same_ideal,
+    scroll_surface,
     standard_ring,
     substitute_ideal,
+    twisted_cubic_cone_p5,
+    veronese_surface,
 )
 from conftest import random_invertible
+
+
+def evaluate(p, point):
+    """The value of p at a tuple of field values."""
+    field = p.ring.field
+    total = field.zero
+    for m, c in p.terms.items():
+        val = c
+        for e, x in zip(m, point):
+            for _ in range(e):
+                val = field.mul(val, x)
+        total = field.add(total, val)
+    return total
+
+
+def assert_reduced(gb):
+    """Every element is monic, and no term of one element is divisible
+    by the lead monomial of another."""
+    ring = gb.ring
+    leads = [g.lead_monomial() for g in gb.elements]
+    for i, g in enumerate(gb.elements):
+        assert g.lead_coeff() == ring.field.one, g
+        for j, lead in enumerate(leads):
+            if j != i:
+                assert not any(ring.mono_divides(lead, m) for m in g.terms), (g, lead)
 
 
 def test_normal_form_of_basis_elements(twisted_cubic):
@@ -42,7 +74,26 @@ def test_buchberger_twisted_cubic_already_reduced(twisted_cubic, tc_quadrics):
     assert len(gb.elements) == 3
     monic_inputs = {q.monic() for q in tc_quadrics}
     assert set(gb.elements) == monic_inputs
-    assert gb.reduced
+    assert_reduced(gb)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["qq", "gf"])
+def test_corpus_bases_are_reduced(field):
+    rng = random.Random(5)
+    entries = [
+        rational_normal_curve(4, field),
+        veronese_surface(field),
+        scroll_surface(field),
+        twisted_cubic_cone_p5(field),
+        complete_intersection([2, 2, 2], field=field),
+        points_on_rational_normal_curve(3, 5, field=field),
+    ]
+    for entry in entries:
+        assert_reduced(groebner_basis(entry.ideal))
+    # and in generic coordinates, where the bases are dense
+    for entry in entries[:2]:
+        n = entry.ring.num_vars
+        assert_reduced(groebner_basis(substitute_ideal(entry.ideal, random_invertible(rng, n, field))))
 
 
 def test_buchberger_principal(R4, zvars):
@@ -53,7 +104,7 @@ def test_buchberger_principal(R4, zvars):
 
 
 def test_buchberger_linear_elimination():
-    ring = standard_ring(2, prefix="z")
+    ring = standard_ring(2)
     z0 = Polynomial.variable(ring, 0)
     z1 = Polynomial.variable(ring, 1)
     gb = groebner_basis(Ideal(ring, [z0, z0 + z1]))
@@ -103,7 +154,7 @@ def test_membership_examples(R4, zvars, twisted_cubic, tc_quadrics):
         for _ in range(6):
             s, t = QQ.of(rng.randint(1, 9)), QQ.of(rng.randint(1, 9))
             point = (s**3, s**2 * t, s * t**2, t**3)
-            if p.evaluate(point) != 0:
+            if evaluate(p, point) != 0:
                 return False
         return True
 

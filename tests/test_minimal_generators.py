@@ -73,7 +73,7 @@ def with_redundant_generators(ideal, rng):
         h = rng.choice([f for f in gens if f.homogeneous_degree() == g.homogeneous_degree()])
         extra.append(g.scale(ring.field.of(rng.choice([-2, 3]))))
         extra.append(g + h.scale(ring.field.of(rng.randint(1, 3))))
-        extra.append(g.mul_term(ring.variable_mono(rng.randrange(ring.num_vars)), ring.field.one))
+        extra.append(g * Polynomial.variable(ring, rng.randrange(ring.num_vars)))
     polys = [p for p in gens + extra if not p.is_zero()]
     rng.shuffle(polys)
     return ring, polys
@@ -172,7 +172,7 @@ def multiples_span(I, m):
         dg = g.homogeneous_degree()
         if dg < m:
             for mono in ring.monomials_of_degree(m - dg):
-                span.add(coords(g.mul_term(mono, ring.field.one)))
+                span.add(coords(g * Polynomial.from_term(ring, mono, ring.field.one)))
     return span, coords
 
 
@@ -199,8 +199,7 @@ def elements(I, draw):
     gens = list(I.generators)
     out = list(gens)
     for g in gens:
-        out.append(g.mul_term(ring.variable_mono(draw(st.integers(0, ring.num_vars - 1))),
-                              ring.field.one))
+        out.append(g * Polynomial.variable(ring, draw(st.integers(0, ring.num_vars - 1))))
         same = [h for h in gens if h.homogeneous_degree() == g.homogeneous_degree()]
         out.append(g + draw(st.sampled_from(same)).scale(ring.field.of(draw(st.integers(1, 3)))))
     return [f for f in out if not f.is_zero()]

@@ -77,7 +77,7 @@ def test_betti_table_predicts_hilbert_function():
             gb = groebner_basis(ideal)
             for m in range(table.regularity() + table.max_q() + 2):
                 want = len(standard_monomials(gb, m))
-                assert table.alternating_sum_hilbert(ring, m) == want, m
+                assert table.hilbert_series(ring).values(m)[m] == want, m
 
         check()
 
@@ -88,7 +88,7 @@ def test_betti_dimension_degree_matches_tail_fit():
         def check(ideal):
             table = betti(minimal_resolution(ideal))
             h = hilbert_function(ideal, table.regularity() + ring.num_vars + 5)
-            d = h.polynomial_degree()
+            d = max((i for i, c in enumerate(h.hilbert_polynomial) if c), default=-1)
             want = (-1, 0) if d < 0 else (d, h.hilbert_polynomial[d] * factorial(d))
             assert table.dimension_degree(ring) == want
 

@@ -17,7 +17,7 @@ from pgshell import (
 )
 from pgshell.errors import EngineError, WeightedRingError
 from pgshell.groebner import vector_component
-from pgshell.resolution import BettiTable
+from pgshell.resolution import BettiTable, FreeResolution
 
 from conftest import dense_matrix, dense_rank
 
@@ -127,7 +127,7 @@ def test_syzygies_match_dense_kernels_on_random_matrices():
             for j in range(len(src_twists)):
                 off, monos, _ = src_layout[j]
                 for k, mono in enumerate(monos):
-                    image = [entries[i][j].mul_term(mono, field.one)
+                    image = [entries[i][j] * Polynomial.from_term(ring, mono, field.one)
                              for i in range(len(tgt_twists))]
                     vec = embed(image, d, tgt_layout, tgt_dim)
                     for r in range(tgt_dim):
@@ -137,7 +137,7 @@ def test_syzygies_match_dense_kernels_on_random_matrices():
             for jj in range(syz.source.rank):
                 col = column(syz, jj)
                 for mono in ring.monomials_of_degree(d - syz.source.twists[jj]):
-                    shifted = [p.mul_term(mono, field.one) for p in col]
+                    shifted = [p * Polynomial.from_term(ring, mono, field.one) for p in col]
                     span.add(dict(enumerate(embed(shifted, d, src_layout, src_dim))))
             assert span.dim == kernel_dim, (trial, d)
 
@@ -215,27 +215,36 @@ def test_verify_complex_negative_control_not_a_complex(R4, zvars):
     f2 = GradedFreeModule((2,))
     d1 = dense_matrix(R4, f1, f0, [[z[0], z[1]]])
     d2 = dense_matrix(R4, f2, f1, [[z[1]], [z[0]]])  # d1 d2 = 2 z0 z1 != 0
-    from pgshell.resolution import FreeResolution
-
-    fake = FreeResolution(R4, [f0, f1, f2], [d1, d2], Ideal(R4, [z[0], z[1]]), True)
+    fake = FreeResolution(R4, [f0, f1, f2], [d1, d2], Ideal(R4, [z[0], z[1]]))
     report = verify_complex(fake)
     assert not report.ok
     assert any("composition" in c["name"] for c in report.failed())
 
 
-def test_verify_complex_negative_control_nonminimal(R4, zvars):
-    z = zvars
+def nonminimal_fake(R4, z):
+    """S <- S(-1)^2 <- S(-1) with a unit entry: exact, not minimal."""
     one = Polynomial.constant(R4, 1)
-    zero = Polynomial.zero(R4)
     f0 = GradedFreeModule((0,))
     f1 = GradedFreeModule((1, 1))
     f2 = GradedFreeModule((1,))
     d1 = dense_matrix(R4, f1, f0, [[z[0], z[0]]])
     d2 = dense_matrix(R4, f2, f1, [[one], [-one]])
-    from pgshell.resolution import FreeResolution
+    return FreeResolution(R4, [f0, f1, f2], [d1, d2], Ideal(R4, [z[0]]))
 
-    fake = FreeResolution(R4, [f0, f1, f2], [d1, d2], Ideal(R4, [z[0]]), False)
-    report = verify_complex(fake)
+
+def not_exact_fake(R4, z):
+    """One Koszul relation of three: a complex with no unit entry, not
+    exact at F_1."""
+    f0 = GradedFreeModule((0,))
+    f1 = GradedFreeModule((1, 1, 1))
+    f2 = GradedFreeModule((2,))
+    d1 = dense_matrix(R4, f1, f0, [[z[0], z[1], z[2]]])
+    d2 = dense_matrix(R4, f2, f1, [[z[1]], [-z[0]], [Polynomial.zero(R4)]])
+    return FreeResolution(R4, [f0, f1, f2], [d1, d2], Ideal(R4, [z[0], z[1], z[2]]))
+
+
+def test_verify_complex_negative_control_nonminimal(R4, zvars):
+    report = verify_complex(nonminimal_fake(R4, zvars))
     names_failed = {c["name"] for c in report.failed()}
     assert "minimality" in names_failed
     # acyclicity-side checks pass: it is a complex and exact
@@ -245,20 +254,33 @@ def test_verify_complex_negative_control_nonminimal(R4, zvars):
 
 
 def test_verify_complex_negative_control_not_exact(R4, zvars):
-    z = zvars
-    f0 = GradedFreeModule((0,))
-    f1 = GradedFreeModule((1, 1, 1))
-    f2 = GradedFreeModule((2,))
-    d1 = dense_matrix(R4, f1, f0, [[z[0], z[1], z[2]]])
-    # one Koszul relation of three: a complex, not exact at F_1
-    d2 = dense_matrix(R4, f2, f1, [[z[1]], [-z[0]], [Polynomial.zero(R4)]])
-    from pgshell.resolution import FreeResolution
-
-    fake = FreeResolution(R4, [f0, f1, f2], [d1, d2], Ideal(R4, [z[0], z[1], z[2]]), False)
-    checks = {c["name"]: c["ok"] for c in verify_complex(fake).checks}
+    checks = {c["name"]: c["ok"] for c in verify_complex(not_exact_fake(R4, zvars)).checks}
     assert checks["composition d_1.d_2 = 0"]
     assert not checks["exactness at F_1"]
     assert checks["kernel of d_2 vanishes"]
+
+
+def test_verify_complex_betti_oracle_rows_follow_the_unit_entry_scan(R4, zvars, twisted_cubic):
+    """The "betti oracle" rows appear exactly when the minimality check
+    (the scan for unit entries) passes, whatever the other checks say."""
+    cases = {
+        "minimal resolution": minimal_resolution(twisted_cubic),
+        "not exact": not_exact_fake(R4, zvars),
+        "not minimal": nonminimal_fake(R4, zvars),
+    }
+    seen = {}
+    for name, res in cases.items():
+        checks = verify_complex(res).checks
+        minimal = next(c["ok"] for c in checks if c["name"] == "minimality")
+        oracle = [c for c in checks if c["name"].startswith("betti oracle")]
+        assert bool(oracle) == minimal, name
+        seen[name] = minimal, all(c["ok"] for c in oracle)
+    assert seen == {
+        "minimal resolution": (True, True),
+        # beta_{2,2} of (z0, z1, z2) is 3, not the fake's 1
+        "not exact": (True, False),
+        "not minimal": (False, True),
+    }
 
 
 def test_zero_and_unit_ideal_resolutions(R4):
@@ -321,7 +343,7 @@ def test_random_ideals_full_pipeline():
         reg = regularity_and_depth(bt, ring)[0]
         h = hilbert_function(ideal, max(reg, 0) + ring.num_vars + 5)
         for m in range(reg + 4):
-            assert bt.alternating_sum_hilbert(ring, m) == h.values[m], (trial, m)
+            assert bt.hilbert_series(ring).values(m)[m] == h.values[m], (trial, m)
         done += 1
 
 

@@ -15,6 +15,7 @@ from pgshell import (
     clear_caches,
     complete_intersection,
     criteria_suite,
+    groebner_basis,
     invariants,
     lift_chain_map,
     minimal_resolution,
@@ -158,10 +159,13 @@ def test_pgshell_containment_error(R4, twisted_cubic, tc_quadrics):
         pgshell_check(Ideal(R4, [tc_quadrics[0]]), twisted_cubic)
 
 
-def test_pgshell_rejects_unit_ideal(R4, twisted_cubic):
-    unit = Ideal(R4, [Polynomial.constant(R4, 1)])
-    with pytest.raises(PreconditionError):
-        pgshell_check(unit, twisted_cubic)
+def test_pgshell_rejects_unit_ideal(R4, zvars, twisted_cubic):
+    # homogeneous: a constant generator; inhomogeneous: the Groebner basis
+    one = Polynomial.constant(R4, 1)
+    for unit in (Ideal(R4, [one]),
+                 Ideal(R4, [zvars[0] - one, zvars[0]], allow_inhomogeneous=True)):
+        with pytest.raises(PreconditionError, match="ideal V is the unit ideal"):
+            pgshell_check(unit, twisted_cubic)
 
 
 def test_method_agreement_on_corpus(corpus_pairs):
@@ -410,3 +414,17 @@ def test_second_neighbourhood_reuses_the_resolution_of_w():
     assert [r["criterion"] for r in report["criteria"]][2:4] == [
         "infinitesimal-neighborhood-m1", "infinitesimal-neighborhood-m2"]
     assert misses[1] == misses[0]
+
+
+def test_second_neighbourhood_builds_no_groebner_basis():
+    # containment holds generator by generator and I_V^3 + I_W is
+    # homogeneous, so neither shell precondition needs its basis, and
+    # the k = 2 check lifts onto the resolution of I_W
+    V = complete_intersection([2, 2, 2], seed=1, field=Field(32003)).ideal
+    W = Ideal(V.ring, V.generators[:2])
+    clear_caches()
+    report = criteria_suite(V, W)
+    assert report["observed"] == PG_SHELL and report["all_consistent"]
+    misses = groebner_basis.cache_info().misses
+    groebner_basis(ideal_power_plus(V, 3, W))
+    assert groebner_basis.cache_info().misses == misses + 1

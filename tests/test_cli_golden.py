@@ -33,6 +33,21 @@ ideal W2 = z0*z1 - z2*z3, z0*z2^2 + z1*z3^2 - z3^3;
 ideal Wbad = z0*z1 - z2*z3, z3*z0^2 - z3*z1^2 + z2*z3^2;
 """
 
+# V is the rational normal curve in P^4 and W2 its first two quadrics: a
+# negative pair on which z4 divides no lead monomial of either ideal.
+RNC4_SRC = """\
+ring S = QQ[z0,z1,z2,z3,z4];
+ideal V = z0*z2 - z1^2, z0*z3 - z1*z2, z0*z4 - z1*z3, z1*z3 - z2^2, z1*z4 - z2*z3,
+  z2*z4 - z3^2;
+ideal W2 = z0*z2 - z1^2, z0*z3 - z1*z2;
+"""
+
+# A weighted ring; w divides no lead monomial of J.
+WEIGHTED2_SRC = """\
+ring R = QQ[x,y,z:2,w:3];
+ideal J = x^2*z - y^4, z^2 - x^2*y^2, x*y*z - y^4;
+"""
+
 INPUTS = {
     "corpus.ideal": CORPUS_SRC.encode(),
     "gf.ideal": CORPUS_SRC.replace("QQ", "ZZ/32003").encode(),
@@ -40,6 +55,9 @@ INPUTS = {
     "tensor.ideal": TENSOR_SRC.encode(),
     "ci.ideal": CI_SRC.encode(),
     "ci-gf.ideal": CI_SRC.replace("QQ", "ZZ/32003").encode(),
+    "rnc4.ideal": RNC4_SRC.encode(),
+    "rnc4-gf.ideal": RNC4_SRC.replace("QQ", "ZZ/32003").encode(),
+    "weighted2.ideal": WEIGHTED2_SRC.encode(),
     "inhom.ideal": b"ring S = QQ[x,y];\nideal I = x + y^2, x*y;\n",
     "broken.ideal": b"ideal I = z0 +",
     "utf16.ideal": "ring S = QQ[x];\nideal I = x;\n".encode("utf-16"),
@@ -79,6 +97,12 @@ def _invocations():
         ]
         for src in ("ci.ideal", "ci-gf.ideal"):
             out += [["criteria", src, "V", w] + fmt for w in ("W1", "W2", "Wbad")]
+        for src in ("rnc4.ideal", "rnc4-gf.ideal"):
+            out += [["pgshell", src, "V", "W2", "--method", m] + fmt for m in ("oracle", "both")]
+        out += [
+            ["betti", "tensor.ideal", "Y"] + fmt,
+            ["betti", "weighted2.ideal", "J"] + fmt,
+        ]
     # input errors, exit 2
     out += [
         ["gb", "corpus.ideal", "MISSING"],

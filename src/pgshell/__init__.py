@@ -47,6 +47,7 @@ from .poly import Ideal, Polynomial, linear_substitute, substitute_ideal
 from .resolution import (
     BettiTable,
     FreeResolution,
+    artinian_reduction,
     betti,
     is_saturated,
     minimal_generators,

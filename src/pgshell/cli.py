@@ -24,7 +24,7 @@ from .groebner import groebner_basis
 from .hilbert import hilbert_function
 from .parser import parse_source, render_ideal, render_source
 from .poly import Ideal
-from .resolution import BettiTable, betti, is_saturated, minimal_resolution
+from .resolution import BettiTable, artinian_reduction, betti, is_saturated, minimal_resolution
 from .saturation import saturate_irrelevant
 from .shell import criteria_suite, invariants, pgshell_report, tensor_resolution
 
@@ -112,7 +112,8 @@ def _gb(args, parsed, ideal):
 
 
 def _betti(args, parsed, ideal):
-    bt = betti(minimal_resolution(ideal))
+    # the same table as S/I: the cut variables are regular on S/I
+    bt = betti(minimal_resolution(artinian_reduction(ideal)[1][0]))
     payload = {"ring": repr(parsed.ring), "betti": bt.to_json()}
     return payload, [f"// betti table of S/{args.ideal}", render_betti(bt)], EXIT_OK
 

@@ -23,6 +23,16 @@ quotients S/I_W -> S/I_V, giving the resolution-free route to the
 shell predicate; the kernel of mu_q comes from one more `eliminate`.
 Every chain vector, cycle, homology coordinate vector and column of
 mu_q is a sparse dict {index: value}.
+
+The complex has C(N+1, q) wedge blocks in each C_q, so every variable
+that can be dropped shrinks it.  Under grevlex, when the last c
+variables divide no lead monomial of the reduced basis of I, they form
+a regular sequence on S/I (Bayer-Stillman, "A criterion for detecting
+m-regularity", 1987), and Tor^S_q(S/I, k) = Tor^{S'}_q(S'/I', k) in every
+degree, naturally in S/I, for I' the image of I in the ring S' of the
+other variables.  `resolution.artinian_reduction` makes that cut and
+checks it against the Hilbert series; the shell oracle sweeps the cut
+pair.  This module computes in whatever ring its ideals live in.
 """
 
 from __future__ import annotations

@@ -8,6 +8,13 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from pgshell import (
+    Ideal,
+    clear_caches,
+    minimal_resolution,
+    rational_normal_curve,
+    render_source,
+)
 from pgshell.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, render_betti, run_command
 from pgshell.resolution import BettiTable
 
@@ -144,6 +151,19 @@ def test_commands_run_no_elimination(corpus_file, tmp_path, monkeypatch):
     assert run(["catalog", "points-rnc", "3", "5"])[0] == EXIT_OK
     with pytest.raises(AssertionError, match="saturation computed"):
         run(["saturate", corpus_file, "Unsat"])
+
+
+def test_oracle_and_saturate_build_no_resolution(corpus_file, tmp_path):
+    # z4 divides no lead monomial of rnc 4 or of its first two quadrics, and
+    # z3 none of the twisted cubic V: the pre-check, the oracle sweep, its
+    # full-pair witness cell and `saturate` need no minimal resolution
+    V = rational_normal_curve(4).ideal
+    path = tmp_path / "rnc4.ideal"
+    path.write_text(render_source(V.ring, {"V": V, "W2": Ideal(V.ring, V.generators[:2])}))
+    clear_caches()
+    assert run(["pgshell", str(path), "V", "W2", "--method", "oracle"])[0] == EXIT_NEGATIVE
+    assert run(["saturate", corpus_file, "V"])[0] == EXIT_OK
+    assert minimal_resolution.cache_info().misses == 0
 
 
 def test_invariants_human_json_agreement(corpus_file):

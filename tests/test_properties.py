@@ -8,9 +8,11 @@ so QQ inputs are neither monic nor integral.
 
 from math import factorial
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pgshell.shell as shell_module
 from pgshell import (
     QQ,
     Field,
@@ -18,6 +20,7 @@ from pgshell import (
     Ideal,
     Polynomial,
     PolyRing,
+    artinian_reduction,
     betti,
     groebner_basis,
     hilbert_function,
@@ -25,6 +28,7 @@ from pgshell import (
     minimal_resolution,
     parse_source,
     pgshell_check,
+    pgshell_check_oracle,
     pgshell_report,
     render_source,
     standard_ring,
@@ -152,6 +156,36 @@ def test_shell_check_ignores_generators_above_the_source_degrees():
             assert report_payload(pgshell_check(padded, W)) == report_payload(pgshell_check(V, W))
 
         check()
+
+
+def uncut(*ideals):
+    return 0, ideals
+
+
+def test_artinian_reduction_keeps_betti_and_oracle_tables():
+    # the cut pair and the full pair give the same Betti tables and the
+    # same oracle verdict, table and witness
+    weighted = PolyRing(Field(32003), ("x", "y", "z"), (1, 1, 2))
+    for ring in RINGS + (weighted,):
+        cuts = []
+
+        @given(shell_pairs(ring))
+        def check(case):
+            gens, chosen = case
+            V = Ideal(ring, gens)
+            W = Ideal(ring, [gens[i] for i in sorted(chosen)])
+            c, cut = artinian_reduction(V, W)
+            cuts.append(c)
+            for full, part in zip((V, W), cut):
+                assert part.ring.num_vars == ring.num_vars - c
+                assert betti(minimal_resolution(part)) == betti(minimal_resolution(full))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(shell_module, "artinian_reduction", uncut)
+                want = pgshell_check_oracle(V, W)
+            assert report_payload(pgshell_check_oracle(V, W)) == report_payload(want)
+
+        check()
+        assert any(cuts), ring
 
 
 TWISTS = (0, 1)

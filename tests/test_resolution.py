@@ -5,9 +5,12 @@ from pgshell import (
     GradedMatrix,
     Ideal,
     Polynomial,
+    PolyRing,
     QQ,
+    artinian_reduction,
     betti,
     clear_caches,
+    is_saturated,
     koszul_tor,
     minimal_resolution,
     regularity_and_depth,
@@ -15,7 +18,14 @@ from pgshell import (
     syzygies,
     verify_complex,
 )
-from pgshell.errors import EngineError, WeightedRingError
+import pgshell.resolution as resolution_module
+from pgshell.errors import (
+    EngineError,
+    InternalCheckError,
+    NotHomogeneousError,
+    RingMismatchError,
+    WeightedRingError,
+)
 from pgshell.groebner import vector_component
 from pgshell.resolution import BettiTable, FreeResolution
 
@@ -290,6 +300,57 @@ def test_zero_and_unit_ideal_resolutions(R4):
     unit = minimal_resolution(Ideal(R4, [Polynomial.constant(R4, 1)]))
     assert unit.modules[0].rank == 0
     assert betti(unit).entries == {}
+
+
+def test_artinian_reduction_of_the_twisted_cubic(R4, twisted_cubic):
+    # z3 divides no lead monomial; the cut is the ideal of three points
+    # in P^2 on a conic, with the Betti table of the curve
+    c, (cut,) = artinian_reduction(twisted_cubic)
+    assert c == 1
+    assert cut.ring.names == R4.names[:3]
+    assert [str(g) for g in cut.generators] == ["-z1^2 + z0*z2", "-z2^2", "-z1*z2"]
+    assert betti(minimal_resolution(cut)) == betti(minimal_resolution(twisted_cubic))
+
+
+def test_artinian_reduction_edge_cases(R4, zvars):
+    c, (cut,) = artinian_reduction(Ideal(R4, []))
+    assert c == 3 and cut.ring.num_vars == 1 and not cut.generators
+    assert is_saturated(Ideal(R4, []))
+    unit = Ideal(R4, [Polynomial.constant(R4, 1)])
+    assert artinian_reduction(unit) == (0, (unit,))
+    assert is_saturated(unit)
+    z = zvars
+    inhom = Ideal(R4, [z[0] + z[1] * z[1]], allow_inhomogeneous=True)
+    assert artinian_reduction(inhom) == (0, (inhom,))
+    with pytest.raises(NotHomogeneousError, match="needs homogeneous generators"):
+        is_saturated(inhom)
+    line = PolyRing(QQ, ("x",))
+    x = Polynomial.variable(line, 0)
+    for ideal in (Ideal(line, []), Ideal(line, [x * x])):
+        assert artinian_reduction(ideal) == (0, (ideal,))
+    assert is_saturated(Ideal(line, [])) and not is_saturated(Ideal(line, [x * x]))
+    with pytest.raises(RingMismatchError):
+        artinian_reduction(Ideal(R4, [z[0]]), Ideal(line, [x]))
+
+
+def test_artinian_reduction_catches_a_cut_too_many(catalog_items, monkeypatch):
+    # a lead-monomial count one too high passes the Bayer-Stillman step
+    # but changes the Hilbert series numerator of the cut ideal
+    count = resolution_module._trailing_free
+    cases = dict(catalog_items)
+    cases["rnc4 V, W2"] = (catalog_items["rnc4"], Ideal(catalog_items["rnc4"].ring,
+                                                         catalog_items["rnc4"].generators[:2]))
+    for name, ideals in cases.items():
+        ideals = ideals if isinstance(ideals, tuple) else (ideals,)
+        clear_caches()
+        c = artinian_reduction(*ideals)[0]
+        assert c + 1 < ideals[0].ring.num_vars, name
+        clear_caches()
+        with monkeypatch.context() as mp:
+            mp.setattr(resolution_module, "_trailing_free", lambda I: count(I) + 1)
+            with pytest.raises(InternalCheckError, match="Hilbert series numerator"):
+                artinian_reduction(*ideals)
+    clear_caches()
 
 
 def test_weighted_resolution():

@@ -168,12 +168,17 @@ def test_pgshell_rejects_unit_ideal(R4, zvars, twisted_cubic):
             pgshell_check(unit, twisted_cubic)
 
 
-def test_method_agreement_on_corpus(corpus_pairs):
+def test_method_agreement_on_corpus(corpus_pairs, monkeypatch):
     for name, v, w in corpus_pairs:
         chain = pgshell_check(v, w, oracle_spot=False)
         oracle = pgshell_check_oracle(v, w)
         assert chain.verdict == oracle.verdict, name
         assert chain.table == oracle.table, name
+        # the same table and witness without the cut by trailing variables
+        with monkeypatch.context() as mp:
+            mp.setattr(shell_module, "artinian_reduction", lambda *ideals: (0, ideals))
+            uncut = pgshell_check_oracle(v, w)
+        assert (uncut.table, uncut.witness) == (oracle.table, oracle.witness), name
 
 
 def test_pgshell_report_both(twisted_cubic, tc_quadrics):
@@ -217,6 +222,24 @@ def test_both_compares_every_cell(monkeypatch, points5_entry, twisted_cubic):
     assert pgshell_report(v, twisted_cubic, "chain").is_shell
     with pytest.raises(InternalCheckError, match="table"):
         pgshell_report(v, twisted_cubic, "both")
+
+
+def test_oracle_compares_the_full_witness_cell_with_the_cut_cell(monkeypatch, rnc4_entry):
+    # rnc 4 and its first two quadrics are cut by z4; their first
+    # non-injective cell (2, 4) is recomputed on the full pair, here wrongly
+    V = rnc4_entry.ideal
+    real = shell_module.tor_comparison
+
+    def altered(I_V, I_W, q, m):
+        comp = real(I_V, I_W, q, m)
+        if I_V.ring != V.ring:
+            return comp
+        fields = {name: getattr(comp, name) for name in TorComparison.__slots__}
+        return TorComparison(**{**fields, "dim_target": comp.dim_target + 1})
+
+    monkeypatch.setattr(shell_module, "tor_comparison", altered)
+    with pytest.raises(InternalCheckError, match=r"\(c = 1\) disagrees .* \(q=2, m=4\)"):
+        pgshell_check_oracle(V, Ideal(V.ring, V.generators[:2]))
 
 
 def test_cli_exits_3_on_an_oracle_disagreement(monkeypatch, tmp_path):
@@ -295,8 +318,7 @@ def test_criteria_suite_ci_quadric_factor(ci23):
 
 
 def test_criteria_suite_points_curve(points5_entry, twisted_cubic):
-    suite = criteria_suite(points5_entry.ideal, twisted_cubic,
-                           neighborhood_orders=(1,))
+    suite = criteria_suite(points5_entry.ideal, twisted_cubic)
     assert suite["observed"] == PG_SHELL
     assert suite["all_consistent"]
     by_name = {r["criterion"]: r for r in suite["criteria"]}
@@ -405,15 +427,19 @@ def test_second_neighbourhood_reuses_the_resolution_of_w():
     # lifts onto the resolution of I_W, which criteria has already made
     V = complete_intersection([2, 2, 2], seed=1, field=Field(32003)).ideal
     W = Ideal(V.ring, V.generators[:2])
-    misses = []
-    for orders in ((1,), (1, 2)):
-        clear_caches()
-        report = criteria_suite(V, W, neighborhood_orders=orders)
-        misses.append(minimal_resolution.cache_info().misses)
+    # the resolving calls of criteria_suite, without the k = 2 check
+    clear_caches()
+    pgshell_check(V, W, oracle_spot=True)
+    invariants(V)
+    invariants(W)
+    pgshell_check(ideal_power_plus(V, 2, W), W, oracle_spot=False)
+    without_k2 = minimal_resolution.cache_info().misses
+    clear_caches()
+    report = criteria_suite(V, W)
     assert report["observed"] == PG_SHELL and report["all_consistent"]
     assert [r["criterion"] for r in report["criteria"]][2:4] == [
         "infinitesimal-neighborhood-m1", "infinitesimal-neighborhood-m2"]
-    assert misses[1] == misses[0]
+    assert minimal_resolution.cache_info().misses == without_k2
 
 
 def test_second_neighbourhood_builds_no_groebner_basis():

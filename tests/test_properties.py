@@ -158,10 +158,6 @@ def test_shell_check_ignores_generators_above_the_source_degrees():
         check()
 
 
-def uncut(*ideals):
-    return 0, ideals
-
-
 def test_artinian_reduction_keeps_betti_and_oracle_tables():
     # the cut pair and the full pair give the same Betti tables and the
     # same oracle verdict, table and witness
@@ -180,7 +176,7 @@ def test_artinian_reduction_keeps_betti_and_oracle_tables():
                 assert part.ring.num_vars == ring.num_vars - c
                 assert betti(minimal_resolution(part)) == betti(minimal_resolution(full))
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(shell_module, "artinian_reduction", uncut)
+                mp.setattr(shell_module, "artinian_reduction", lambda *ideals: (0, ideals))
                 want = pgshell_check_oracle(V, W)
             assert report_payload(pgshell_check_oracle(V, W)) == report_payload(want)
 

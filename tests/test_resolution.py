@@ -337,14 +337,13 @@ def test_artinian_reduction_catches_a_cut_too_many(catalog_items, monkeypatch):
     # a lead-monomial count one too high passes the Bayer-Stillman step
     # but changes the Hilbert series numerator of the cut ideal
     count = resolution_module._trailing_free
-    cases = dict(catalog_items)
-    cases["rnc4 V, W2"] = (catalog_items["rnc4"], Ideal(catalog_items["rnc4"].ring,
-                                                         catalog_items["rnc4"].generators[:2]))
-    for name, ideals in cases.items():
-        ideals = ideals if isinstance(ideals, tuple) else (ideals,)
+    rnc4 = catalog_items["rnc4"]
+    cases = [(I,) for I in catalog_items.values()]
+    cases.append((rnc4, Ideal(rnc4.ring, rnc4.generators[:2])))
+    for ideals in cases:
         clear_caches()
         c = artinian_reduction(*ideals)[0]
-        assert c + 1 < ideals[0].ring.num_vars, name
+        assert c + 1 < ideals[0].ring.num_vars, ideals
         clear_caches()
         with monkeypatch.context() as mp:
             mp.setattr(resolution_module, "_trailing_free", lambda I: count(I) + 1)

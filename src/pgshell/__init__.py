@@ -49,6 +49,7 @@ from .resolution import (
     FreeResolution,
     artinian_reduction,
     betti,
+    betti_table,
     is_saturated,
     minimal_generators,
     minimal_resolution,

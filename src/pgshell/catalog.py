@@ -261,7 +261,7 @@ def points_on_rational_normal_curve(
         pts.append(tuple(coords))
 
     from .linalg import eliminate
-    from .resolution import betti, is_saturated, minimal_generators, minimal_resolution
+    from .resolution import betti_table, is_saturated, minimal_generators
 
     forms = []
     m = 0
@@ -299,7 +299,7 @@ def points_on_rational_normal_curve(
     )
     if not is_saturated(ideal):
         raise CatalogError("point ideal came out unsaturated")
-    if betti(minimal_resolution(ideal)).dimension_degree(ring) != (0, count):
+    if betti_table(ideal).dimension_degree(ring) != (0, count):
         raise CatalogError("point ideal has the wrong Hilbert polynomial")
     return entry
 

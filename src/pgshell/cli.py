@@ -24,7 +24,7 @@ from .groebner import groebner_basis
 from .hilbert import hilbert_function
 from .parser import parse_source, render_ideal, render_source
 from .poly import Ideal
-from .resolution import BettiTable, artinian_reduction, betti, is_saturated, minimal_resolution
+from .resolution import BettiTable, artinian_reduction, betti_table, is_saturated
 from .saturation import saturate_irrelevant
 from .shell import criteria_suite, invariants, pgshell_report, tensor_resolution
 
@@ -87,9 +87,13 @@ def _field_mode(ring) -> str:
     return f"probabilistic (prime field {ring.field.characteristic})"
 
 
-def _saturation_warnings(named_ideals) -> list:
+def _saturation_warnings(names, ideals) -> list:
+    # a variable regular on both quotients makes both saturated; the
+    # oracle route reads the same cut of the pair
+    if artinian_reduction(*ideals)[0]:
+        return []
     out = []
-    for name, ideal in named_ideals:
+    for name, ideal in zip(names, ideals):
         if not is_saturated(ideal):
             out.append(
                 f"ideal {name} is not saturated at the irrelevant ideal; "
@@ -112,8 +116,7 @@ def _gb(args, parsed, ideal):
 
 
 def _betti(args, parsed, ideal):
-    # the same table as S/I: the cut variables are regular on S/I
-    bt = betti(minimal_resolution(artinian_reduction(ideal)[1][0]))
+    bt = betti_table(ideal)
     payload = {"ring": repr(parsed.ring), "betti": bt.to_json()}
     return payload, [f"// betti table of S/{args.ideal}", render_betti(bt)], EXIT_OK
 
@@ -282,7 +285,7 @@ def run_command(argv, out=None) -> int:
             ideals = [_pick(parsed, name) for name in names]
             payload.update(zip(ideal_args, names), field_mode=_field_mode(parsed.ring))
             if len(ideals) == 2:
-                warnings = _saturation_warnings(zip(names, ideals))
+                warnings = _saturation_warnings(names, ideals)
                 payload["warnings"] = warnings
         result, lines, code = handler(args, parsed, *ideals)
     except InternalCheckError as e:

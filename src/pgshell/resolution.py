@@ -293,12 +293,13 @@ def is_saturated(I: Ideal) -> bool:
     for positive weights too, S_+ being the only graded maximal ideal.
 
     When `artinian_reduction` certifies a trailing variable regular on
-    S/I, depth S/I >= 1 and no resolution is built.  Otherwise the
-    answer is pd S/I <= N on the minimal resolution (Auslander-Buchsbaum).
+    S/I, depth S/I >= 1 and no resolution is built.  Otherwise nothing
+    is cut, and the answer is pd S/I <= N on the Betti table of I itself
+    (Auslander-Buchsbaum).
     """
     if artinian_reduction(I)[0]:
         return True
-    return minimal_resolution(I).length < I.ring.num_vars
+    return betti_table(I).max_q() < I.ring.num_vars
 
 
 def _trailing_free(I: Ideal) -> int:
@@ -356,6 +357,13 @@ def artinian_reduction(*ideals):
                 f"the Artinian reduction (c = {c}) changes the Hilbert series numerator of {I}"
             )
     return c, cut
+
+
+def betti_table(I: Ideal) -> BettiTable:
+    """The Betti table of S/I, read off the minimal resolution of its
+    Artinian reduction: the cut variables are regular on S/I, so the
+    table is the same, computed in fewer variables."""
+    return betti(minimal_resolution(artinian_reduction(I)[1][0]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,16 @@ is injective.  Two independent routes are implemented:
 * koszul-oracle: realize mu_q on Koszul homology of the variable
   sequence, resolution-free.
 
-Wherever both routes compute a cell (q, m), the whole cell
+Both routes, and `invariants`, run on the Artinian reduction of
+`resolution.artinian_reduction`: trailing variables that are regular on
+every quotient are cut, which changes no Betti number and no cell of
+mu_q.  Wherever both routes compute a cell (q, m), the whole cell
 {source_dim, target_dim, injective} must agree, or InternalCheckError
-is raised.  Negative verdicts always carry an oracle-verified witness:
-a nonzero source Tor class mapped to zero.
+is raised.  Each chain-route run also checks its first failing cell,
+and with the spot check its q = 1 cells, against the oracle on the
+full, uncut pair.  Negative verdicts always carry a witness the oracle
+verified on the full pair: a nonzero source Tor class, in the original
+variables, mapped to zero.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .resolution import (
     FreeResolution,
     artinian_reduction,
     betti,
+    betti_table,
     column_module,
     minimal_generators,
     minimal_resolution,
@@ -177,7 +184,7 @@ class ShellReport:
         return f"ShellReport({self.verdict}, method={self.method})"
 
 
-def _oracle_table(I_V: Ideal, I_W: Ideal, cells):
+def _oracle_cells(I_V: Ideal, I_W: Ideal, cells):
     """The Koszul oracle's cell {source_dim, target_dim, injective} at each
     (q, m) of `cells`, and the first non-injective cell's witness cycle,
     rendered as {q, m, cycle} (None when every cell is injective)."""
@@ -201,6 +208,20 @@ def _oracle_table(I_V: Ideal, I_W: Ideal, cells):
     return table, witness
 
 
+def _oracle_table(I_V: Ideal, I_W: Ideal, cells: dict, c: int, route: str):
+    """Check the cells (q, m) -> cell that `route` computed on the pair cut
+    by c trailing variables against the Koszul oracle on the full pair
+    I_V, I_W, all three fields of each; return the oracle's witness."""
+    full, witness = _oracle_cells(I_V, I_W, cells)
+    for (q, m), cell in full.items():
+        if cell != cells[(q, m)]:
+            raise InternalCheckError(
+                f"the {route} on the Artinian reduction (c = {c}) disagrees with the "
+                f"Koszul oracle on the full pair at (q={q}, m={m}): {cells[(q, m)]} != {cell}"
+            )
+    return witness
+
+
 def _verdict(table) -> str:
     return PG_SHELL if all(cell["injective"] for cell in table.values()) else NOT_PG_SHELL
 
@@ -222,31 +243,40 @@ def pgshell_check(I_V: Ideal, I_W: Ideal, oracle_spot: bool = True) -> ShellRepo
     """Shell verdict via the chain-map route.
 
     The target is truncated to the degrees mu_q can see.  Let D be the
-    largest twist in F_q, q >= 1, of the resolution of S/I_W, and J the
-    ideal of the generators of I_V of degree <= D (I_V itself when none
-    is dropped).  Every degree m of mu_q is <= D, and in degree m, mu_q
-    is the map on Koszul homology H_q(z; -)_m, which reads its modules
-    in degrees <= m only.  S/I_W ->> S/I_V factors through S/J, and
-    S/J ->> S/I_V is an isomorphism in degrees <= D, since those
-    generators span (I_V)_{<=D}.  So lifting onto the resolution of S/J
-    gives exactly the table and verdict of I_V.
+    largest twist in F_q, q >= 1, of the resolution of S/I_W, read off
+    `betti_table(I_W)`, and J the ideal of the generators of I_V of
+    degree <= D (I_V itself when none is dropped).  Every degree m of
+    mu_q is <= D, and in degree m, mu_q is the map on Koszul homology
+    H_q(z; -)_m, which reads its modules in degrees <= m only.
+    S/I_W ->> S/I_V factors through S/J, and S/J ->> S/I_V is an
+    isomorphism in degrees <= D, since those generators span
+    (I_V)_{<=D}.  So lifting onto the resolution of S/J gives exactly
+    the table and verdict of I_V.
+
+    The lift runs on the pair (J, I_W) cut by `artinian_reduction`: its
+    last c variables are regular on both quotients, so each mu_q cell of
+    the cut pair is the cell of (J, I_W).  The pair is cut with J, not
+    I_V, so no Groebner basis of I_V is needed beyond the shell
+    preconditions.
 
     The first failing cell, and with `oracle_spot` every q = 1 cell, is
-    cross-checked against the Koszul oracle on the full I_V.  Each
+    checked against the Koszul oracle on the full pair I_V, I_W.  Each
     oracle cell must equal the chain cell in all three fields, so the
-    oracle also certifies the truncated target's dimension target_dim;
-    any difference raises InternalCheckError.  The witness comes from
-    that oracle.
+    oracle also certifies the cut and the truncated target's dimension
+    target_dim; any difference raises InternalCheckError.  The witness
+    comes from that oracle, in the original variables.
     """
     _require_shell_pair(I_V, I_W)
-    res_w = minimal_resolution(I_W)
+    bt_w = betti_table(I_W)
     I_V.require_homogeneous()
-    top = max((t for F in res_w.modules[1:] for t in F.twists), default=0)
+    top = max((m for (q, m) in bt_w.entries if q >= 1), default=0)
     gens = [g for g in I_V.generators if g.homogeneous_degree() <= top]
     target = I_V if len(gens) == len(I_V.generators) else Ideal(I_V.ring, gens)
-    cm = lift_chain_map(res_w, minimal_resolution(target))
+    c, (cut_j, cut_w) = artinian_reduction(target, I_W)
+    res_w = minimal_resolution(cut_w)
+    cm = lift_chain_map(res_w, minimal_resolution(cut_j))
     field = I_V.ring.field
-    one = I_V.ring.one_mono
+    one = cut_w.ring.one_mono
     table = {}
     for q in range(1, res_w.length + 1):
         # mu_q in degree m: the constant terms of phi_q between twist-m basis vectors
@@ -262,16 +292,10 @@ def pgshell_check(I_V: Ideal, I_W: Ideal, oracle_spot: bool = True) -> ShellRepo
                 "target_dim": len(tgt_idx),
                 "injective": not eliminate(cols, len(tgt_idx), field)[1],
             }
-    cells = [c for c in sorted(table) if not table[c]["injective"]][:1]
+    cells = [k for k in sorted(table) if not table[k]["injective"]][:1]
     if oracle_spot:
-        cells += [c for c in sorted(table) if c[0] == 1]
-    oracle, witness = _oracle_table(I_V, I_W, dict.fromkeys(cells))
-    for (q, m), cell in oracle.items():
-        if cell != table[(q, m)]:
-            raise InternalCheckError(
-                f"the Koszul oracle disagrees with the chain map at (q={q}, m={m}): "
-                f"{cell} != {table[(q, m)]}"
-            )
+        cells += [k for k in sorted(table) if k[0] == 1]
+    witness = _oracle_table(I_V, I_W, {k: table[k] for k in cells}, c, "chain map")
     return ShellReport(_verdict(table), "chain-map", table, witness)
 
 
@@ -284,10 +308,10 @@ def pgshell_check_oracle(I_V: Ideal, I_W: Ideal) -> ShellReport:
     and Tor^S_q(S/I, k) = Tor^{S'}_q(S'/I', k) naturally in S/I.  Every
     mu_q cell of the cut pair is the cell of the full pair, with N + 1 - c
     variables instead of N + 1.  The cut is also checked against the
-    Hilbert series numerator of each ideal.  The first non-injective cell
-    is recomputed on the full pair, which gives the witness in the
-    original variables; it must equal the cut cell in all three fields,
-    or InternalCheckError is raised.
+    Hilbert series numerator of each ideal.  When c >= 1, the first
+    non-injective cell is recomputed on the full pair, which gives the
+    witness in the original variables; it must equal the cut cell in all
+    three fields, or InternalCheckError is raised.
 
     The sweep range comes from the lead-term (Taylor) bound on the
     source Betti support, which is independent of any resolution.
@@ -302,29 +326,26 @@ def pgshell_check_oracle(I_V: Ideal, I_W: Ideal) -> ShellReport:
         for m in range(taylor_degree_bound(cut_w, q) + 1)
         if koszul_tor(cut_w, q, m).dimension
     )
-    table, witness = _oracle_table(cut_v, cut_w, cells)
+    table, witness = _oracle_cells(cut_v, cut_w, cells)
     if c and witness:
         cell = (witness["q"], witness["m"])
-        full, witness = _oracle_table(I_V, I_W, [cell])
-        if full[cell] != table[cell]:
-            raise InternalCheckError(
-                f"the Artinian reduction (c = {c}) disagrees with the full pair at "
-                f"(q={cell[0]}, m={cell[1]}): {table[cell]} != {full[cell]}"
-            )
+        witness = _oracle_table(I_V, I_W, {cell: table[cell]}, c, "Koszul oracle")
     return ShellReport(_verdict(table), "koszul-oracle", table, witness)
 
 
 def pgshell_report(I_V: Ideal, I_W: Ideal, method: str = "chain") -> ShellReport:
     """Dispatch on method: chain (with q=1 oracle spot-check), oracle, both.
 
-    `both` compares the two tables; the verdict is a function of the table.
+    `both` runs the chain route with its spot check, so its q = 1 cells
+    are also checked on the full pair, and compares the two tables; the
+    verdict is a function of the table.
     """
     if method == "chain":
         return pgshell_check(I_V, I_W, oracle_spot=True)
     if method == "oracle":
         return pgshell_check_oracle(I_V, I_W)
     if method == "both":
-        chain = pgshell_check(I_V, I_W, oracle_spot=False)
+        chain = pgshell_check(I_V, I_W, oracle_spot=True)
         oracle = pgshell_check_oracle(I_V, I_W)
         if chain.table != oracle.table:
             raise InternalCheckError("methods disagree on the per-(q,m) table")
@@ -380,8 +401,7 @@ def invariants(I: Ideal) -> InvariantRecord:
     if not ring.standard_graded:
         raise WeightedRingError("invariants need a standard-graded ring")
     _require_proper(I, "I")
-    res = minimal_resolution(I)
-    bt = betti(res)
+    bt = betti_table(I)
     reg_r, reg_i, pd, depth = regularity_and_depth(bt, ring)
     dim, degree = bt.dimension_degree(ring)
     n_proj = ring.num_vars - 1
@@ -421,7 +441,7 @@ def ci_chain_report(I: Ideal) -> dict:
     inv = invariants(I)
     if not inv.is_complete_intersection:
         raise PreconditionError("not a complete intersection")
-    bt = betti(minimal_resolution(I))
+    bt = betti_table(I)
     degrees = sorted(bt.degrees_of(1))
     koszul = reduce(BettiTable.convolve, (BettiTable({(0, 0): 1, (1, d): 1}) for d in degrees),
                     BettiTable({(0, 0): 1}))
@@ -646,7 +666,7 @@ def tensor_resolution(I_Y: Ideal, I_Z: Ideal):
     _require_proper(I_X, "Y+Z")
     res_y = minimal_resolution(I_Y)
     res_z = minimal_resolution(I_Z)
-    # codimension additivity; the shell checks below resolve I_X anyway
+    # codimension additivity, read off the Betti table of the cut I_X
     codim_x = invariants(I_X).codim
     if codim_x != inv_y.codim + inv_z.codim:
         raise PreconditionError(
@@ -709,7 +729,7 @@ def tensor_resolution(I_Y: Ideal, I_Z: Ideal):
             f"tensor complex failed verification: {report_checks.failed()}"
         )
     bt_tensor = betti(res_x)
-    conv = betti(res_y).convolve(betti(res_z))
+    conv = betti_table(I_Y).convolve(betti_table(I_Z))
     if bt_tensor != conv:
         raise InternalCheckError("tensor Betti table is not the convolution")
     shell_y = pgshell_check(I_X, I_Y, oracle_spot=False)

@@ -11,6 +11,7 @@ import pytest
 from pgshell import (
     Ideal,
     clear_caches,
+    groebner_basis,
     minimal_resolution,
     rational_normal_curve,
     render_source,
@@ -164,6 +165,19 @@ def test_oracle_and_saturate_build_no_resolution(corpus_file, tmp_path):
     assert run(["pgshell", str(path), "V", "W2", "--method", "oracle"])[0] == EXIT_NEGATIVE
     assert run(["saturate", corpus_file, "V"])[0] == EXIT_OK
     assert minimal_resolution.cache_info().misses == 0
+
+
+def test_precheck_reads_the_cut_of_the_pair(tmp_path):
+    # z4 is regular on rnc 4, z3 and z4 on its first two quadrics: the
+    # pre-check and the oracle share the pair's cut (c = 1), so the run
+    # builds the bases of V, W2 and their two cut ideals, and none of W2
+    # cut by two variables
+    V = rational_normal_curve(4).ideal
+    path = tmp_path / "rnc4.ideal"
+    path.write_text(render_source(V.ring, {"V": V, "W2": Ideal(V.ring, V.generators[:2])}))
+    clear_caches()
+    assert run(["pgshell", str(path), "V", "W2", "--method", "oracle"])[0] == EXIT_NEGATIVE
+    assert groebner_basis.cache_info().misses == 4
 
 
 def test_invariants_human_json_agreement(corpus_file):

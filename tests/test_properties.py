@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pgshell.resolution as resolution_module
 import pgshell.shell as shell_module
 from pgshell import (
     QQ,
@@ -24,6 +25,7 @@ from pgshell import (
     betti,
     groebner_basis,
     hilbert_function,
+    invariants,
     koszul_tor,
     minimal_resolution,
     parse_source,
@@ -159,11 +161,19 @@ def test_shell_check_ignores_generators_above_the_source_degrees():
 
 
 def test_artinian_reduction_keeps_betti_and_oracle_tables():
-    # the cut pair and the full pair give the same Betti tables and the
-    # same oracle verdict, table and witness
+    # the cut pair and the full pair give the same Betti tables, the same
+    # reports of both routes, witness included, and the same invariants
     weighted = PolyRing(Field(32003), ("x", "y", "z"), (1, 1, 2))
     for ring in RINGS + (weighted,):
         cuts = []
+
+        def reports(V, W):
+            out = [report_payload(pgshell_check_oracle(V, W)),
+                   report_payload(pgshell_check(V, W))]
+            if ring.standard_graded:
+                # invariants is memoized; its wrapped function recomputes
+                out += [invariants.__wrapped__(I).to_json() for I in (V, W)]
+            return out
 
         @given(shell_pairs(ring))
         def check(case):
@@ -176,9 +186,10 @@ def test_artinian_reduction_keeps_betti_and_oracle_tables():
                 assert part.ring.num_vars == ring.num_vars - c
                 assert betti(minimal_resolution(part)) == betti(minimal_resolution(full))
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(shell_module, "artinian_reduction", lambda *ideals: (0, ideals))
-                want = pgshell_check_oracle(V, W)
-            assert report_payload(pgshell_check_oracle(V, W)) == report_payload(want)
+                for module in (shell_module, resolution_module):
+                    mp.setattr(module, "artinian_reduction", lambda *ideals: (0, ideals))
+                want = reports(V, W)
+            assert reports(V, W) == want
 
         check()
         assert any(cuts), ring

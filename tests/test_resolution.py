@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from pgshell import (
@@ -10,15 +12,19 @@ from pgshell import (
     artinian_reduction,
     betti,
     clear_caches,
+    invariants,
     is_saturated,
     koszul_tor,
     minimal_resolution,
+    pgshell_check,
     regularity_and_depth,
+    render_source,
     standard_ring,
     syzygies,
     verify_complex,
 )
 import pgshell.resolution as resolution_module
+from pgshell.cli import EXIT_INTERNAL, run_command
 from pgshell.errors import (
     EngineError,
     InternalCheckError,
@@ -333,13 +339,16 @@ def test_artinian_reduction_edge_cases(R4, zvars):
         artinian_reduction(Ideal(R4, [z[0]]), Ideal(line, [x]))
 
 
-def test_artinian_reduction_catches_a_cut_too_many(catalog_items, monkeypatch):
+def test_artinian_reduction_catches_a_cut_too_many(catalog_items, monkeypatch, tmp_path,
+                                                   capsys):
     # a lead-monomial count one too high passes the Bayer-Stillman step
-    # but changes the Hilbert series numerator of the cut ideal
+    # but changes the Hilbert series numerator of the cut ideal; the
+    # chain route, invariants and the betti command all read the cut
     count = resolution_module._trailing_free
     rnc4 = catalog_items["rnc4"]
+    W2 = Ideal(rnc4.ring, rnc4.generators[:2])
     cases = [(I,) for I in catalog_items.values()]
-    cases.append((rnc4, Ideal(rnc4.ring, rnc4.generators[:2])))
+    cases.append((rnc4, W2))
     for ideals in cases:
         clear_caches()
         c = artinian_reduction(*ideals)[0]
@@ -349,6 +358,17 @@ def test_artinian_reduction_catches_a_cut_too_many(catalog_items, monkeypatch):
             mp.setattr(resolution_module, "_trailing_free", lambda I: count(I) + 1)
             with pytest.raises(InternalCheckError, match="Hilbert series numerator"):
                 artinian_reduction(*ideals)
+    path = tmp_path / "rnc4.ideal"
+    path.write_text(render_source(rnc4.ring, {"I": rnc4}))
+    with monkeypatch.context() as mp:
+        mp.setattr(resolution_module, "_trailing_free", lambda I: count(I) + 1)
+        for call in (lambda: pgshell_check(rnc4, W2), lambda: invariants(rnc4)):
+            clear_caches()
+            with pytest.raises(InternalCheckError, match="Hilbert series numerator"):
+                call()
+        clear_caches()
+        assert run_command(["betti", str(path), "I"], out=io.StringIO()) == EXIT_INTERNAL
+        assert "Hilbert series numerator" in capsys.readouterr().err
     clear_caches()
 
 

@@ -181,6 +181,38 @@ def test_method_agreement_on_corpus(corpus_pairs, monkeypatch):
         assert (uncut.table, uncut.witness) == (oracle.table, oracle.witness), name
 
 
+def test_chain_route_and_invariants_resolve_only_cut_ideals(monkeypatch, twisted_cubic,
+                                                           tc_quadrics, rnc4_entry):
+    # every resolution the chain route and invariants make lives in the
+    # ring of the Artinian reduction, N + 1 - c variables or fewer
+    import pgshell.resolution as resolution_module
+
+    ci222 = complete_intersection([2, 2, 2], seed=1, field=Field(32003)).ideal
+    rnc4 = rnc4_entry.ideal
+    pairs = [(twisted_cubic, Ideal(twisted_cubic.ring, [tc_quadrics[0]])),
+             (rnc4, Ideal(rnc4.ring, rnc4.generators[:2])),
+             (ci222, Ideal(ci222.ring, ci222.generators[:2]))]
+    resolved = []
+    real = resolution_module.minimal_resolution
+
+    def recorded(I):
+        resolved.append(I.ring.num_vars)
+        return real(I)
+
+    for module in (shell_module, resolution_module):
+        monkeypatch.setattr(module, "minimal_resolution", recorded)
+    for V, W in pairs:
+        c = shell_module.artinian_reduction(V, W)[0]
+        assert c >= 1
+        resolved.clear()
+        pgshell_check(V, W)
+        assert resolved and max(resolved) == V.ring.num_vars - c, resolved
+        for I in (V, W):
+            resolved.clear()
+            invariants.__wrapped__(I)
+            assert resolved == [I.ring.num_vars - shell_module.artinian_reduction(I)[0]]
+
+
 def test_pgshell_report_both(twisted_cubic, tc_quadrics):
     rep = pgshell_report(twisted_cubic, Ideal(twisted_cubic.ring, [tc_quadrics[0]]), "both")
     assert rep.method == "both" and rep.verdict == PG_SHELL

@@ -22,12 +22,12 @@ generating subset (La Scala-Stillman).  The product criterion is used
 for ideals only, the chain criterion always.
 
 Reduction: `reduce_vector` divides the largest remaining term first.
-The terms still to divide sit in a heap under `key.heap_key`, the
-term key negated and flattened to one int tuple; every term key is
-built by `_memoized_term_key`, which memoizes both per term.  A term
-is pushed when it enters the work vector and skipped when popped after
-it has cancelled, so a step costs O(log n), not a scan of the whole
-work vector.
+Every term key is one flat int tuple, memoized per term by
+`_memoized_term_key`, that sorts terms in descending order: the largest
+term has the least key.  So the terms still to divide sit in a min-heap
+under the key itself.  A term is pushed when it enters the work vector
+and skipped when popped after it has cancelled, so a step costs
+O(log n), not a scan of the whole work vector.
 
 QQ arithmetic: over the rationals the pass runs fraction-free, on
 primitive integer vectors (integer coefficients with gcd 1 and a
@@ -64,17 +64,16 @@ from .rings import PolyRing
 # module term orders
 
 
-def _memoized_term_key(compute, compute_heap):
+def _memoized_term_key(compute):
     """The term key `compute`, memoized per term.
 
-    The key also carries `key.heap_key(term)`, memoized alongside it:
-    `compute_heap` gives the key negated and flattened to one int tuple,
-    so that `reduce_vector`'s min-heap pops the largest term first.
-    Both memos live as long as the key function, so reuse one key
-    function per computation so that division loops share them.
+    Every term key sorts terms in descending order: a smaller key is a
+    larger term, so the lead term is the one of least key and
+    `reduce_vector`'s min-heap pops the largest term first.  The memo
+    lives as long as the key function, so reuse one key function per
+    computation so that division loops share it.
     """
     cache: dict = {}
-    heap_cache: dict = {}
 
     def key(term):
         k = cache.get(term)
@@ -82,33 +81,25 @@ def _memoized_term_key(compute, compute_heap):
             k = cache[term] = compute(term)
         return k
 
-    def heap_key(term):
-        h = heap_cache.get(term)
-        if h is None:
-            h = heap_cache[term] = compute_heap(term)
-        return h
-
-    key.heap_key = heap_key
     return key
 
 
-# The heap keys below spell out the negated keys: the grevlex sort key
-# of a monomial is (degree, its exponents reversed and negated).
+# Each key below is one flat int tuple.  Grevlex reads as minus the
+# degree, then the exponents from the last variable back; the position
+# comes last, so that e_0 is the largest.
 
 
 def top_key(ring: PolyRing):
     """Term-over-position order: ring order on monomials, e_0 > e_1 > ..."""
-    sk, degree = ring.sort_key, ring.mono_degree
+    degree = ring.mono_degree
     return _memoized_term_key(
-        lambda term: (sk(term[0]), -term[1]),
         lambda term: (-degree(term[0]), *reversed(term[0]), term[1]))
 
 
 def block_key(ring: PolyRing, block: int):
     """Elimination order: the first `block` positions dominate the rest."""
-    sk, degree = ring.sort_key, ring.mono_degree
+    degree = ring.mono_degree
     return _memoized_term_key(
-        lambda term: (1 if term[1] < block else 0, sk(term[0]), -term[1]),
         lambda term: (-1 if term[1] < block else 0, -degree(term[0]),
                       *reversed(term[0]), term[1]))
 
@@ -121,17 +112,9 @@ def last_variable_key(ring: PolyRing, i: int):
     (Bayer-Stillman).
     """
     degree = ring.mono_degree
-
-    def compute(term):
-        mono, pos = term
-        rest = mono[:i] + mono[i + 1:]
-        return (degree(mono), -mono[i], tuple(-e for e in reversed(rest)), -pos)
-
-    def compute_heap(term):
-        mono, pos = term
-        return (-degree(mono), mono[i], *reversed(mono[:i] + mono[i + 1:]), pos)
-
-    return _memoized_term_key(compute, compute_heap)
+    return _memoized_term_key(
+        lambda term: (-degree(term[0]), term[0][i],
+                      *reversed(term[0][:i] + term[0][i + 1:]), term[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +130,7 @@ def vector_component(v: dict, pos: int, ring: PolyRing) -> Polynomial:
 
 
 def vector_lead(v: dict, key):
-    return max(v, key=key)
+    return min(v, key=key)
 
 
 def lead_terms(basis, key):
@@ -217,12 +200,12 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
     division coefficients are accumulated into it, so that
     v = sum_i quotients[i] * basis[i] + remainder.
 
-    The terms still to divide sit in a heap under `key.heap_key`, pushed
-    when they enter the work vector; a popped term that has since
-    cancelled is skipped.  Every term a division step adds lies below
-    the term it cancels, so terms leave the work vector largest first
-    and the remainder is built in decreasing key order.  `key` must be a
-    term key built by `_memoized_term_key`, as this module's keys are.
+    The terms still to divide sit in a min-heap under `key`, pushed when
+    they enter the work vector; a popped term that has since cancelled
+    is skipped.  Every term a division step adds lies below the term it
+    cancels, so terms leave the work vector largest first and the
+    remainder is built in decreasing term order.  `key` is a term key
+    as this module builds them: a smaller key is a larger term.
 
     Over QQ, an integer basis (module_groebner's primitive vectors)
     pseudo-divides an integer v: the remainder is the field remainder
@@ -233,9 +216,8 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
     integral = bool(lead_terms) and _is_integral(lead_terms[0][1], field)
     zero, sub, mul = _arithmetic(integral, field)
     mono_div, mono_mul = ring.mono_div, ring.mono_mul
-    heap_key = key.heap_key
     work = dict(v)
-    heap = [(heap_key(t), t) for t in work]
+    heap = [(key(t), t) for t in work]
     heapify(heap)
     remainder = {}
     nbasis = len(basis)
@@ -271,7 +253,7 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
                 old = work.get(k2)
                 if old is None:
                     work[k2] = sub(zero, mul(factor, c2))
-                    heappush(heap, (heap_key(k2), k2))
+                    heappush(heap, (key(k2), k2))
                     continue
                 s = sub(old, mul(factor, c2))
                 if s == zero:
@@ -412,16 +394,18 @@ def _interreduce(basis, leads, key, ring: PolyRing):
     """Reduced basis: drop elements with a divisible lead, reduce the rest."""
     mono_divides = ring.mono_divides
     kept = []
-    for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0])):
+    for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0]), reverse=True):
         m, p = leads[i][0]
         if not any(leads[k][0][1] == p and mono_divides(leads[k][0][0], m) for k in kept):
             kept.append(i)
+    # `kept` is in ascending lead order, and reducing by the others
+    # leaves each lead as it is: no smaller lead divides it, and a larger
+    # lead cannot divide a smaller term.  So `out` needs no sort.
     out = []
     for i in kept:
         others = [k for k in kept if k != i]
         r = reduce_vector(basis[i], [basis[k] for k in others], [leads[k] for k in others], key, ring)
         out.append(vector_monic(r, key, ring.field))
-    out.sort(key=lambda v: key(vector_lead(v, key)))
     return out
 
 

@@ -174,10 +174,13 @@ class _Parser:
         if tok.value == "ZZ":
             self.expect("/")
             p = self.expect("INT", "prime characteristic")
-            try:
-                return Field(int(p.value))
-            except ValueError as e:
-                raise SourceError(str(e), p.line, p.col) from e
+            q = int(p.value)
+            if q:  # Field(0) is QQ, which ZZ/0 does not name
+                try:
+                    return Field(q)
+                except ValueError:
+                    pass
+            raise SourceError(f"characteristic must be an odd prime < 2^31, got {q}", p.line, p.col)
         raise SourceError(f"unknown field {tok.value!r}", tok.line, tok.col)
 
     def parse_ideal_decl(self, ring):

@@ -270,6 +270,16 @@ def test_catalog_points_rnc_parameters_below_one_exit_2(capsys):
         assert f"error: {bad} must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_zz_characteristic_not_an_odd_prime_exit_2(tmp_path, capsys):
+    # ZZ/0 is not QQ: it fails like any other ZZ/p that names no field
+    path = tmp_path / "zz.ideal"
+    for bad in ("0", "2"):
+        path.write_text(f"ring S = ZZ/{bad}[x,y];\nideal I = x;\n")
+        assert run(["gb", str(path), "I", "--json"]) == (EXIT_INPUT, "")
+        err = capsys.readouterr().err
+        assert f"1:13: characteristic must be an odd prime < 2^31, got {bad}" in err
+
+
 def test_non_utf8_file_exit_2(tmp_path, capsys):
     # a file that does not decode is an input error, not a crash (exit 1 is a verdict)
     path = tmp_path / "utf16.ideal"

@@ -58,7 +58,7 @@ def ref_reduce(v, basis, lead_terms, key, ring):
     work = dict(v)
     remainder = {}
     while work:
-        t = max(work, key=key)
+        t = min(work, key=key)
         tm, tp = t
         c = work[t]
         for idx in range(len(basis)):
@@ -155,7 +155,7 @@ def ref_module_groebner(vectors, ring, twists, key, kept):
             insert(r)
 
     minimal = []
-    for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0])):
+    for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0]), reverse=True):
         m, p = leads[i][0]
         if not any(leads[k][0][1] == p and ring.mono_divides(leads[k][0][0], m) for k in minimal):
             minimal.append(i)
@@ -164,7 +164,7 @@ def ref_module_groebner(vectors, ring, twists, key, kept):
         others = [k for k in minimal if k != i]
         r = ref_reduce(basis[i], [basis[k] for k in others], [leads[k] for k in others], key, ring)
         out.append(ref_monic(r, key, field))
-    out.sort(key=lambda v: key(vector_lead(v, key)))
+    out.sort(key=lambda v: key(vector_lead(v, key)), reverse=True)
     return out
 
 

@@ -48,6 +48,7 @@ def test_parse_zero_generator_gives_zero_ideal():
         ("ideal I = z0 +", 1, 1),                      # missing ring declaration
         ("ring S = QQ[z0];\nideal I = z0 + ;", 2, 14), # dangling plus
         ("ring S = QQ[x];\nideal I = x + y;", 2, 15),  # unknown variable
+        ("ring S = ZZ/0[x,y];\nideal I = x;", 1, 13),  # ZZ/0 is no field (not QQ)
     ],
 )
 def test_parse_negative_cases_have_positions(source, line, col_min):

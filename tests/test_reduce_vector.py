@@ -1,8 +1,9 @@
 """Differential test: `reduce_vector`'s heap worklist against the
-`max`-scan loop it replaced.
+scan loop it replaced.
 
 `ref_reduce_vector` below is `reduce_vector` as it was before the heap:
-it picks the next term with `max(work, key=key)`.  While a test runs,
+it picks the next term, the largest, with `min(work, key=key)` (a
+smaller key is a larger term).  While a test runs,
 every reduction the engine makes goes through both.  That covers the
 field path over GF(p), `Fraction` inputs and quotients over QQ
 (`normal_form_with_quotients`) and the fraction-free path on the integer
@@ -12,6 +13,7 @@ identical.
 """
 
 from collections import Counter
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -41,7 +43,7 @@ from conftest import graded_ideals
 
 
 def ref_reduce_vector(v, basis, lead_terms, key, ring, quotients=None) -> dict:
-    """The max-scan loop: the largest term of the work vector, each step."""
+    """The scan loop: the largest term of the work vector, each step."""
     field = ring.field
     integral = bool(lead_terms) and _is_integral(lead_terms[0][1], field)
     zero, sub, mul = _arithmetic(integral, field)
@@ -51,7 +53,7 @@ def ref_reduce_vector(v, basis, lead_terms, key, ring, quotients=None) -> dict:
     nbasis = len(basis)
     steps = 0
     while work:
-        t = max(work, key=key)
+        t = min(work, key=key)
         tm, tp = t
         c = work[t]
         for idx in range(nbasis):
@@ -176,10 +178,36 @@ def test_reductions_match_max_scan(differential, field, weighted):
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3)], ids=["standard", "weighted"])
-def test_heap_key_orders_terms_largest_first(weights):
+def test_term_keys_are_monomial_orders(weights):
+    """Each term key is a monomial order on S^3, read in descending key
+    order; block and z_i-last keys also have the property they exist for."""
     ring = PolyRing(QQ, ("x", "y", "z"), weights)
-    terms = [(m, p) for d in range(4) for m in ring.monomials_of_degree(d) for p in range(3)]
-    keys = [groebner.top_key(ring), groebner.block_key(ring, 1), groebner.block_key(ring, 2)]
-    keys += [groebner.last_variable_key(ring, i) for i in range(3)]
-    for key in keys:
-        assert sorted(terms, key=key.heap_key) == sorted(terms, key=key, reverse=True)
+    by_degree = [ring.monomials_of_degree(d) for d in range(5)]
+    terms = [(m, p) for monos in by_degree for m in monos for p in range(3)]
+    multipliers = [m for monos in by_degree[1:3] for m in monos]
+
+    def times(m, term):
+        return ring.mono_mul(m, term[0]), term[1]
+
+    keys = {"top": groebner.top_key(ring)}
+    keys.update({f"block {b}": groebner.block_key(ring, b) for b in (1, 2)})
+    keys.update({f"last z{i}": groebner.last_variable_key(ring, i) for i in range(3)})
+    for name, key in keys.items():
+        assert len({key(t) for t in terms}) == len(terms), name
+        ordered = sorted(terms, key=key)
+        for m in multipliers:
+            assert sorted(terms, key=lambda t: key(times(m, t))) == ordered, (name, m)
+            assert all(key(times(m, t)) < key(t) for t in terms), (name, m)
+
+    for block in (1, 2):
+        key = keys[f"block {block}"]
+        inside = max(key(t) for t in terms if t[1] < block)
+        assert all(inside < key(t) for t in terms if t[1] >= block), block
+
+    for i in range(3):
+        key = keys[f"last z{i}"]
+        for monos in by_degree:
+            for size in (1, 2, 3):
+                for f in combinations([(m, 0) for m in monos], size):
+                    lead = min(f, key=key)
+                    assert (lead[0][i] > 0) == all(m[i] > 0 for m, _ in f), (i, f)

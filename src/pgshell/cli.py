@@ -6,8 +6,9 @@ human-readable lines and the exit code, and prints nothing; `run_command`
 builds the subparsers from the table, loads the source file, picks the
 named ideals, adds the keys every report shares and prints either the
 payload (--json) or the lines.  Exit codes: 0 success, 1 negative shell
-verdict, 2 input error, 3 internal-check failure; a reader that closes
-stdout early changes neither the exit code nor stderr.
+verdict, 2 input error, 3 internal-check failure or any other unexpected
+error (one stderr line, no traceback); a reader that closes stdout early
+changes neither the exit code nor stderr.
 """
 
 from __future__ import annotations
@@ -294,6 +295,9 @@ def run_command(argv, out=None) -> int:
     except EngineError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:  # a bug, never a verdict: no traceback, and not exit 1
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     payload.update(result)
     try:

@@ -12,7 +12,7 @@ order).  The ring's grevlex is the default order; every other order
 is a term key passed to the engine.
 
 Strategy: S-pairs sit in a heap ordered by their twisted degree, then
-by the monomial order on the lcm, then by basis index.  Input vectors
+by their lcm, smallest first, then by basis index.  Input vectors
 are not all loaded at the start: each enters in increasing degree of
 its lead term, once every pair of no larger degree has been processed,
 and is kept only if its normal form against the basis so far is
@@ -84,24 +84,22 @@ def _memoized_term_key(compute):
     return key
 
 
-# Each key below is one flat int tuple.  Grevlex reads as minus the
-# degree, then the exponents from the last variable back; the position
-# comes last, so that e_0 is the largest.
+# Each key below is one flat int tuple.  The first two extend the ring's
+# grevlex key `PolyRing.mono_key` by the position, so that e_0 is the
+# largest.
 
 
 def top_key(ring: PolyRing):
     """Term-over-position order: ring order on monomials, e_0 > e_1 > ..."""
-    degree = ring.mono_degree
-    return _memoized_term_key(
-        lambda term: (-degree(term[0]), *reversed(term[0]), term[1]))
+    mono_key = ring.mono_key
+    return _memoized_term_key(lambda term: (*mono_key(term[0]), term[1]))
 
 
 def block_key(ring: PolyRing, block: int):
     """Elimination order: the first `block` positions dominate the rest."""
-    degree = ring.mono_degree
+    mono_key = ring.mono_key
     return _memoized_term_key(
-        lambda term: (-1 if term[1] < block else 0, -degree(term[0]),
-                      *reversed(term[0]), term[1]))
+        lambda term: (-1 if term[1] < block else 0, *mono_key(term[0]), term[1]))
 
 
 def last_variable_key(ring: PolyRing, i: int):
@@ -318,7 +316,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
     mono_degree = ring.mono_degree
     mono_lcm, mono_mul = ring.mono_lcm, ring.mono_mul
     mono_divides = ring.mono_divides
-    sort_key = ring.sort_key
+    mono_key = ring.mono_key
     ideal = len(twists) == 1
 
     integral = not field.characteristic
@@ -333,7 +331,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
 
     basis = []
     leads = []
-    pairs = []  # heap of (degree, lcm key, i, j, lcm)
+    pairs = []  # heap of (degree, minus the lcm's key, i, j, lcm): smallest lcm first
     pending = set()
 
     def insert(v):
@@ -348,7 +346,8 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
             (mt, pt), _ = leads[t]
             if pt == pos:
                 lcm = mono_lcm(mt, mono)
-                heappush(pairs, (mono_degree(lcm) + twists[pos], sort_key(lcm), t, new, lcm))
+                heappush(pairs, (mono_degree(lcm) + twists[pos], tuple(-k for k in mono_key(lcm)),
+                                 t, new, lcm))
                 pending.add((t, new))
 
     nxt = 0

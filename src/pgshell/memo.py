@@ -6,11 +6,11 @@ keyed by argument value (ideals hash by ring and generators) and kept
 until `clear_caches()`.  `cache_info()` on a wrapper gives its hits and
 misses.
 
-Two per-term memos stay outside this layer, and `clear_caches()` does
-not empty them: `PolyRing._key_cache` and the dict inside each key that
-`groebner._memoized_term_key` builds.  Each maps a term to a pure
-function of it, so it never goes stale, and it is freed with its ring or
-key, where `MEMOS` would keep it for the life of the process.
+Only the term-key dicts stay outside this layer, and `clear_caches()`
+does not empty them: the dict inside each key that
+`groebner._memoized_term_key` builds.  It maps a term to a pure function
+of it, so it never goes stale, and it is freed with its key, where
+`MEMOS` would keep it for the life of the process.
 """
 
 from __future__ import annotations

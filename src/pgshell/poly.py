@@ -13,14 +13,13 @@ from .rings import PolyRing
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_canon", "_lm")
+    __slots__ = ("ring", "terms", "_canon")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         zero = ring.field.zero
         self.terms = {m: c for m, c in terms.items() if c != zero}
         self._canon = None
-        self._lm = None
 
     # -- constructors ----------------------------------------------------
 
@@ -45,10 +44,8 @@ class Polynomial:
     def sorted_terms(self):
         """Terms as ((mono, coeff), ...) descending in the ring order."""
         if self._canon is None:
-            key = self.ring.sort_key
-            self._canon = tuple(
-                sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-            )
+            key = self.ring.mono_key
+            self._canon = tuple(sorted(self.terms.items(), key=lambda t: key(t[0])))
         return self._canon
 
     def is_zero(self) -> bool:
@@ -57,9 +54,7 @@ class Polynomial:
     def lead_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no lead monomial")
-        if self._lm is None:
-            self._lm = max(self.terms, key=self.ring.sort_key)
-        return self._lm
+        return min(self.terms, key=self.ring.mono_key)
 
     def lead_coeff(self):
         return self.terms[self.lead_monomial()]

@@ -248,7 +248,9 @@ def minimal_resolution(I: Ideal) -> FreeResolution:
         return FreeResolution(ring, [f0], [], I)
     gens = minimal_generators(I)
     degs = [g.homogeneous_degree() for g in gens]
-    order = sorted(range(len(gens)), key=lambda i: (degs[i], ring.sort_key(gens[i].lead_monomial())))
+    # degree, then smallest lead first (minus its key), as the S-pair heap
+    order = sorted(range(len(gens)), key=lambda i: (
+        degs[i], tuple(-k for k in ring.mono_key(gens[i].lead_monomial()))))
     gens = [gens[i] for i in order]
     degs = [degs[i] for i in order]
     f1 = GradedFreeModule(degs)

@@ -5,9 +5,11 @@ monomial-level operation (degree, order key, divisibility) so the
 polynomial layer never needs to know about weights.
 
 The ring has one order, grevlex: (weighted) degree first, ties by
-reverse lexicographic with the first variable largest.  Any other order
-the engine needs is a term key handed to `groebner.module_groebner`
-(`block_key`, `last_variable_key`).
+reverse lexicographic with the first variable largest.  `mono_key` is
+the one place it is written; printing, lead monomials, the S-pair heap
+and the engine's term keys (`groebner.top_key`, `block_key`) all read
+it.  `last_variable_key`, the engine's one other order, is a term key
+handed to `groebner.module_groebner`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ Monomial = tuple  # exponent tuple, length == num_vars
 class PolyRing:
     """Descriptor of k[z_0..z_N] with positive integer weights, ordered by grevlex."""
 
-    __slots__ = ("field", "names", "weights", "num_vars", "standard_graded", "_key_cache")
+    __slots__ = ("field", "names", "weights", "num_vars", "standard_graded")
 
     def __init__(self, field: Field, names, weights=None):
         names = tuple(names)
@@ -44,7 +46,6 @@ class PolyRing:
         self.weights = weights
         self.num_vars = len(names)
         self.standard_graded = all(w == 1 for w in weights)
-        self._key_cache = {}
 
     # -- identity ------------------------------------------------------------
 
@@ -80,18 +81,12 @@ class PolyRing:
             return sum(mono)
         return sum(w * e for w, e in zip(self.weights, mono))
 
-    def sort_key(self, mono: Monomial):
-        """Grevlex key: bigger monomial == bigger key.
+    def mono_key(self, mono: Monomial) -> tuple:
+        """Grevlex key, descending: a smaller key is a larger monomial.
 
-        Memoized per ring: the same monomials recur constantly in
-        division loops, and building the key tuples dominates there.
+        Minus the degree, then the exponents from the last variable back.
         """
-        k = self._key_cache.get(mono)
-        if k is not None:
-            return k
-        k = (self.mono_degree(mono), tuple(-e for e in reversed(mono)))
-        self._key_cache[mono] = k
-        return k
+        return (-self.mono_degree(mono), *reversed(mono))
 
     @staticmethod
     def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -140,7 +135,7 @@ class PolyRing:
         rec(0, m, ())
         if self.standard_graded:
             assert len(out) == comb(m + n - 1, n - 1)
-        out.sort(key=self.sort_key, reverse=True)
+        out.sort(key=self.mono_key)
         return out
 
     def mono_str(self, mono: Monomial) -> str:

@@ -16,7 +16,7 @@ from pgshell import (
     rational_normal_curve,
     render_source,
 )
-from pgshell.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, render_betti, run_command
+from pgshell.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK, render_betti, run_command
 from pgshell.resolution import BettiTable
 
 SCHEMA = json.loads(
@@ -134,7 +134,7 @@ def test_precheck_keeps_input_errors(weighted_file, capsys):
     assert "error: this operation needs homogeneous generators" in capsys.readouterr().err
 
 
-def test_commands_run_no_elimination(corpus_file, tmp_path, monkeypatch):
+def test_commands_run_no_elimination(corpus_file, tmp_path, monkeypatch, capsys):
     # saturated input: the pre-check and the catalog check read the resolution
     from pgshell import saturation
 
@@ -150,8 +150,10 @@ def test_commands_run_no_elimination(corpus_file, tmp_path, monkeypatch):
     path.write_text(TENSOR_SRC)
     assert run(["tensor-res", str(path), "Y", "Z"])[0] == EXIT_OK
     assert run(["catalog", "points-rnc", "3", "5"])[0] == EXIT_OK
-    with pytest.raises(AssertionError, match="saturation computed"):
-        run(["saturate", corpus_file, "Unsat"])
+    # the refusal is an unexpected exception to the CLI: exit 3, one stderr line
+    capsys.readouterr()
+    assert run(["saturate", corpus_file, "Unsat"]) == (EXIT_INTERNAL, "")
+    assert capsys.readouterr().err == "internal error: AssertionError: saturation computed\n"
 
 
 def test_oracle_and_saturate_build_no_resolution(corpus_file, tmp_path):
@@ -287,6 +289,21 @@ def test_non_utf8_file_exit_2(tmp_path, capsys):
     assert run(["gb", str(path), "I"]) == (EXIT_INPUT, "")
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pgshell", "J", "I", "--json"],
+    ["betti", "I"],
+    ["hilbert", "I", "--max", "2"],
+])
+def test_unexpected_error_exit_3(tmp_path, capsys, argv):
+    # an exponent too large for a list length raises OverflowError deep in
+    # the engine: that is a crash, which must not read as a verdict (exit 1)
+    path = tmp_path / "overflow.ideal"
+    path.write_text("ring S = QQ[x,y,z]; ideal I = x^99999999999999999999*y; ideal J = x*y;")
+    assert run([argv[0], str(path), *argv[1:]]) == (EXIT_INTERNAL, "")
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: OverflowError: ") and err.count("\n") == 1
 
 
 def test_hilbert_deep_staircase(tmp_path, capsys):

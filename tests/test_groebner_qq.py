@@ -123,8 +123,9 @@ def ref_module_groebner(vectors, ring, twists, key, kept):
             (mt, pt), _ = leads[t]
             if pt == pos:
                 lcm_ = ring.mono_lcm(mt, mono)
-                heappush(pairs, (ring.mono_degree(lcm_) + twists[pos], ring.sort_key(lcm_), t, new,
-                                 lcm_))
+                # smallest lcm first: minus its key, a smaller key being a larger monomial
+                heappush(pairs, (ring.mono_degree(lcm_) + twists[pos],
+                                 tuple(-k for k in ring.mono_key(lcm_)), t, new, lcm_))
                 pending.add((t, new))
 
     nxt = 0

@@ -179,8 +179,9 @@ def test_reductions_match_max_scan(differential, field, weighted):
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3)], ids=["standard", "weighted"])
 def test_term_keys_are_monomial_orders(weights):
-    """Each term key is a monomial order on S^3, read in descending key
-    order; block and z_i-last keys also have the property they exist for."""
+    """The ring's grevlex key is a monomial order on S and each term key
+    one on S^3, read in descending key order; block and z_i-last keys
+    also have the property they exist for."""
     ring = PolyRing(QQ, ("x", "y", "z"), weights)
     by_degree = [ring.monomials_of_degree(d) for d in range(5)]
     terms = [(m, p) for monos in by_degree for m in monos for p in range(3)]
@@ -189,15 +190,18 @@ def test_term_keys_are_monomial_orders(weights):
     def times(m, term):
         return ring.mono_mul(m, term[0]), term[1]
 
-    keys = {"top": groebner.top_key(ring)}
+    # the monomial key, on the terms of position 0
+    keys = {"mono": lambda term: ring.mono_key(term[0])}
+    keys["top"] = groebner.top_key(ring)
     keys.update({f"block {b}": groebner.block_key(ring, b) for b in (1, 2)})
     keys.update({f"last z{i}": groebner.last_variable_key(ring, i) for i in range(3)})
     for name, key in keys.items():
-        assert len({key(t) for t in terms}) == len(terms), name
-        ordered = sorted(terms, key=key)
+        domain = [t for t in terms if name != "mono" or t[1] == 0]
+        assert len({key(t) for t in domain}) == len(domain), name
+        ordered = sorted(domain, key=key)
         for m in multipliers:
-            assert sorted(terms, key=lambda t: key(times(m, t))) == ordered, (name, m)
-            assert all(key(times(m, t)) < key(t) for t in terms), (name, m)
+            assert sorted(domain, key=lambda t: key(times(m, t))) == ordered, (name, m)
+            assert all(key(times(m, t)) < key(t) for t in domain), (name, m)
 
     for block in (1, 2):
         key = keys[f"block {block}"]
@@ -211,3 +215,27 @@ def test_term_keys_are_monomial_orders(weights):
                 for f in combinations([(m, 0) for m in monos], size):
                     lead = min(f, key=key)
                     assert (lead[0][i] > 0) == all(m[i] > 0 for m, _ in f), (i, f)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3)], ids=["standard", "weighted"])
+def test_ring_order_is_the_engine_order(weights):
+    """Printing, lead monomials and monomial enumeration order monomials
+    exactly as the engine's `top_key` orders the terms of position 0."""
+    ring = PolyRing(QQ, ("x", "y", "z"), weights)
+    key = groebner.top_key(ring)
+
+    def engine_sorted(monos):
+        return sorted(monos, key=lambda m: key((m, 0)))
+
+    by_degree = [ring.monomials_of_degree(d) for d in range(6)]
+    for monos in by_degree:
+        assert monos == engine_sorted(monos)
+    monos = [m for ms in by_degree for m in ms]
+
+    @given(st.lists(st.sampled_from(monos), min_size=1, max_size=8, unique=True))
+    def check(chosen):
+        p = Polynomial(ring, {m: ring.field.one for m in chosen})
+        assert [m for m, _ in p.sorted_terms()] == engine_sorted(chosen)
+        assert p.lead_monomial() == engine_sorted(chosen)[0]
+
+    check()

@@ -133,8 +133,7 @@ def _lift(p, ext, k=0):
 
 def _eliminate_t(gens, ext, ring):
     """(gens) cap S, given by its reduced grevlex basis."""
-    key = _memoized_term_key(
-        lambda term: (-term[0][-1], -ring.mono_degree(term[0][:-1]), *reversed(term[0][:-1])))
+    key = _memoized_term_key(lambda term: (-term[0][-1], *ring.mono_key(term[0][:-1])))
     basis = module_groebner([poly_to_vector(g) for g in gens], ext, (0,), key)
     pieces = [Polynomial(ring, {m[:-1]: c for (m, _), c in v.items()})
               for v in basis if all(m[-1] == 0 for m, _ in v)]

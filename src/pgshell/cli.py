@@ -9,6 +9,10 @@ payload (--json) or the lines.  Exit codes: 0 success, 1 negative shell
 verdict, 2 input error, 3 internal-check failure or any other unexpected
 error (one stderr line, no traceback); a reader that closes stdout early
 changes neither the exit code nor stderr.
+
+Each handler imports the engine modules it runs, so a command loads only
+what it uses: `gb` never compiles the resolution code, and `pgshell`
+never compiles the criteria suite.
 """
 
 from __future__ import annotations
@@ -18,16 +22,8 @@ import json
 import os
 import sys
 
-from .catalog import CATALOG_NAMES, build_catalog_entry
 from .errors import EngineError, InternalCheckError, SourceError
-from .fields import field_self_check
-from .groebner import groebner_basis
-from .hilbert import hilbert_function
 from .parser import parse_source, render_ideal, render_source
-from .poly import Ideal
-from .resolution import BettiTable, artinian_reduction, betti_table, is_saturated
-from .saturation import saturate_irrelevant
-from .shell import criteria_suite, invariants, pgshell_report, tensor_resolution
 
 SCHEMA_VERSION = "report.v1"
 
@@ -36,9 +32,14 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# catalog.CATALOG_NAMES, for the help text, so that printing the help
+# compiles no catalog code; a test keeps the two equal
+CATALOG_NAMES = ("rnc", "veronese", "scroll", "tc-cone", "ci", "points-rnc", "hyperplane", "zero")
 
-def render_betti(bt: BettiTable) -> str:
-    """Macaulay-style grid: rows are m - q, columns are q, plus totals."""
+
+def render_betti(bt) -> str:
+    """Macaulay-style grid of a BettiTable: rows are m - q, columns are q,
+    plus totals."""
     if not bt.entries:
         return "(zero module)"
     pd = bt.max_q()
@@ -75,7 +76,7 @@ def _load(path: str, strict: bool):
     return parse_source(text, strict=strict)
 
 
-def _pick(parsed, name: str) -> Ideal:
+def _pick(parsed, name: str):
     if name not in parsed.ideals:
         known = ", ".join(parsed.ideals)
         raise SourceError(f"no ideal named {name!r} in the file (have: {known})")
@@ -89,6 +90,8 @@ def _field_mode(ring) -> str:
 
 
 def _saturation_warnings(names, ideals) -> list:
+    from .resolution import artinian_reduction, is_saturated
+
     # a variable regular on both quotients makes both saturated; the
     # oracle route reads the same cut of the pair
     if artinian_reduction(*ideals)[0]:
@@ -108,6 +111,9 @@ def _saturation_warnings(names, ideals) -> list:
 # and prints either the JSON or the lines.
 
 def _gb(args, parsed, ideal):
+    from .groebner import groebner_basis
+    from .poly import Ideal
+
     gb = groebner_basis(ideal)
     basis = Ideal(parsed.ring, gb.elements, allow_inhomogeneous=True)
     payload = {"ring": repr(parsed.ring), "order": gb.order,
@@ -117,12 +123,16 @@ def _gb(args, parsed, ideal):
 
 
 def _betti(args, parsed, ideal):
+    from .resolution import betti_table
+
     bt = betti_table(ideal)
     payload = {"ring": repr(parsed.ring), "betti": bt.to_json()}
     return payload, [f"// betti table of S/{args.ideal}", render_betti(bt)], EXIT_OK
 
 
 def _invariants(args, parsed, ideal):
+    from .criteria import invariants
+
     inv = invariants(ideal).to_json()
     lines = [f"// invariants of {args.ideal}  [{_field_mode(parsed.ring)}]"]
     lines += [f"  {key} = {value}" for key, value in inv.items()]
@@ -130,6 +140,8 @@ def _invariants(args, parsed, ideal):
 
 
 def _pgshell(args, parsed, v, w):
+    from .shell import pgshell_report
+
     report = pgshell_report(v, w, method=args.method)
     table, wit = report.table_json(), report.witness
     lines = [f"verdict: {report.verdict}   (method: {report.method}, "
@@ -149,6 +161,8 @@ def _pgshell(args, parsed, v, w):
 
 
 def _criteria(args, parsed, v, w):
+    from .criteria import criteria_suite
+
     suite = criteria_suite(v, w)
     lines = [f"direct verdict: {suite['observed']}"]
     for r in suite["criteria"]:
@@ -164,6 +178,8 @@ def _criteria(args, parsed, v, w):
 
 
 def _tensor_res(args, parsed, y, z):
+    from .criteria import tensor_resolution
+
     res, report = tensor_resolution(y, z)
     payload = {
         "modules": [repr(m) for m in res.modules],
@@ -185,6 +201,8 @@ def _tensor_res(args, parsed, y, z):
 
 
 def _saturate(args, parsed, ideal):
+    from .saturation import saturate_irrelevant
+
     sat, changed = saturate_irrelevant(ideal)
     payload = {"changed": changed, "generators": [str(g) for g in sat.generators]}
     return payload, [f"// saturation {'changed' if changed else 'did not change'} the ideal",
@@ -192,6 +210,8 @@ def _saturate(args, parsed, ideal):
 
 
 def _catalog(args, parsed):
+    from .catalog import build_catalog_entry
+
     entry = build_catalog_entry(args.name, args.params, seed=args.seed)
     source = render_source(entry.ring, {"I": entry.ideal})
     payload = {"name": entry.name, "ring": repr(entry.ring), "source": source,
@@ -201,6 +221,8 @@ def _catalog(args, parsed):
 
 
 def _hilbert(args, parsed, ideal):
+    from .hilbert import hilbert_function
+
     h = hilbert_function(ideal, args.m_max)
     poly = None if h.hilbert_polynomial is None else [str(c) for c in h.hilbert_polynomial]
     vals = " ".join(str(h.values[m]) for m in range(args.m_max + 1))
@@ -277,6 +299,8 @@ def run_command(argv, out=None) -> int:
         if ideal_args:
             parsed = _load(args.file, args.strict)
             if args.field_check:
+                from .fields import field_self_check
+
                 field_self_check(parsed.ring.field, seed=args.seed)
                 if not args.json:
                     print("field check: ok", file=out)

@@ -29,6 +29,7 @@ from pgshell import (
     substitute_ideal,
     veronese_surface,
 )
+from pgshell.criteria import part_of_minimal_generators
 from pgshell.errors import NotHomogeneousError
 from pgshell.groebner import (
     is_minimal_generator,
@@ -41,7 +42,6 @@ from pgshell.groebner import (
 )
 from pgshell.linalg import RowSpace
 from pgshell.resolution import column_module, minimal_generating_subset
-from pgshell.shell import part_of_minimal_generators
 
 from conftest import graded_ideals, random_invertible
 

@@ -24,8 +24,10 @@ from pgshell import (
     pgshell_report,
     tensor_resolution,
 )
+import pgshell.criteria as criteria_module
 import pgshell.shell as shell_module
 from pgshell.cli import EXIT_INTERNAL, run_command
+from pgshell.criteria import ideal_power_plus
 from pgshell.errors import (
     ContainmentError,
     InternalCheckError,
@@ -34,7 +36,7 @@ from pgshell.errors import (
 )
 from pgshell.koszul import TorComparison
 from pgshell.resolution import ColumnModule, column_module, verify_complex
-from pgshell.shell import NOT_PG_SHELL, PG_SHELL, ideal_power_plus
+from pgshell.shell import NOT_PG_SHELL, PG_SHELL
 
 from conftest import dense_rank
 from test_cli import CORPUS_SRC
@@ -199,7 +201,7 @@ def test_chain_route_and_invariants_resolve_only_cut_ideals(monkeypatch, twisted
         resolved.append(I.ring.num_vars)
         return real(I)
 
-    for module in (shell_module, resolution_module):
+    for module in (shell_module, criteria_module, resolution_module):
         monkeypatch.setattr(module, "minimal_resolution", recorded)
     for V, W in pairs:
         c = shell_module.artinian_reduction(V, W)[0]

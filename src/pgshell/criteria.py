@@ -6,7 +6,9 @@ criteria suite checks the shell verdict of `shell.pgshell_check`
 against every criterion that applies to the pair, and
 `tensor_resolution` builds and certifies the tensor complex of two ACM
 ideals meeting in additive codimension.  The `pgshell` command needs
-none of this; only `invariants`, `criteria` and `tensor-res` load it.
+none of this; only `invariants`, `criteria` and `tensor-res` load it,
+and `invariants` loads no verdict code: the suite and tensor
+resolutions import `shell` where they call it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from .errors import (
     RingMismatchError,
     WeightedRingError,
 )
-from .groebner import is_minimal_generator, membership, module_groebner, poly_to_vector, same_ideal
+from .groebner import (
+    is_minimal_generator,
+    membership,
+    module_groebner,
+    poly_to_vector,
+    require_proper,
+    same_ideal,
+)
 from .memo import memoized
 from .modules import GradedFreeModule, GradedMatrix
 from .poly import Ideal
@@ -35,7 +44,6 @@ from .resolution import (
     regularity_and_depth,
     verify_complex,
 )
-from .shell import NOT_PG_SHELL, PG_SHELL, check_containment, pgshell_check, require_proper
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +188,8 @@ def criteria_suite(I_V: Ideal, I_W: Ideal) -> dict:
     criteria are skipped with a reason.  An inconsistency can only come
     from an engine bug, so the caller may escalate on consistent=False.
     """
+    from .shell import NOT_PG_SHELL, PG_SHELL, check_containment, pgshell_check
+
     if not check_containment(I_V, I_W):
         raise ContainmentError("I_W is not contained in I_V")
     if not I_V.ring.standard_graded:
@@ -336,6 +346,8 @@ def tensor_resolution(I_Y: Ideal, I_Z: Ideal):
     together with a report; both factors are confirmed as shells of the
     intersection.
     """
+    from .shell import pgshell_check
+
     if I_Y.ring != I_Z.ring:
         raise RingMismatchError("ideals live in different rings")
     ring = I_Y.ring

@@ -55,7 +55,7 @@ from math import lcm as int_lcm
 from operator import mul as int_mul
 from operator import sub as int_sub
 
-from .errors import NotHomogeneousError, RingMismatchError
+from .errors import NotHomogeneousError, PreconditionError, RingMismatchError
 from .memo import memoized
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
@@ -469,6 +469,12 @@ def groebner_basis(I: Ideal) -> GroebnerBasis:
     kept: list[int] = []
     vectors = module_groebner([poly_to_vector(g) for g in I.generators], I.ring, (0,), key, kept)
     return GroebnerBasis(I.ring, vectors, key, kept)
+
+
+def require_proper(I: Ideal, name: str):
+    # a homogeneous ideal is the unit ideal iff a generator is a constant
+    if I.contains_unit() or (not I.homogeneous and groebner_basis(I).is_unit_ideal()):
+        raise PreconditionError(f"ideal {name} is the unit ideal (empty scheme)")
 
 
 def _as_gb(ideal_or_gb) -> GroebnerBasis:

@@ -287,6 +287,7 @@ def _chain_map_image(ctx_w: KoszulContext, ctx_v: KoszulContext, q, m, vec: dict
     return out
 
 
+@memoized
 def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
     """mu_q in degree m for the surjection S/I_W ->> S/I_V (I_W <= I_V).
 

@@ -13,9 +13,9 @@ The saturation at the irrelevant ideal is the intersection over all
 variables, cap_i (I : z_i^inf), taken once: that intersection already
 equals (I : S_+^inf).  Composing the single-variable saturations
 instead would wrongly delete components lying inside coordinate
-hyperplanes.  Whether I is saturated at all is read off its minimal
-resolution (`resolution.is_saturated`), so the sweep runs only on
-ideals that do change.
+hyperplanes.  Whether I is saturated at all is read off its Artinian
+cut, or else its Betti table (`resolution.is_saturated`), so the sweep
+runs only on ideals that do change.
 
 All three are graded operations and raise NotHomogeneousError on an
 inhomogeneous ideal or polynomial.

@@ -16,13 +16,16 @@ is injective.  Two independent routes are implemented:
 Both routes run on the Artinian reduction of
 `resolution.artinian_reduction`: trailing variables that are regular on
 every quotient are cut, which changes no Betti number and no cell of
-mu_q.  Wherever both routes compute a cell (q, m), the whole cell
-{source_dim, target_dim, injective} must agree, or InternalCheckError
-is raised.  Each chain-route run also checks its first failing cell,
-and with the spot check its q = 1 cells, against the oracle on the
-full, uncut pair.  Negative verdicts always carry a witness the oracle
-verified on the full pair: a nonzero source Tor class, in the original
-variables, mapped to zero.
+mu_q.  A cell is {tor_W, tor_V, injective}: the dimensions of the two
+Tor pieces in degree m and whether mu_q is injective there.
+
+Every route ends in one certificate, `_certify`: the first failing cell
+of its table, and for the chain route with the spot check every q = 1
+cell, must equal the Koszul oracle's cell on the full, uncut pair, or
+InternalCheckError is raised.  `--method both` also compares the two
+whole tables.  Negative verdicts always carry the witness of that
+certificate: a nonzero source Tor class, verified by the oracle on the
+full pair and written in the original variables, mapped to zero.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ from .errors import (
     ContainmentError,
     EngineError,
     InternalCheckError,
-    PreconditionError,
     RingMismatchError,
 )
-from .groebner import groebner_basis, membership
+from .groebner import groebner_basis, membership, require_proper
 from .koszul import koszul_tor, taylor_degree_bound, tor_comparison
 from .linalg import eliminate
 from .modules import GradedMatrix
@@ -149,70 +151,46 @@ class ShellReport:
         return self.verdict == PG_SHELL
 
     def table_json(self):
-        out = []
-        for (q, m) in sorted(self.table):
-            cell = self.table[(q, m)]
-            out.append(
-                {
-                    "q": q,
-                    "m": m,
-                    "tor_W": cell["source_dim"],
-                    "tor_V": cell["target_dim"],
-                    "injective": cell["injective"],
-                }
-            )
-        return out
+        return [{"q": q, "m": m, **self.table[(q, m)]} for (q, m) in sorted(self.table)]
 
     def __repr__(self):
         return f"ShellReport({self.verdict}, method={self.method})"
 
 
-def _oracle_cells(I_V: Ideal, I_W: Ideal, cells):
-    """The Koszul oracle's cell {source_dim, target_dim, injective} at each
-    (q, m) of `cells`, and the first non-injective cell's witness cycle,
-    rendered as {q, m, cycle} (None when every cell is injective)."""
+def _cell(comp) -> dict:
+    return {"tor_W": comp.dim_source, "tor_V": comp.dim_target, "injective": comp.injective}
+
+
+def _certify(I_V: Ideal, I_W: Ideal, table: dict, c: int, route: str, spot: bool):
+    """Check the first non-injective cell of `table`, which `route`
+    computed on the pair cut by c trailing variables, and with `spot`
+    every q = 1 cell, whole, against the Koszul oracle's on the full
+    pair I_V, I_W; return the full pair's witness, rendered as
+    {q, m, cycle} (None when every cell is injective)."""
     ring = I_V.ring
-    table = {}
+    failing = [k for k in sorted(table) if not table[k]["injective"]][:1]
+    spots = [k for k in sorted(table) if k[0] == 1] if spot else []
     witness = None
-    for q, m in cells:
+    for q, m in dict.fromkeys(failing + spots):
         comp = tor_comparison(I_V, I_W, q, m)
-        table[(q, m)] = {
-            "source_dim": comp.dim_source,
-            "target_dim": comp.dim_target,
-            "injective": comp.injective,
-        }
-        if witness is None and not comp.injective:
-            terms = []
-            for idx, c in sorted(comp.witness["cycle"].items()):
-                T, mono = comp.witness["labels"][idx]
-                wedge = "^".join(f"e[{ring.names[t]}]" for t in T) or "1"
-                terms.append(f"({c})*{wedge}(x){ring.mono_str(mono)}")
-            witness = {"q": q, "m": m, "cycle": " + ".join(terms)}
-    return table, witness
-
-
-def _oracle_table(I_V: Ideal, I_W: Ideal, cells: dict, c: int, route: str):
-    """Check the cells (q, m) -> cell that `route` computed on the pair cut
-    by c trailing variables against the Koszul oracle on the full pair
-    I_V, I_W, all three fields of each; return the oracle's witness."""
-    full, witness = _oracle_cells(I_V, I_W, cells)
-    for (q, m), cell in full.items():
-        if cell != cells[(q, m)]:
+        cell = _cell(comp)
+        if cell != table[(q, m)]:
             raise InternalCheckError(
                 f"the {route} on the Artinian reduction (c = {c}) disagrees with the "
-                f"Koszul oracle on the full pair at (q={q}, m={m}): {cells[(q, m)]} != {cell}"
+                f"Koszul oracle on the full pair at (q={q}, m={m}): {table[(q, m)]} != {cell}"
             )
+        if witness is None and comp.witness:
+            terms = []
+            for idx, x in sorted(comp.witness["cycle"].items()):
+                T, mono = comp.witness["labels"][idx]
+                wedge = "^".join(f"e[{ring.names[t]}]" for t in T) or "1"
+                terms.append(f"({x})*{wedge}(x){ring.mono_str(mono)}")
+            witness = {"q": q, "m": m, "cycle": " + ".join(terms)}
     return witness
 
 
 def _verdict(table) -> str:
     return PG_SHELL if all(cell["injective"] for cell in table.values()) else NOT_PG_SHELL
-
-
-def require_proper(I: Ideal, name: str):
-    # a homogeneous ideal is the unit ideal iff a generator is a constant
-    if I.contains_unit() or (not I.homogeneous and groebner_basis(I).is_unit_ideal()):
-        raise PreconditionError(f"ideal {name} is the unit ideal (empty scheme)")
 
 
 def _require_shell_pair(I_V: Ideal, I_W: Ideal):
@@ -242,12 +220,11 @@ def pgshell_check(I_V: Ideal, I_W: Ideal, oracle_spot: bool = True) -> ShellRepo
     I_V, so no Groebner basis of I_V is needed beyond the shell
     preconditions.
 
-    The first failing cell, and with `oracle_spot` every q = 1 cell, is
-    checked against the Koszul oracle on the full pair I_V, I_W.  Each
-    oracle cell must equal the chain cell in all three fields, so the
-    oracle also certifies the cut and the truncated target's dimension
-    target_dim; any difference raises InternalCheckError.  The witness
-    comes from that oracle, in the original variables.
+    The table goes to `_certify`, the certificate of every route: its
+    first failing cell, and with `oracle_spot` every q = 1 cell, must
+    equal the Koszul oracle's cell on the full pair I_V, I_W, so the
+    oracle also certifies the cut and the truncated target's tor_V.
+    The witness comes from that oracle, in the original variables.
     """
     _require_shell_pair(I_V, I_W)
     bt_w = betti_table(I_W)
@@ -271,14 +248,11 @@ def pgshell_check(I_V: Ideal, I_W: Ideal, oracle_spot: bool = True) -> ShellRepo
             cols = [{pos[i]: c for (mono, i), c in phi.columns[j].items()
                      if mono == one and i in pos} for j in src_idx]
             table[(q, m)] = {
-                "source_dim": len(src_idx),
-                "target_dim": len(tgt_idx),
+                "tor_W": len(src_idx),
+                "tor_V": len(tgt_idx),
                 "injective": not eliminate(cols, len(tgt_idx), field)[1],
             }
-    cells = [k for k in sorted(table) if not table[k]["injective"]][:1]
-    if oracle_spot:
-        cells += [k for k in sorted(table) if k[0] == 1]
-    witness = _oracle_table(I_V, I_W, {k: table[k] for k in cells}, c, "chain map")
+    witness = _certify(I_V, I_W, table, c, "chain map", oracle_spot)
     return ShellReport(_verdict(table), "chain-map", table, witness)
 
 
@@ -291,10 +265,11 @@ def pgshell_check_oracle(I_V: Ideal, I_W: Ideal) -> ShellReport:
     and Tor^S_q(S/I, k) = Tor^{S'}_q(S'/I', k) naturally in S/I.  Every
     mu_q cell of the cut pair is the cell of the full pair, with N + 1 - c
     variables instead of N + 1.  The cut is also checked against the
-    Hilbert series numerator of each ideal.  When c >= 1, the first
-    non-injective cell is recomputed on the full pair, which gives the
-    witness in the original variables; it must equal the cut cell in all
-    three fields, or InternalCheckError is raised.
+    Hilbert series numerator of each ideal.  The table goes to
+    `_certify`, as in the chain route: its first non-injective cell must
+    equal the full pair's, which gives the witness in the original
+    variables.  When c = 0 the cut pair is the full pair, and the check
+    reads the memoized comparison.
 
     The sweep range comes from the lead-term (Taylor) bound on the
     source Betti support, which is independent of any resolution.
@@ -309,10 +284,8 @@ def pgshell_check_oracle(I_V: Ideal, I_W: Ideal) -> ShellReport:
         for m in range(taylor_degree_bound(cut_w, q) + 1)
         if koszul_tor(cut_w, q, m).dimension
     )
-    table, witness = _oracle_cells(cut_v, cut_w, cells)
-    if c and witness:
-        cell = (witness["q"], witness["m"])
-        witness = _oracle_table(I_V, I_W, {cell: table[cell]}, c, "Koszul oracle")
+    table = {(q, m): _cell(tor_comparison(cut_v, cut_w, q, m)) for q, m in cells}
+    witness = _certify(I_V, I_W, table, c, "Koszul oracle", False)
     return ShellReport(_verdict(table), "koszul-oracle", table, witness)
 
 
@@ -321,7 +294,8 @@ def pgshell_report(I_V: Ideal, I_W: Ideal, method: str = "chain") -> ShellReport
 
     `both` runs the chain route with its spot check, so its q = 1 cells
     are also checked on the full pair, and compares the two tables; the
-    verdict is a function of the table.
+    verdict is a function of the table.  Both routes certify the same
+    failing cell, so its full-pair comparison is computed once.
     """
     if method == "chain":
         return pgshell_check(I_V, I_W, oracle_spot=True)

@@ -75,6 +75,8 @@ FOOTPRINTS = [
     (["pgshell", "V", "W"], {"shell"}, {"criteria", "saturation", "catalog"}),
     (["pgshell", "V", "W", "--method", "oracle"], {"shell"},
      {"criteria", "saturation", "catalog"}),
+    (["invariants", "V"], {"criteria"},
+     {"shell", "koszul", "linalg", "saturation", "catalog"}),
     (["criteria", "V", "W"], {"criteria"}, {"saturation", "catalog"}),
 ]
 

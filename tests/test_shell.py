@@ -141,7 +141,7 @@ def test_lift_requires_containment(R4, twisted_cubic, tc_quadrics):
 def test_pgshell_positive_examples(R4, twisted_cubic, tc_quadrics):
     rep = pgshell_check(twisted_cubic, Ideal(R4, [tc_quadrics[0]]))
     assert rep.verdict == PG_SHELL
-    assert rep.table[(1, 2)]["source_dim"] == 1
+    assert rep.table[(1, 2)]["tor_W"] == 1
     assert rep.witness is None
 
 
@@ -176,6 +176,7 @@ def test_method_agreement_on_corpus(corpus_pairs, monkeypatch):
         oracle = pgshell_check_oracle(v, w)
         assert chain.verdict == oracle.verdict, name
         assert chain.table == oracle.table, name
+        assert chain.witness == oracle.witness, name
         # the same table and witness without the cut by trailing variables
         with monkeypatch.context() as mp:
             mp.setattr(shell_module, "artinian_reduction", lambda *ideals: (0, ideals))
@@ -452,7 +453,7 @@ def test_source_resolution_longer_than_target(R4, zvars):
     oracle = pgshell_check_oracle(v, w)
     assert chain.verdict == NOT_PG_SHELL == oracle.verdict
     assert chain.table == oracle.table
-    assert chain.table[(4, 5)]["target_dim"] == 0
+    assert chain.table[(4, 5)]["tor_V"] == 0
 
 
 def test_second_neighbourhood_reuses_the_resolution_of_w():

@@ -4,11 +4,16 @@ Field elements are plain Python values -- ``Fraction`` for the rationals
 (always stored reduced with positive denominator, which Fraction
 guarantees), ``int`` in ``[0, p)`` for GF(p) -- so the polynomial layer
 stays allocation-light.  A ``Field`` instance is the arithmetic context.
+
+The content helpers below are QQ's one integer-arithmetic path: the
+Groebner engine and `linalg.RowSpace` clear denominators with them and
+keep their integer vectors primitive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 MAX_CHARACTERISTIC = 2**31
 DEFAULT_PRIME = 32003
@@ -123,6 +128,23 @@ class Field:
 
 
 QQ = Field(0)
+
+
+def clear_denominators(v: dict):
+    """(w, d): the integer vector w = d v, for d the least common
+    denominator of the rational vector v; zero entries are dropped."""
+    d = lcm(*[x.denominator for x in v.values()])
+    if d == 1:
+        return {k: n for k, x in v.items() if (n := x.numerator)}, 1
+    return {k: n * (d // x.denominator) for k, x in v.items() if (n := x.numerator)}, d
+
+
+def primitive(v: dict, lead) -> dict:
+    """The integer vector v divided by its content, signed so that v[lead] > 0."""
+    g = gcd(*v.values())
+    if v[lead] < 0:
+        g = -g
+    return v if g == 1 else {k: x // g for k, x in v.items()}
 
 
 def field_self_check(field: Field, seed: int = 0) -> None:

@@ -51,11 +51,11 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from math import lcm as int_lcm
 from operator import mul as int_mul
 from operator import sub as int_sub
 
 from .errors import NotHomogeneousError, PreconditionError, RingMismatchError
+from .fields import clear_denominators, primitive
 from .memo import memoized
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
@@ -177,20 +177,6 @@ def _arithmetic(integral: bool, field):
     return field.zero, field.sub, field.mul
 
 
-def _primitive(v: dict, lt) -> dict:
-    """The integer vector v divided by its content, signed so that v[lt] > 0."""
-    g = gcd(*v.values())
-    if v[lt] < 0:
-        g = -g
-    return v if g == 1 else {t: c // g for t, c in v.items()}
-
-
-def _integer_vector(v: dict, lt) -> dict:
-    """The primitive integer multiple of the rational vector v."""
-    den = int_lcm(*(c.denominator for c in v.values()))
-    return _primitive({t: c.numerator * (den // c.denominator) for t, c in v.items()}, lt)
-
-
 def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> dict:
     """Full normal form of v against basis (first matching divisor wins).
 
@@ -267,7 +253,7 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
             del work[t]
     if integral and remainder:
         # terms leave `work` in decreasing order, so the first is the lead
-        return _primitive(remainder, next(iter(remainder)))
+        return primitive(remainder, next(iter(remainder)))
     return remainder
 
 
@@ -326,7 +312,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
             lt = vector_lead(v, key)
             mono, pos = lt
             inputs.append((mono_degree(mono) + twists[pos], idx,
-                           _integer_vector(v, lt) if integral else v))
+                           primitive(clear_denominators(v)[0], lt) if integral else v))
     inputs.sort(key=lambda entry: entry[:2])
 
     basis = []

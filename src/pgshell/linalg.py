@@ -1,13 +1,24 @@
 """Exact sparse linear algebra over a coefficient field.
 
 `RowSpace` is the one Gaussian elimination: it keeps sparse rows
-({column: value}, nonzero entries only) in reduced echelon form with
-monic pivots.  Pivots are chosen only among the columns < ncols;
-entries at columns >= ncols are tags, carried through every row
-operation but never pivoting.  Adding a vector tagged with e_j records
-where it came from, so a vector that reduces to zero in the first
-ncols columns leaves a linear relation among the tagged inputs: that
-is how kernels, solves and coordinates come out of one elimination.
+({column: value}, nonzero entries only) in reduced echelon form.
+Pivots are chosen only among the columns < ncols; entries at columns
+>= ncols are tags, carried through every row operation but never
+pivoting.  Adding a vector tagged with e_j records where it came from,
+so a vector that reduces to zero in the first ncols columns leaves a
+linear relation among the tagged inputs: that is how kernels, solves
+and coordinates come out of one elimination.
+
+The rows are integer vectors, and the kernel branches on the field once
+per row operation, not per entry.  Over GF(p) a row is monic at its
+pivot, and a row operation computes (x - f y) % p inline.  Over QQ the
+elimination is fraction-free, like the Groebner engine's: a vector is
+cleared of denominators on entry; a row has a positive pivot and is
+divided by its content (`fields.primitive`) whenever a step scaled it;
+clearing v at the pivot a of a row r computes (a v - b r) / g for b the
+entry of v and g = gcd(a, b), and tracks the scale a / g of v.
+`Fraction`s appear only in the values a caller reads, each canonical:
+the remainders `reduce` returns, `relations` and the rows `rref` returns.
 
 `eliminate` takes a matrix as sparse columns and returns its image and
 its canonical kernel basis from that one elimination.  Every vector in
@@ -20,15 +31,18 @@ forms, kernels and ranks.
 
 from __future__ import annotations
 
-from .fields import Field
+from fractions import Fraction
+from math import gcd
+
+from .fields import Field, clear_denominators, primitive
 
 
 class RowSpace:
     """Incrementally maintained row space in sparse reduced echelon form.
 
-    Rows are stored by pivot column, each monic at its pivot and zero at
-    every other pivot, so reducing a vector is one pass over the pivots
-    it touches.  Vectors are sparse dicts {column: value}.
+    Rows are stored by pivot column, each zero at every other pivot, so
+    reducing a vector is one pass over the pivots it touches.  Vectors
+    in and out are sparse dicts {column: field value}.
     """
 
     __slots__ = ("field", "ncols", "rows", "relations")
@@ -36,20 +50,28 @@ class RowSpace:
     def __init__(self, ncols: int, field: Field):
         self.field = field
         self.ncols = ncols
-        self.rows = {}        # pivot column -> sparse row
+        self.rows = {}        # pivot column -> sparse integer row
         self.relations = []   # remainders of tagged vectors that add() rejected
+
+    def _reduced(self, vec):
+        """(v, d): the remainder of vec as an integer vector v over the
+        denominator d (always 1 over GF(p))."""
+        p, rows = self.field.characteristic, self.rows
+        v, d = ({c: x for c, x in vec.items() if x}, 1) if p else clear_denominators(vec)
+        for c in [c for c in v if c in rows]:
+            d *= _clear(v, c, rows[c], p)
+        return v, d
+
+    def _values(self, v, d):
+        """The field values of the integer vector v over the denominator d."""
+        return v if self.field.characteristic else {c: Fraction(x, d) for c, x in v.items()}
 
     def reduce(self, vec) -> dict:
         """vec minus the multiples of the rows that clear it at every pivot."""
-        v = {c: x for c, x in vec.items() if x}
-        rows = self.rows
-        for p in [c for c in v if c in rows]:
-            _subtract(v, v[p], rows[p], self.field)
-        return v
+        return self._values(*self._reduced(vec))
 
     def contains(self, vec) -> bool:
-        ncols = self.ncols
-        return not any(c < ncols for c in self.reduce(vec))
+        return min(self._reduced(vec)[0], default=self.ncols) >= self.ncols
 
     def add(self, vec) -> bool:
         """Insert vec; returns True if it enlarged the space.
@@ -57,21 +79,23 @@ class RowSpace:
         When it did not, a nonzero remainder (its tags, a relation among
         the tagged vectors added so far) is appended to `relations`.
         """
-        v = self.reduce(vec)
-        ncols = self.ncols
-        pivot = min((c for c in v if c < ncols), default=None)
-        if pivot is None:
+        v, d = self._reduced(vec)
+        pivot = min(v, default=None)  # the tags are the largest columns
+        if pivot is None or pivot >= self.ncols:
             if v:
-                self.relations.append(v)
+                self.relations.append(self._values(v, d))
             return False
-        field = self.field
-        if v[pivot] != field.one:
-            inv = field.inv(v[pivot])
-            v = {c: field.mul(inv, x) for c, x in v.items()}
-        for row in self.rows.values():
-            if pivot in row:
-                _subtract(row, row[pivot], v, field)
-        self.rows[pivot] = v
+        p, a = self.field.characteristic, v[pivot]
+        if a != 1 and p:
+            inv = pow(a, -1, p)
+            v = {c: x * inv % p for c, x in v.items()}
+        elif a != 1:
+            v = primitive(v, pivot)
+        rows = self.rows
+        for q in [q for q, row in rows.items() if pivot in row]:
+            if _clear(rows[q], pivot, v, p) != 1:
+                rows[q] = primitive(rows[q], q)
+        rows[pivot] = v
         return True
 
     def untagged(self) -> RowSpace:
@@ -86,16 +110,36 @@ class RowSpace:
         return len(self.rows)
 
 
-def _subtract(v: dict, f, row: dict, field: Field):
-    """v -= f * row in place, dropping the entries that cancel."""
-    zero = field.zero
-    sub, mul = field.sub, field.mul
+def _clear(v: dict, c, row: dict, p: int) -> int:
+    """Clear the integer vector v at the pivot c of row, in place: over
+    GF(p) (row monic) v -= v[c] row mod p; over QQ v = (a v - b row) / g
+    for a = row[c], b = v[c] and g = gcd(a, b).  Returns a / g, the factor
+    v was scaled by (1 over GF(p))."""
+    f = v[c]
+    get = v.get
+    if p:
+        for j, x in row.items():
+            y = (get(j, 0) - f * x) % p
+            if y:
+                v[j] = y
+            else:
+                del v[j]
+        return 1
+    a = row[c]
+    if a != 1:
+        g = gcd(a, f)
+        a //= g
+        f //= g
+    if a != 1:
+        for j in v:
+            v[j] *= a
     for j, x in row.items():
-        y = sub(v.get(j, zero), mul(f, x))
+        y = get(j, 0) - f * x
         if y:
             v[j] = y
         else:
             del v[j]
+    return a
 
 
 def eliminate(columns, nrows: int, field: Field):
@@ -128,7 +172,10 @@ def rref(rows, field: Field):
         span.add(dict(enumerate(row)))
     pivots = sorted(span.rows)
     zero = field.zero
-    echelon = [[span.rows[p].get(c, zero) for c in range(ncols)] for p in pivots]
+    echelon = []
+    for p in pivots:
+        row = span._values(span.rows[p], span.rows[p][p])
+        echelon.append([row.get(c, zero) for c in range(ncols)])
     echelon += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
     return echelon, pivots
 

@@ -30,11 +30,11 @@ from pgshell import (
     minimal_resolution,
 )
 from pgshell import groebner, resolution, saturation
+from pgshell.fields import primitive
 from pgshell.groebner import (
     CONTENT_STEPS,
     _arithmetic,
     _is_integral,
-    _primitive,
     normal_form_with_quotients,
 )
 from pgshell.saturation import ideal_quotient_saturation
@@ -89,7 +89,7 @@ def ref_reduce_vector(v, basis, lead_terms, key, ring, quotients=None) -> dict:
             remainder[t] = c
             del work[t]
     if integral and remainder:
-        return _primitive(remainder, next(iter(remainder)))
+        return primitive(remainder, next(iter(remainder)))
     return remainder
 
 

@@ -53,7 +53,8 @@ _EXPORTS = {
         "normal_form_with_quotients",
         "same_ideal",
     ),
-    "hilbert": ("HilbertData", "HilbertSeries", "hilbert_function", "lead_term_series"),
+    "hilbert": ("HilbertData", "HilbertSeries", "artinian_reduction", "hilbert_function",
+                "lead_term_series"),
     "koszul": ("koszul_tor", "tor_comparison"),
     "memo": ("clear_caches",),
     "modules": ("GradedFreeModule", "GradedMatrix"),
@@ -62,7 +63,6 @@ _EXPORTS = {
     "resolution": (
         "BettiTable",
         "FreeResolution",
-        "artinian_reduction",
         "betti",
         "betti_table",
         "is_saturated",

@@ -11,13 +11,15 @@ error (one stderr line, no traceback); a reader that closes stdout early
 changes neither the exit code nor stderr.
 
 Each handler imports the engine modules it runs, so a command loads only
-what it uses: `gb` never compiles the resolution code, and `pgshell`
-never compiles the criteria suite.
+what it uses: `gb` never compiles the resolution code, `pgshell`
+never compiles the criteria suite, and `pgshell --method oracle` on a
+pair with a variable to cut (c >= 1) compiles no resolution code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -90,12 +92,14 @@ def _field_mode(ring) -> str:
 
 
 def _saturation_warnings(names, ideals) -> list:
-    from .resolution import artinian_reduction, is_saturated
+    from .hilbert import artinian_reduction
 
     # a variable regular on both quotients makes both saturated; the
     # oracle route reads the same cut of the pair
     if artinian_reduction(*ideals)[0]:
         return []
+    from .resolution import is_saturated
+
     out = []
     for name, ideal in zip(names, ideals):
         if not is_saturated(ideal):
@@ -340,7 +344,12 @@ def run_command(argv, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    """Run the command in sys.argv and exit with its code.  The answer is
+    out by then, so what the command built is frozen, and the collections
+    at exit skip it; `atexit` handlers and stream flushing still run."""
+    code = run_command(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -30,9 +30,11 @@ variables divide no lead monomial of the reduced basis of I, they form
 a regular sequence on S/I (Bayer-Stillman, "A criterion for detecting
 m-regularity", 1987), and Tor^S_q(S/I, k) = Tor^{S'}_q(S'/I', k) in every
 degree, naturally in S/I, for I' the image of I in the ring S' of the
-other variables.  `resolution.artinian_reduction` makes that cut and
+other variables.  `hilbert.artinian_reduction` makes that cut and
 checks it against the Hilbert series; the shell oracle sweeps the cut
-pair.  This module computes in whatever ring its ideals live in.
+pair, in the degrees `lyubeznik_degrees` reads off the lead monomials.
+This module computes in whatever ring its ideals live in, and builds
+no resolution.
 """
 
 from __future__ import annotations
@@ -226,28 +228,33 @@ def koszul_tor(I: Ideal, q: int, m: int) -> TorPiece:
     return TorPiece(ctx, q, m, dim_z - ctx.boundaries(q, m).dim)
 
 
-def taylor_degree_bound(I: Ideal, q: int) -> int:
-    """Upper bound for degrees m with Tor_q nonzero, from the lead terms.
+def lyubeznik_degrees(I: Ideal, q: int) -> tuple:
+    """The sorted degrees of lcm(m_{i_1}, ..., m_{i_q}) over the L-admissible
+    q-subsets of the reduced basis's lead monomials m_1, m_2, ... in basis
+    order: those where no m_j with j < i_t divides lcm(m_{i_t}, ..., m_{i_q})
+    for any t < q.  They index the Lyubeznik resolution of S/in(I) (JPAA 51,
+    1988); Betti numbers only grow under passage to in(I), so Tor_q(S/I, k)
+    is zero in every other degree."""
+    return _lyubeznik_walk(I).get(q, ())
 
-    Betti numbers can only grow when passing to the lead-term ideal,
-    whose Taylor complex is supported in lcm degrees of q-subsets of
-    the Groebner lead monomials; beyond the largest such degree the
-    Tor piece vanishes.  Returns -1 when Tor_q is identically zero.
-    """
-    gb = groebner_basis(I)
+
+@memoized
+def _lyubeznik_walk(I: Ideal) -> dict:
+    """q -> the degrees of `lyubeznik_degrees`, from one walk that extends
+    admissible suffixes leftward.  A suffix that breaks the condition
+    breaks it in every extension, so the walk prunes it."""
     ring = I.ring
-    leads = gb.lead_monomials
-    if q == 0:
-        return 0
-    if q < 1 or q > len(leads):
-        return -1
-    best = -1
-    for T in combinations(range(len(leads)), q):
-        lcm = leads[T[0]]
-        for t in T[1:]:
-            lcm = ring.mono_lcm(lcm, leads[t])
-        best = max(best, ring.mono_degree(lcm))
-    return best
+    leads = groebner_basis(I).lead_monomials
+    found = {0: {0}}
+    stack = [(i, mono, 1) for i, mono in enumerate(leads)]
+    while stack:
+        first, lcm, q = stack.pop()
+        found.setdefault(q, set()).add(ring.mono_degree(lcm))
+        for i in range(first):
+            wider = ring.mono_lcm(leads[i], lcm)
+            if not any(ring.mono_divides(leads[j], wider) for j in range(i)):
+                stack.append((i, wider, q + 1))
+    return {q: tuple(sorted(degrees)) for q, degrees in found.items()}
 
 
 class TorComparison:

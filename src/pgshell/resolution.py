@@ -9,14 +9,15 @@ module, and reducing (u ; 0) solves M x = u.  Minimal generating sets
 come from a single degree-ordered Buchberger pass that keeps exactly
 the inputs not already in the span of the earlier ones, so iterating
 kernels yields the minimal resolution directly (Hilbert's bound N+1
-is asserted, never assumed).
+is asserted, never assumed).  `betti_table` resolves the cut ideal of
+`hilbert.artinian_reduction`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .errors import EngineError, InternalCheckError, RingMismatchError, WeightedRingError
+from .errors import EngineError, InternalCheckError, WeightedRingError
 from .groebner import (
     block_key,
     groebner_basis,
@@ -26,10 +27,10 @@ from .groebner import (
     reduce_vector,
     vector_degree,
 )
-from .hilbert import HilbertSeries, lead_term_series
+from .hilbert import HilbertSeries, artinian_reduction
 from .memo import memoized
 from .modules import GradedFreeModule, GradedMatrix
-from .poly import Ideal, Polynomial
+from .poly import Ideal
 from .rings import PolyRing
 
 
@@ -302,63 +303,6 @@ def is_saturated(I: Ideal) -> bool:
     if artinian_reduction(I)[0]:
         return True
     return betti_table(I).max_q() < I.ring.num_vars
-
-
-def _trailing_free(I: Ideal) -> int:
-    """The number of trailing variables that divide no lead monomial of the
-    reduced grevlex basis of I (all of them for the zero ideal)."""
-    n = I.ring.num_vars
-    return min((n - 1 - max(i for i, e in enumerate(m) if e)
-                for m in groebner_basis(I).lead_monomials), default=n)
-
-
-@memoized
-def artinian_reduction(*ideals):
-    """(c, cut ideals): the last c variables form a regular sequence on
-    every S/I, and each cut ideal is (I + those variables) / (them).
-
-    The certificate is Bayer-Stillman's ("A criterion for detecting
-    m-regularity", 1987): for homogeneous I under grevlex, z_N is
-    regular on S/I iff it divides no lead monomial of the reduced basis,
-    and the basis with z_N set to 0 is then one of I + (z_N); so c
-    counts the trailing variables in no lead monomial of any of the
-    ideals, at most N so that one variable is left.  A regular linear
-    form l keeps Tor^S_q(S/I, k) = Tor^{S/l}_q(S/(I + l), k) in every
-    degree, naturally in S/I: Betti tables, depth >= 1 and the maps
-    mu_q of a pair all survive the cut.
-
-    A cut ideal lives in the first N + 1 - c variables and is made by
-    dropping every term with a cut variable from the given generators.
-    It is checked against a second certificate: the sequence is regular
-    iff HS(S/I) = HS(S'/I') / prod (1 - t^w) over the cut variables, so
-    the cut ideal's lead-term series must have the numerator K(t) of the
-    full one, or InternalCheckError is raised.  c is 0, and the ideals
-    come back as given, when one is inhomogeneous or the unit ideal.
-    """
-    ring = ideals[0].ring
-    if any(I.ring != ring for I in ideals):
-        raise RingMismatchError("ideals live in different rings")
-    if any(not I.homogeneous or I.contains_unit() for I in ideals):
-        return 0, ideals
-    c = min(ring.num_vars - 1, *(_trailing_free(I) for I in ideals))
-    if not c:
-        return 0, ideals
-    k = ring.num_vars - c
-    cut_ring = PolyRing(ring.field, ring.names[:k], ring.weights[:k])
-
-    def drop(g):
-        return Polynomial(cut_ring, {m[:k]: a for m, a in g.terms.items() if not any(m[k:])})
-
-    def numerator(G):
-        return lead_term_series(groebner_basis(G)).numerator
-
-    cut = tuple(Ideal(cut_ring, [drop(g) for g in I.generators]) for I in ideals)
-    for I, J in zip(ideals, cut):
-        if numerator(I) != numerator(J):
-            raise InternalCheckError(
-                f"the Artinian reduction (c = {c}) changes the Hilbert series numerator of {I}"
-            )
-    return c, cut
 
 
 def betti_table(I: Ideal) -> BettiTable:

@@ -14,10 +14,12 @@ is injective.  Two independent routes are implemented:
   sequence, resolution-free.
 
 Both routes run on the Artinian reduction of
-`resolution.artinian_reduction`: trailing variables that are regular on
+`hilbert.artinian_reduction`: trailing variables that are regular on
 every quotient are cut, which changes no Betti number and no cell of
 mu_q.  A cell is {tor_W, tor_V, injective}: the dimensions of the two
-Tor pieces in degree m and whether mu_q is injective there.
+Tor pieces in degree m and whether mu_q is injective there.  Only the
+chain route imports `resolution`, inside its functions, so the oracle
+route never compiles the resolution code.
 
 Every route ends in one certificate, `_certify`: the first failing cell
 of its table, and for the chain route with the spot check every q = 1
@@ -37,17 +39,11 @@ from .errors import (
     RingMismatchError,
 )
 from .groebner import groebner_basis, membership, require_proper
-from .koszul import koszul_tor, taylor_degree_bound, tor_comparison
+from .hilbert import artinian_reduction
+from .koszul import koszul_tor, lyubeznik_degrees, tor_comparison
 from .linalg import eliminate
 from .modules import GradedMatrix
 from .poly import Ideal
-from .resolution import (
-    FreeResolution,
-    artinian_reduction,
-    betti_table,
-    column_module,
-    minimal_resolution,
-)
 
 PG_SHELL = "pg-shell"
 NOT_PG_SHELL = "not-pg-shell"
@@ -73,14 +69,14 @@ def check_containment(I_V: Ideal, I_W: Ideal) -> bool:
 class ChainMap:
     """Degree-0 lift phi of the surjection S/I_W ->> S/I_V.
 
-    maps[q] : F_q (resolution of S/I_W) -> G_q (resolution of S/I_V);
-    commutation with the differentials is verified exactly on
-    construction.
+    maps[q] : F_q (resolution of S/I_W) -> G_q (resolution of S/I_V),
+    between two `resolution.FreeResolution`s; commutation with the
+    differentials is verified exactly on construction.
     """
 
     __slots__ = ("source", "target", "maps")
 
-    def __init__(self, source: FreeResolution, target: FreeResolution, maps):
+    def __init__(self, source, target, maps):
         self.source = source
         self.target = target
         self.maps = tuple(maps)
@@ -100,8 +96,10 @@ class ChainMap:
                 raise InternalCheckError(f"chain map fails to commute at q={q}")
 
 
-def lift_chain_map(res_W: FreeResolution, res_V: FreeResolution) -> ChainMap:
+def lift_chain_map(res_W, res_V) -> ChainMap:
     """Inductive degree-0 lift of S/I_W ->> S/I_V over minimal resolutions."""
+    from .resolution import column_module
+
     if res_W.ring != res_V.ring:
         raise RingMismatchError("resolutions over different rings")
     if not check_containment(res_V.resolved, res_W.resolved):
@@ -226,6 +224,8 @@ def pgshell_check(I_V: Ideal, I_W: Ideal, oracle_spot: bool = True) -> ShellRepo
     oracle also certifies the cut and the truncated target's tor_V.
     The witness comes from that oracle, in the original variables.
     """
+    from .resolution import betti_table, minimal_resolution
+
     _require_shell_pair(I_V, I_W)
     bt_w = betti_table(I_W)
     I_V.require_homogeneous()
@@ -271,17 +271,19 @@ def pgshell_check_oracle(I_V: Ideal, I_W: Ideal) -> ShellReport:
     variables.  When c = 0 the cut pair is the full pair, and the check
     reads the memoized comparison.
 
-    The sweep range comes from the lead-term (Taylor) bound on the
-    source Betti support, which is independent of any resolution.
+    The sweep visits only the degrees `koszul.lyubeznik_degrees` lists
+    for the cut source: Betti numbers only grow under passage to the
+    lead-term ideal, whose Lyubeznik resolution has a basis element in
+    degree m for every nonzero source cell (q, m).  It reads lead
+    monomials only, so this route builds no resolution.
     """
     _require_shell_pair(I_V, I_W)
     c, (cut_v, cut_w) = artinian_reduction(I_V, I_W)
-    max_q = min(cut_w.ring.num_vars, len(groebner_basis(cut_w).elements))
     # lazy, so each source piece is built just before its comparison
     cells = (
         (q, m)
-        for q in range(1, max_q + 1)
-        for m in range(taylor_degree_bound(cut_w, q) + 1)
+        for q in range(1, cut_w.ring.num_vars + 1)
+        for m in lyubeznik_degrees(cut_w, q)
         if koszul_tor(cut_w, q, m).dimension
     )
     table = {(q, m): _cell(tor_comparison(cut_v, cut_w, q, m)) for q, m in cells}

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -16,8 +17,13 @@ from pgshell import (
     rational_normal_curve,
     render_source,
 )
+import pgshell.cli as cli_module
 from pgshell.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK, render_betti, run_command
 from pgshell.resolution import BettiTable
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schema" / "report.v1.json").read_text()
@@ -426,15 +432,53 @@ def test_closed_stdout_keeps_the_exit_code(corpus_file, argv, expected):
     # write of the output fails with EPIPE
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pgshell.cli", argv[0], corpus_file, *argv[1:]],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=SRC_ENV, timeout=60,
         )
     finally:
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == expected
+
+
+def test_main_freezes_after_the_command_and_keeps_its_code(corpus_file, monkeypatch, capsys):
+    calls = []
+    real = cli_module.run_command
+
+    def recorded(argv):
+        calls.append("run")
+        return real(argv)
+
+    monkeypatch.setattr(sys, "argv", ["pgshell", "pgshell", corpus_file, "V", "Wbad"])
+    monkeypatch.setattr(cli_module, "run_command", recorded)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(sys, "exit", lambda code: calls.append(("exit", code)))
+    cli_module.main()
+    assert calls == ["run", "freeze", ("exit", EXIT_NEGATIVE)]
+    assert capsys.readouterr().out.startswith("verdict: not-pg-shell")
+
+
+def test_run_command_never_freezes(corpus_file):
+    # library callers and these tests run many commands in one process
+    before = gc.get_freeze_count()
+    for argv in (["pgshell", corpus_file, "V", "Wbad"], ["betti", corpus_file, "V"],
+                 ["pgshell", corpus_file, "V", "W", "--method", "oracle"]):
+        run(argv)
+    assert gc.get_freeze_count() == before
+
+
+def test_atexit_handlers_run_after_main(corpus_file):
+    code = (
+        "import atexit, sys\n"
+        "from pgshell.cli import main\n"
+        "atexit.register(print, 'atexit handler ran')\n"
+        "sys.argv = ['pgshell', 'pgshell', sys.argv[1], 'V', 'Wbad']\n"
+        "main()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, corpus_file], capture_output=True,
+                          text=True, env=SRC_ENV, timeout=60)
+    assert proc.returncode == EXIT_NEGATIVE, proc.stderr
+    assert proc.stdout.startswith("verdict: not-pg-shell")
+    assert proc.stdout.endswith("\natexit handler ran\n")

@@ -1,19 +1,24 @@
+from functools import reduce
+from itertools import combinations
+
 import pytest
+from hypothesis import given
 
 from pgshell import (
     Field,
     Ideal,
     Polynomial,
     betti,
+    groebner_basis,
     koszul_tor,
     minimal_resolution,
     rational_normal_curve,
     regularity_and_depth,
     standard_ring,
 )
-from pgshell.koszul import koszul_context, taylor_degree_bound, tor_comparison
+from pgshell.koszul import koszul_context, lyubeznik_degrees, tor_comparison
 
-from conftest import dense_nullspace, dense_rank, dense_solve, dense_vector
+from conftest import dense_nullspace, dense_rank, dense_solve, dense_vector, graded_ideals
 
 
 def test_tor_examples(twisted_cubic):
@@ -62,12 +67,52 @@ def test_oracle_matches_resolution_on_corpus(catalog_items):
         assert koszul_tor(ideal, pd + 1, reg + pd + 1).dimension == 0
 
 
-def test_taylor_bound_covers_support(catalog_items):
+def lcm_degree(ring, monos):
+    return ring.mono_degree(reduce(ring.mono_lcm, monos, ring.one_mono))
+
+
+def test_lyubeznik_degrees_cover_support(catalog_items):
     for name, ideal in catalog_items.items():
         bt = betti(minimal_resolution(ideal))
         for (q, m), v in bt.entries.items():
-            if q >= 1 and v:
-                assert taylor_degree_bound(ideal, q) >= m, (name, q, m)
+            assert m in lyubeznik_degrees(ideal, q), (name, q, m)
+
+
+def test_lyubeznik_degrees_follow_the_definition(catalog_items):
+    # every subset of the lead monomials, admissible ones kept, against the walk
+    for name, ideal in catalog_items.items():
+        ring = ideal.ring
+        leads = groebner_basis(ideal).lead_monomials
+
+        def admissible(T):
+            for t in range(len(T) - 1):
+                lcm = reduce(ring.mono_lcm, [leads[i] for i in T[t:]])
+                if any(ring.mono_divides(leads[j], lcm) for j in range(T[t])):
+                    return False
+            return True
+
+        for q in range(len(leads) + 2):
+            want = sorted({lcm_degree(ring, [leads[i] for i in T])
+                           for T in combinations(range(len(leads)), q) if admissible(T)})
+            assert list(lyubeznik_degrees(ideal, q)) == want, (name, q)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["standard", "weighted"])
+@pytest.mark.parametrize("p", [0, 32003])
+def test_lyubeznik_degrees_hold_every_nonzero_tor(p, weighted):
+    # the oracle's old sweep, every degree up to the largest lcm degree of a
+    # q-subset of the lead monomials (the Taylor bound), misses no degree
+    @given(graded_ideals(Field(p), weighted))
+    def check(I):
+        ring = I.ring
+        leads = groebner_basis(I).lead_monomials
+        for q in range(1, ring.num_vars + 1):
+            taylor = max((lcm_degree(ring, T) for T in combinations(leads, q)), default=-1)
+            for m in range(taylor + 1):
+                if koszul_tor(I, q, m).dimension:
+                    assert m in lyubeznik_degrees(I, q), (q, m)
+
+    check()
 
 
 def test_tor_comparison_positive(twisted_cubic, tc_quadrics):
@@ -189,7 +234,7 @@ def test_oracle_matches_dense_path(name, kind):
     I_V, I_W = (_tc_case if name == "tc" else _rnc4_case)(kind)
     checked = 0
     for q in range(1, I_W.ring.num_vars + 1):
-        for m in range(taylor_degree_bound(I_W, q) + 1):
+        for m in lyubeznik_degrees(I_W, q):
             if koszul_tor(I_W, q, m).dimension == 0:
                 continue
             src, tgt, mu_rows, cycle = dense_comparison(I_V, I_W, q, m)

@@ -74,7 +74,7 @@ FOOTPRINTS = [
      {"koszul", "linalg", "shell", "criteria", "saturation", "catalog"}),
     (["pgshell", "V", "W"], {"shell"}, {"criteria", "saturation", "catalog"}),
     (["pgshell", "V", "W", "--method", "oracle"], {"shell"},
-     {"criteria", "saturation", "catalog"}),
+     {"resolution", "criteria", "saturation", "catalog"}),
     (["invariants", "V"], {"criteria"},
      {"shell", "koszul", "linalg", "saturation", "catalog"}),
     (["criteria", "V", "W"], {"criteria"}, {"saturation", "catalog"}),

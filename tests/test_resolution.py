@@ -23,7 +23,7 @@ from pgshell import (
     syzygies,
     verify_complex,
 )
-import pgshell.resolution as resolution_module
+import pgshell.hilbert as hilbert_module
 from pgshell.cli import EXIT_INTERNAL, run_command
 from pgshell.errors import (
     EngineError,
@@ -344,7 +344,7 @@ def test_artinian_reduction_catches_a_cut_too_many(catalog_items, monkeypatch, t
     # a lead-monomial count one too high passes the Bayer-Stillman step
     # but changes the Hilbert series numerator of the cut ideal; the
     # chain route, invariants and the betti command all read the cut
-    count = resolution_module._trailing_free
+    count = hilbert_module._trailing_free
     rnc4 = catalog_items["rnc4"]
     W2 = Ideal(rnc4.ring, rnc4.generators[:2])
     cases = [(I,) for I in catalog_items.values()]
@@ -355,13 +355,13 @@ def test_artinian_reduction_catches_a_cut_too_many(catalog_items, monkeypatch, t
         assert c + 1 < ideals[0].ring.num_vars, ideals
         clear_caches()
         with monkeypatch.context() as mp:
-            mp.setattr(resolution_module, "_trailing_free", lambda I: count(I) + 1)
+            mp.setattr(hilbert_module, "_trailing_free", lambda I: count(I) + 1)
             with pytest.raises(InternalCheckError, match="Hilbert series numerator"):
                 artinian_reduction(*ideals)
     path = tmp_path / "rnc4.ideal"
     path.write_text(render_source(rnc4.ring, {"I": rnc4}))
     with monkeypatch.context() as mp:
-        mp.setattr(resolution_module, "_trailing_free", lambda I: count(I) + 1)
+        mp.setattr(hilbert_module, "_trailing_free", lambda I: count(I) + 1)
         for call in (lambda: pgshell_check(rnc4, W2), lambda: invariants(rnc4)):
             clear_caches()
             with pytest.raises(InternalCheckError, match="Hilbert series numerator"):

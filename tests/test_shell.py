@@ -202,7 +202,7 @@ def test_chain_route_and_invariants_resolve_only_cut_ideals(monkeypatch, twisted
         resolved.append(I.ring.num_vars)
         return real(I)
 
-    for module in (shell_module, criteria_module, resolution_module):
+    for module in (criteria_module, resolution_module):
         monkeypatch.setattr(module, "minimal_resolution", recorded)
     for V, W in pairs:
         c = shell_module.artinian_reduction(V, W)[0]

@@ -7,9 +7,8 @@ scheme, and the Hilbert polynomial.  K has two sources, which agree:
 `BettiTable.hilbert_series` (K = sum (-1)^q beta_{q,m} t^m) and
 `lead_term_series`, Bigatti's pivot recursion on the lead monomials of
 a Groebner basis (S/I and S/in(I) share their Hilbert function).  The
-`hilbert` command reads the latter through `hilbert_function`; so does
-`artinian_reduction`, the certified cut of trailing regular variables
-that both shell routes and every Betti table run on, to check each cut.
+`hilbert` command reads the latter through `hilbert_function`, and
+`artinian_reduction` to certify the cut that both shell routes run on.
 """
 
 from __future__ import annotations

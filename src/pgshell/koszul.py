@@ -33,8 +33,7 @@ degree, naturally in S/I, for I' the image of I in the ring S' of the
 other variables.  `hilbert.artinian_reduction` makes that cut and
 checks it against the Hilbert series; the shell oracle sweeps the cut
 pair, in the degrees `lyubeznik_degrees` reads off the lead monomials.
-This module computes in whatever ring its ideals live in, and builds
-no resolution.
+This module computes in whatever ring its ideals live in; it resolves nothing.
 """
 
 from __future__ import annotations
@@ -234,15 +233,15 @@ def lyubeznik_degrees(I: Ideal, q: int) -> tuple:
     order: those where no m_j with j < i_t divides lcm(m_{i_t}, ..., m_{i_q})
     for any t < q.  They index the Lyubeznik resolution of S/in(I) (JPAA 51,
     1988); Betti numbers only grow under passage to in(I), so Tor_q(S/I, k)
-    is zero in every other degree."""
+    is zero in every other degree.  Empty for q > num_vars (syzygy theorem)."""
     return _lyubeznik_walk(I).get(q, ())
 
 
 @memoized
 def _lyubeznik_walk(I: Ideal) -> dict:
     """q -> the degrees of `lyubeznik_degrees`, from one walk that extends
-    admissible suffixes leftward.  A suffix that breaks the condition
-    breaks it in every extension, so the walk prunes it."""
+    admissible suffixes leftward, up to q = num_vars.  A suffix that breaks
+    the condition breaks it in every extension, so the walk prunes it."""
     ring = I.ring
     leads = groebner_basis(I).lead_monomials
     found = {0: {0}}
@@ -250,7 +249,7 @@ def _lyubeznik_walk(I: Ideal) -> dict:
     while stack:
         first, lcm, q = stack.pop()
         found.setdefault(q, set()).add(ring.mono_degree(lcm))
-        for i in range(first):
+        for i in range(first if q < ring.num_vars else 0):
             wider = ring.mono_lcm(leads[i], lcm)
             if not any(ring.mono_divides(leads[j], wider) for j in range(i)):
                 stack.append((i, wider, q + 1))

@@ -17,9 +17,8 @@ Both routes run on the Artinian reduction of
 `hilbert.artinian_reduction`: trailing variables that are regular on
 every quotient are cut, which changes no Betti number and no cell of
 mu_q.  A cell is {tor_W, tor_V, injective}: the dimensions of the two
-Tor pieces in degree m and whether mu_q is injective there.  Only the
-chain route imports `resolution`, inside its functions, so the oracle
-route never compiles the resolution code.
+Tor pieces in degree m and whether mu_q is injective there.  The oracle
+route never compiles `resolution`: only the chain route imports it.
 
 Every route ends in one certificate, `_certify`: the first failing cell
 of its table, and for the chain route with the spot check every q = 1
@@ -31,6 +30,8 @@ full pair and written in the original variables, mapped to zero.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .errors import (
     ContainmentError,
@@ -44,6 +45,9 @@ from .koszul import koszul_tor, lyubeznik_degrees, tor_comparison
 from .linalg import eliminate
 from .modules import GradedMatrix
 from .poly import Ideal
+
+if TYPE_CHECKING:
+    from .resolution import FreeResolution
 
 PG_SHELL = "pg-shell"
 NOT_PG_SHELL = "not-pg-shell"
@@ -69,14 +73,13 @@ def check_containment(I_V: Ideal, I_W: Ideal) -> bool:
 class ChainMap:
     """Degree-0 lift phi of the surjection S/I_W ->> S/I_V.
 
-    maps[q] : F_q (resolution of S/I_W) -> G_q (resolution of S/I_V),
-    between two `resolution.FreeResolution`s; commutation with the
-    differentials is verified exactly on construction.
+    maps[q] : F_q (resolution of S/I_W) -> G_q (resolution of S/I_V);
+    commutation with the differentials is verified exactly on construction.
     """
 
     __slots__ = ("source", "target", "maps")
 
-    def __init__(self, source, target, maps):
+    def __init__(self, source: FreeResolution, target: FreeResolution, maps):
         self.source = source
         self.target = target
         self.maps = tuple(maps)
@@ -96,7 +99,7 @@ class ChainMap:
                 raise InternalCheckError(f"chain map fails to commute at q={q}")
 
 
-def lift_chain_map(res_W, res_V) -> ChainMap:
+def lift_chain_map(res_W: FreeResolution, res_V: FreeResolution) -> ChainMap:
     """Inductive degree-0 lift of S/I_W ->> S/I_V over minimal resolutions."""
     from .resolution import column_module
 

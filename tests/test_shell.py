@@ -34,7 +34,7 @@ from pgshell.errors import (
     PreconditionError,
     WeightedRingError,
 )
-from pgshell.koszul import TorComparison
+from pgshell.koszul import TorComparison, lyubeznik_degrees
 from pgshell.resolution import ColumnModule, column_module, verify_complex
 from pgshell.shell import NOT_PG_SHELL, PG_SHELL
 
@@ -182,6 +182,23 @@ def test_method_agreement_on_corpus(corpus_pairs, monkeypatch):
             mp.setattr(shell_module, "artinian_reduction", lambda *ideals: (0, ideals))
             uncut = pgshell_check_oracle(v, w)
         assert (uncut.table, uncut.witness) == (oracle.table, oracle.witness), name
+
+
+def test_oracle_walks_no_subset_past_the_number_of_variables():
+    # every subset of the 21 lead monomials of (x, y)^20 is L-admissible; the
+    # cut pair lives in k[x, y], so the oracle reads q <= 2 only, not 2^21 subsets
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    d = 20
+    w = Ideal(ring, [Polynomial.from_term(ring, (i, d - i, 0), QQ.one) for i in range(d + 1)])
+    v = Ideal(ring, [Polynomial.variable(ring, 0), Polynomial.variable(ring, 1)])
+    c, (_, cut_w) = shell_module.artinian_reduction(v, w)
+    assert (c, cut_w.ring.num_vars) == (1, 2)
+    assert lyubeznik_degrees(cut_w, 2) == tuple(range(d + 1, 2 * d + 1))
+    assert lyubeznik_degrees(cut_w, 3) == ()
+    oracle = pgshell_check_oracle(v, w)
+    chain = pgshell_check(v, w, oracle_spot=False)
+    assert oracle.verdict == chain.verdict == NOT_PG_SHELL
+    assert (oracle.table, oracle.witness) == (chain.table, chain.witness)
 
 
 def test_chain_route_and_invariants_resolve_only_cut_ideals(monkeypatch, twisted_cubic,

@@ -5,9 +5,10 @@ Field elements are plain Python values -- ``Fraction`` for the rationals
 guarantees), ``int`` in ``[0, p)`` for GF(p) -- so the polynomial layer
 stays allocation-light.  A ``Field`` instance is the arithmetic context.
 
-The content helpers below are QQ's one integer-arithmetic path: the
-Groebner engine and `linalg.RowSpace` clear denominators with them and
-keep their integer vectors primitive.
+The helpers below serve the one integer-vector path of the Groebner
+engine and `linalg.RowSpace` on both fields: QQ vectors are cleared of
+denominators, and `primitive` normalizes a vector at its lead entry --
+divided by its content over QQ, monic over GF(p).
 """
 
 from __future__ import annotations
@@ -139,10 +140,18 @@ def clear_denominators(v: dict):
     return {k: n * (d // x.denominator) for k, x in v.items() if (n := x.numerator)}, d
 
 
-def primitive(v: dict, lead) -> dict:
-    """The integer vector v divided by its content, signed so that v[lead] > 0."""
+def primitive(v: dict, lead, p: int) -> dict:
+    """The integer vector v normalized at its entry `lead`: over QQ
+    (p = 0) divided by its content and signed so that v[lead] > 0, over
+    GF(p) made monic there."""
+    a = v[lead]
+    if p:
+        if a == 1:
+            return v
+        inv = pow(a, -1, p)
+        return {k: x * inv % p for k, x in v.items()}
     g = gcd(*v.values())
-    if v[lead] < 0:
+    if a < 0:
         g = -g
     return v if g == 1 else {k: x // g for k, x in v.items()}
 
@@ -183,8 +192,6 @@ def field_self_check(field: Field, seed: int = 0) -> None:
         if p == 0:
             # reduced fraction with positive denominator
             f = field.mul(a, b)
-            from math import gcd
-
             checks.append(f.denominator > 0)
             checks.append(gcd(f.numerator, f.denominator) == 1)
         if not all(checks):

@@ -29,17 +29,22 @@ under the key itself.  A term is pushed when it enters the work vector
 and skipped when popped after it has cancelled, so a step costs
 O(log n), not a scan of the whole work vector.
 
-QQ arithmetic: over the rationals the pass runs fraction-free, on
-primitive integer vectors (integer coefficients with gcd 1 and a
-positive lead coefficient).  Inputs are cleared of denominators; an
-S-polynomial cross-multiplies the two lead coefficients divided by
-their gcd; reduction is pseudo-division, which scales the work vector
-and the partial remainder by an integer before each subtraction and
-divides out their common content every few steps.  Every vector so
-produced is a nonzero rational multiple of the one the field
-arithmetic would give, so pairs, zero reductions and kept inputs are
-the same.  Only the final reduced basis is made monic, as `Fraction`
-vectors.  GF(p) runs on the field arithmetic throughout.
+Arithmetic: one integer pass serves both fields, on Python operators,
+with no `Field` method call per coefficient.  Every vector of a pass
+has integer coefficients and is normalized at its lead term by
+`fields.primitive`, the normalizer `linalg.RowSpace` uses too: monic
+over GF(p), where each new coefficient is taken mod p; primitive (gcd
+1, positive lead coefficient) over QQ, where the pass runs
+fraction-free.  QQ inputs are cleared of denominators.  An S-polynomial
+multiplies each vector by the other's lead coefficient, both divided by
+their gcd, so a monic pair needs no scaling.  Over QQ, reduction is
+pseudo-division, which scales the work vector and the partial remainder
+by an integer before each subtraction and divides out their common
+content every few steps.  Every vector so produced is a nonzero
+multiple of the one the field arithmetic would give, so pairs, zero
+reductions and kept inputs are the same.  Only the final reduced basis
+over QQ is made monic, as `Fraction` vectors; the public reductions on
+it (`GroebnerBasis.reduce`, `ColumnModule.solve`) run the same loop.
 
 Determinism: ties keep input order, and the final interreduction yields
 the reduced Groebner basis, which is unique -- so the output is
@@ -51,8 +56,6 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import mul as int_mul
-from operator import sub as int_sub
 
 from .errors import NotHomogeneousError, PreconditionError, RingMismatchError
 from .fields import clear_denominators, primitive
@@ -137,15 +140,10 @@ def lead_terms(basis, key):
     return [(lt, v[lt]) for lt, v in zip(leads, basis)]
 
 
-def vector_monic(v: dict, key, field) -> dict:
-    lt = vector_lead(v, key)
-    lc = v[lt]
-    if _is_integral(lc, field):
-        return {t: Fraction(c, lc) for t, c in v.items()}
-    if lc == field.one:
-        return v
-    inv = field.inv(lc)
-    return {t: field.mul(inv, c) for t, c in v.items()}
+def vector_monic(v: dict, key) -> dict:
+    """The integer vector v of a QQ pass as a monic `Fraction` vector."""
+    lc = v[vector_lead(v, key)]
+    return {t: Fraction(c, lc) for t, c in v.items()}
 
 
 def vector_degree(v: dict, ring: PolyRing, twists) -> int | None:
@@ -159,22 +157,10 @@ def vector_degree(v: dict, ring: PolyRing, twists) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free QQ
+# reduction and S-vectors
 
-# pseudo-division steps between two divisions by the content
+# pseudo-division steps over QQ between two divisions by the content
 CONTENT_STEPS = 8
-
-
-def _is_integral(c, field) -> bool:
-    """Is c one of module_groebner's integer coefficients over QQ?"""
-    return not field.characteristic and type(c) is int
-
-
-def _arithmetic(integral: bool, field):
-    """(zero, sub, mul) on integers or in the field."""
-    if integral:
-        return 0, int_sub, int_mul
-    return field.zero, field.sub, field.mul
 
 
 def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> dict:
@@ -191,14 +177,18 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
     remainder is built in decreasing term order.  `key` is a term key
     as this module builds them: a smaller key is a larger term.
 
-    Over QQ, an integer basis (module_groebner's primitive vectors)
-    pseudo-divides an integer v: the remainder is the field remainder
-    times a nonzero rational, returned primitive.  `quotients` needs
-    field coefficients.
+    A basis of field coefficients must be monic, as every such basis in
+    the engine is (the GF(p) basis of a pass, `GroebnerBasis.vectors`,
+    `ColumnModule.basis`): a step then subtracts c q basis[idx], for c
+    the coefficient of the term it cancels, and over GF(p) takes each
+    new coefficient mod p.  Over QQ, an integer basis (module_groebner's
+    primitive vectors) pseudo-divides an integer v: the remainder is the
+    field remainder times a nonzero rational, returned primitive.
+    `quotients` needs a monic basis.
     """
     field = ring.field
-    integral = bool(lead_terms) and _is_integral(lead_terms[0][1], field)
-    zero, sub, mul = _arithmetic(integral, field)
+    p = field.characteristic
+    integral = not p and bool(lead_terms) and type(lead_terms[0][1]) is int
     mono_div, mono_mul = ring.mono_div, ring.mono_mul
     work = dict(v)
     heap = [(key(t), t) for t in work]
@@ -231,60 +221,61 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
                     work = {k: x // d * scale for k, x in work.items()}
                     remainder = {k: x // d * scale for k, x in remainder.items()}
             else:
-                factor = field.div(c, gc)
+                factor = c
             for (m2, p2), c2 in basis[idx].items():
                 k2 = (mono_mul(q, m2), p2)
                 old = work.get(k2)
                 if old is None:
-                    work[k2] = sub(zero, mul(factor, c2))
                     heappush(heap, (key(k2), k2))
-                    continue
-                s = sub(old, mul(factor, c2))
-                if s == zero:
-                    del work[k2]
-                else:
+                    old = 0
+                s = old - factor * c2
+                if p:
+                    s %= p
+                if s:
                     work[k2] = s
+                else:
+                    del work[k2]
             if quotients is not None:
                 qd = quotients[idx]
-                qd[q] = field.add(qd.get(q, zero), factor)
+                qd[q] = field.add(qd.get(q, field.zero), factor)
             break
         else:
             remainder[t] = c
             del work[t]
     if integral and remainder:
         # terms leave `work` in decreasing order, so the first is the lead
-        return primitive(remainder, next(iter(remainder)))
+        return primitive(remainder, next(iter(remainder)), p)
     return remainder
 
 
 def _spoly(f, g, ltf, ltg, ring: PolyRing):
     """S-vector scale_f qf f - scale_g qg g, which cancels the lead terms:
-    the scales are the inverse lead coefficients, or for integer vectors
-    over QQ the crossed lead coefficients divided by their gcd."""
-    field = ring.field
-    (fm, fp), fc = ltf
-    (gm, gp), gc = ltg
+    each scale is the other lead coefficient divided by their gcd, so
+    both are 1 for a monic pair (over GF(p), or `Fraction` vectors)."""
+    p = ring.field.characteristic
+    (fm, _), fc = ltf
+    (gm, _), gc = ltg
     lcm = ring.mono_lcm(fm, gm)
     qf = ring.mono_div(lcm, fm)
     qg = ring.mono_div(lcm, gm)
-    integral = _is_integral(fc, field)
-    zero, sub, mul = _arithmetic(integral, field)
-    if integral:
+    if fc == gc:
+        scale_f = scale_g = 1
+    else:
         d = gcd(fc, gc)
         scale_f, scale_g = gc // d, fc // d
-    else:
-        scale_f, scale_g = field.inv(fc), field.inv(gc)
     mono_mul = ring.mono_mul
     out: dict = {}
-    for (m, p), c in f.items():
-        out[mono_mul(qf, m), p] = mul(scale_f, c)
-    for (m, p), c in g.items():
-        k = (mono_mul(qg, m), p)
-        s = sub(out.get(k, zero), mul(scale_g, c))
-        if s == zero:
-            out.pop(k, None)
-        else:
+    for (m, pos), c in f.items():
+        out[mono_mul(qf, m), pos] = scale_f * c
+    for (m, pos), c in g.items():
+        k = (mono_mul(qg, m), pos)
+        s = out.get(k, 0) - scale_g * c
+        if p:
+            s %= p
+        if s:
             out[k] = s
+        else:
+            out.pop(k, None)
     return out
 
 
@@ -298,21 +289,20 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
     """
     if key is None:
         key = top_key(ring)
-    field = ring.field
+    p = ring.field.characteristic
     mono_degree = ring.mono_degree
     mono_lcm, mono_mul = ring.mono_lcm, ring.mono_mul
     mono_divides = ring.mono_divides
     mono_key = ring.mono_key
     ideal = len(twists) == 1
 
-    integral = not field.characteristic
     inputs = []  # (degree, index, vector as the pass takes it)
     for idx, v in enumerate(vectors):
         if v:
             lt = vector_lead(v, key)
             mono, pos = lt
             inputs.append((mono_degree(mono) + twists[pos], idx,
-                           primitive(clear_denominators(v)[0], lt) if integral else v))
+                           primitive(v if p else clear_denominators(v)[0], lt, p)))
     inputs.sort(key=lambda entry: entry[:2])
 
     basis = []
@@ -321,9 +311,8 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
     pending = set()
 
     def insert(v):
-        if not integral:
-            v = vector_monic(v, key, field)
         lt = vector_lead(v, key)
+        v = primitive(v, lt, p)
         new = len(basis)
         basis.append(v)
         leads.append((lt, v[lt]))
@@ -378,10 +367,11 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
 def _interreduce(basis, leads, key, ring: PolyRing):
     """Reduced basis: drop elements with a divisible lead, reduce the rest."""
     mono_divides = ring.mono_divides
+    p = ring.field.characteristic
     kept = []
     for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0]), reverse=True):
-        m, p = leads[i][0]
-        if not any(leads[k][0][1] == p and mono_divides(leads[k][0][0], m) for k in kept):
+        m, pos = leads[i][0]
+        if not any(leads[k][0][1] == pos and mono_divides(leads[k][0][0], m) for k in kept):
             kept.append(i)
     # `kept` is in ascending lead order, and reducing by the others
     # leaves each lead as it is: no smaller lead divides it, and a larger
@@ -390,7 +380,7 @@ def _interreduce(basis, leads, key, ring: PolyRing):
     for i in kept:
         others = [k for k in kept if k != i]
         r = reduce_vector(basis[i], [basis[k] for k in others], [leads[k] for k in others], key, ring)
-        out.append(vector_monic(r, key, ring.field))
+        out.append(r if p else vector_monic(r, key))
     return out
 
 

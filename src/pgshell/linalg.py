@@ -9,14 +9,16 @@ so a vector that reduces to zero in the first ncols columns leaves a
 linear relation among the tagged inputs: that is how kernels, solves
 and coordinates come out of one elimination.
 
-The rows are integer vectors, and the kernel branches on the field once
-per row operation, not per entry.  Over GF(p) a row is monic at its
-pivot, and a row operation computes (x - f y) % p inline.  Over QQ the
+The rows are integer vectors on both fields, each normalized at its
+pivot by `fields.primitive`, the normalizer the Groebner engine uses:
+monic over GF(p), divided by its content with a positive pivot over QQ.
+The kernel branches on the field once per row operation, not per entry.
+Over GF(p) a row operation computes (x - f y) % p inline.  Over QQ the
 elimination is fraction-free, like the Groebner engine's: a vector is
-cleared of denominators on entry; a row has a positive pivot and is
-divided by its content (`fields.primitive`) whenever a step scaled it;
-clearing v at the pivot a of a row r computes (a v - b r) / g for b the
-entry of v and g = gcd(a, b), and tracks the scale a / g of v.
+cleared of denominators on entry, and a row is made primitive again
+whenever a step scaled it; clearing v at the pivot a of a row r computes
+(a v - b r) / g for b the entry of v and g = gcd(a, b), and tracks the
+scale a / g of v.
 `Fraction`s appear only in the values a caller reads, each canonical:
 the remainders `reduce` returns, `relations` and the rows `rref` returns.
 
@@ -85,16 +87,13 @@ class RowSpace:
             if v:
                 self.relations.append(self._values(v, d))
             return False
-        p, a = self.field.characteristic, v[pivot]
-        if a != 1 and p:
-            inv = pow(a, -1, p)
-            v = {c: x * inv % p for c, x in v.items()}
-        elif a != 1:
-            v = primitive(v, pivot)
+        p = self.field.characteristic
+        if v[pivot] != 1:
+            v = primitive(v, pivot, p)
         rows = self.rows
         for q in [q for q, row in rows.items() if pivot in row]:
             if _clear(rows[q], pivot, v, p) != 1:
-                rows[q] = primitive(rows[q], q)
+                rows[q] = primitive(rows[q], q, p)
         rows[pivot] = v
         return True
 

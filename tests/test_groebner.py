@@ -7,11 +7,14 @@ from pgshell import (
     Ideal,
     Polynomial,
     QQ,
+    betti,
+    clear_caches,
     complete_intersection,
     groebner_basis,
     is_minimal_generator,
     linear_substitute,
     membership,
+    minimal_resolution,
     normal_form,
     normal_form_with_quotients,
     points_on_rational_normal_curve,
@@ -23,6 +26,8 @@ from pgshell import (
     twisted_cubic_cone_p5,
     veronese_surface,
 )
+from pgshell.resolution import column_module
+
 from conftest import random_invertible
 
 
@@ -139,6 +144,39 @@ def test_all_spolys_reduce_to_zero(twisted_cubic, veronese_entry):
             for j in range(i + 1, len(basis)):
                 s = _spoly(basis[i], basis[j], leads[i], leads[j], ideal.ring)
                 assert not reduce_vector(s, basis, leads, key, ideal.ring)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["qq", "gf"])
+def test_groebner_engine_calls_no_field_arithmetic(field, monkeypatch):
+    """The Groebner engine runs on Python operators over both fields: with
+    every `Field` arithmetic method made to raise, bases, resolutions,
+    normal forms and solves give what they gave with the methods."""
+    rng = random.Random("no-field-arithmetic")
+    entry = rational_normal_curve(4, field)
+    ideal = substitute_ideal(entry.ideal, random_invertible(rng, entry.ring.num_vars, field))
+    z = [Polynomial.variable(ideal.ring, i) for i in range(entry.ring.num_vars)]
+    f = ideal.generators[0] * z[1] + z[2] * z[3] * z[4].scale(field.of(2, 3))
+
+    def results():
+        res = minimal_resolution(ideal)
+        d = res.differentials[1]
+        return (groebner_basis(ideal).elements, betti(res), res.differentials,
+                normal_form(f, ideal), column_module(d).solve(d.columns[0]))
+
+    clear_caches()
+    want = results()
+    assert want[3] and want[4]
+
+    def forbidden(*args):
+        raise AssertionError("Field arithmetic in the Groebner engine")
+
+    for name in ("add", "sub", "mul", "div", "inv"):
+        monkeypatch.setattr(Field, name, forbidden)
+    clear_caches()
+    try:
+        assert results() == want
+    finally:
+        clear_caches()
 
 
 def test_membership_examples(R4, zvars, twisted_cubic, tc_quadrics):

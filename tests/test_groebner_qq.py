@@ -1,12 +1,14 @@
-"""Differential tests: the fraction-free QQ Groebner engine against the
-field-arithmetic engine it replaced.
+"""Differential tests: the integer Groebner pass against the
+field-arithmetic engine it replaced, over QQ and over GF(p).
 
-Over QQ, `module_groebner` runs on primitive integer vectors with
-pseudo-reduction and makes only its final basis monic.  The reference
-below is the engine as it was before, on `Fraction` coefficients
-throughout; both must return the same reduced basis and the same kept
-inputs.  `reduce_vector` on integer vectors must return the primitive
-form, with positive lead coefficient, of the field remainder.
+`module_groebner` runs both fields on integer vectors normalized by
+`fields.primitive`: over QQ primitive, with pseudo-reduction, and only
+the final basis made monic; over GF(p) monic, reduced mod p inline.  The
+reference below is the engine as it was before, on the `Field` methods
+throughout (`Fraction` coefficients over QQ); on both fields the two
+must return the same reduced basis and the same kept inputs.  Over QQ,
+`reduce_vector` on integer vectors must return the primitive form, with
+positive lead coefficient, of the field remainder.
 """
 
 import random
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from pgshell import (
     QQ,
+    Field,
     Polynomial,
     complete_intersection,
     minimal_resolution,
@@ -179,9 +182,10 @@ def assert_same_engine(vectors, ring, twists, key):
     want = ref_module_groebner(vectors, ring, twists, key, ref_kept)
     assert got == want
     assert kept == ref_kept
-    # the same vectors, term order included, all with Fraction coefficients
+    # the same vectors, term order included, over QQ with Fraction coefficients
     assert [list(v) for v in got] == [list(v) for v in want]
-    assert all(type(c) is Fraction for v in got for c in v.values())
+    if not ring.field.characteristic:
+        assert all(type(c) is Fraction for v in got for c in v.values())
     return want
 
 
@@ -205,32 +209,37 @@ def assert_pseudo_remainder(v, basis, key, ring):
     assert got == (integer_primitive(want, key) if want else {})
 
 
+GF = Field(32003)
+
 GENERIC = {
-    "rnc4": lambda: rational_normal_curve(4),
-    "rnc5": lambda: rational_normal_curve(5),
+    "rnc4": lambda field: rational_normal_curve(4, field),
+    "rnc5": lambda field: rational_normal_curve(5, field),
     "veronese": veronese_surface,
     "scroll": scroll_surface,
     "tc-cone": twisted_cubic_cone_p5,
-    "ci222": lambda: complete_intersection([2, 2, 2], seed=1),
-    "points5": lambda: points_on_rational_normal_curve(3, 5),
+    "ci222": lambda field: complete_intersection([2, 2, 2], seed=1, field=field),
+    "points5": lambda field: points_on_rational_normal_curve(3, 5, field=field),
 }
 
 
-@pytest.mark.parametrize("label", list(GENERIC))
-def test_catalog_in_generic_coordinates(label):
-    ideal = GENERIC[label]().ideal
+# the QQ cases keep the bare label as their id
+@pytest.mark.parametrize("label, field", [pytest.param(label, QQ, id=label) for label in GENERIC]
+                         + [pytest.param(label, GF, id=f"{label}-gf") for label in GENERIC])
+def test_catalog_in_generic_coordinates(label, field):
+    ideal = GENERIC[label](field).ideal
     ring = ideal.ring
-    assert ring.field == QQ
+    assert ring.field == field
     rng = random.Random(f"generic/{label}")
     ideal = substitute_ideal(ideal, random_invertible(rng, ring.num_vars, ring.field))
     key = top_key(ring)
     gens = [poly_to_vector(g) for g in ideal.generators]
     gb = assert_same_engine(gens, ring, (0,), key)
-    for g in gens:
-        assert_pseudo_remainder(g, gb, key, ring)
-        # termwise rescaled, so in general outside the ideal
-        assert_pseudo_remainder({t: c * rng.choice((-2, -1, 3)) for t, c in g.items()},
-                                gb, key, ring)
+    if not field.characteristic:
+        for g in gens:
+            assert_pseudo_remainder(g, gb, key, ring)
+            # termwise rescaled, so in general outside the ideal
+            assert_pseudo_remainder({t: c * rng.choice((-2, -1, 3)) for t, c in g.items()},
+                                    gb, key, ring)
     for M in minimal_resolution(ideal).differentials:
         r = M.target.rank
         # the inputs of the differential's ColumnModule, under its block order
@@ -246,6 +255,7 @@ def test_catalog_in_generic_coordinates(label):
 
 
 RING = standard_ring(3, QQ)
+GF_RING = standard_ring(3, GF)
 TWISTS = (0, 1, 1)
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
 
@@ -264,11 +274,18 @@ def module_vectors(draw, homogeneous=True):
     return {t: draw(rationals) for t in chosen}
 
 
+def over(field, vectors):
+    """The rational vectors with their coefficients mapped into the field:
+    each example runs over QQ and again over GF(p)."""
+    return [{t: field.of(c) for t, c in v.items()} for v in vectors]
+
+
 @given(st.lists(module_vectors(), min_size=1, max_size=5), module_vectors())
 def test_random_rational_modules(vectors, v):
     key = top_key(RING)
     basis = assert_same_engine(vectors, RING, TWISTS, key)
     assert_pseudo_remainder(v, basis, key, RING)
+    assert_same_engine(over(GF, vectors), GF_RING, TWISTS, top_key(GF_RING))
 
 
 @given(st.lists(module_vectors(homogeneous=False), min_size=1, max_size=3),
@@ -277,6 +294,7 @@ def test_random_inhomogeneous_ideals(vectors, v):
     key = top_key(RING)
     basis = assert_same_engine(vectors, RING, (0,), key)
     assert_pseudo_remainder(v, basis, key, RING)
+    assert_same_engine(over(GF, vectors), GF_RING, (0,), top_key(GF_RING))
 
 
 def test_input_scaling_is_invisible():

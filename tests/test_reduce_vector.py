@@ -1,20 +1,24 @@
-"""Differential test: `reduce_vector`'s heap worklist against the
-scan loop it replaced.
+"""Differential test: `reduce_vector`'s heap worklist and inline
+arithmetic against the scan loop on field methods it replaced.
 
-`ref_reduce_vector` below is `reduce_vector` as it was before the heap:
-it picks the next term, the largest, with `min(work, key=key)` (a
-smaller key is a larger term).  While a test runs,
-every reduction the engine makes goes through both.  That covers the
-field path over GF(p), `Fraction` inputs and quotients over QQ
-(`normal_form_with_quotients`) and the fraction-free path on the integer
-vectors of a `module_groebner` pass, under `top_key`, `block_key` and
-`last_variable_key`.  Remainders, their key order and quotients must be
-identical.
+`ref_reduce_vector` below is `reduce_vector` as it was before the heap
+and before GF(p) joined QQ's integer pass: it picks the next term, the
+largest, with `min(work, key=key)` (a smaller key is a larger term), and
+outside QQ's pseudo-division it does its arithmetic through the `Field`
+methods (`ref_arithmetic`) and divides by the lead coefficient.  While a
+test runs, every reduction the engine makes goes through both.  That
+covers the monic integer vectors of a pass over GF(p), `Fraction` inputs
+and quotients over QQ (`normal_form_with_quotients`) and the
+fraction-free path on the integer vectors of a QQ pass, under `top_key`,
+`block_key` and `last_variable_key`.  Remainders, their key order and
+quotients must be identical.
 """
 
 from collections import Counter
 from itertools import combinations
 from math import gcd
+from operator import mul as int_mul
+from operator import sub as int_sub
 
 import pytest
 from hypothesis import given
@@ -31,22 +35,29 @@ from pgshell import (
 )
 from pgshell import groebner, resolution, saturation
 from pgshell.fields import primitive
-from pgshell.groebner import (
-    CONTENT_STEPS,
-    _arithmetic,
-    _is_integral,
-    normal_form_with_quotients,
-)
+from pgshell.groebner import CONTENT_STEPS, normal_form_with_quotients
 from pgshell.saturation import ideal_quotient_saturation
 
 from conftest import graded_ideals
 
 
+def ref_is_integral(c, field) -> bool:
+    """Is c one of a QQ pass's integer coefficients?"""
+    return not field.characteristic and type(c) is int
+
+
+def ref_arithmetic(integral: bool, field):
+    """(zero, sub, mul) on integers or in the field."""
+    if integral:
+        return 0, int_sub, int_mul
+    return field.zero, field.sub, field.mul
+
+
 def ref_reduce_vector(v, basis, lead_terms, key, ring, quotients=None) -> dict:
     """The scan loop: the largest term of the work vector, each step."""
     field = ring.field
-    integral = bool(lead_terms) and _is_integral(lead_terms[0][1], field)
-    zero, sub, mul = _arithmetic(integral, field)
+    integral = bool(lead_terms) and ref_is_integral(lead_terms[0][1], field)
+    zero, sub, mul = ref_arithmetic(integral, field)
     mono_div, mono_mul = ring.mono_div, ring.mono_mul
     work = dict(v)
     remainder = {}
@@ -89,7 +100,7 @@ def ref_reduce_vector(v, basis, lead_terms, key, ring, quotients=None) -> dict:
             remainder[t] = c
             del work[t]
     if integral and remainder:
-        return primitive(remainder, next(iter(remainder)))
+        return primitive(remainder, next(iter(remainder)), 0)
     return remainder
 
 
@@ -119,7 +130,7 @@ class Differential:
                 [list(q.items()) for q in want_quotients]
         if ring.field.characteristic:
             arithmetic = "gf"
-        elif lead_terms and _is_integral(lead_terms[0][1], ring.field):
+        elif lead_terms and ref_is_integral(lead_terms[0][1], ring.field):
             arithmetic = "qq-integer"
         else:
             arithmetic = "qq-fraction"

@@ -50,7 +50,6 @@ _EXPORTS = {
         "is_minimal_generator",
         "membership",
         "normal_form",
-        "normal_form_with_quotients",
         "same_ideal",
     ),
     "hilbert": ("HilbertData", "HilbertSeries", "artinian_reduction", "hilbert_function",

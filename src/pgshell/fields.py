@@ -157,13 +157,16 @@ def primitive(v: dict, lead, p: int) -> dict:
 
 
 def field_self_check(field: Field, seed: int = 0) -> None:
-    """Spot-check the field axioms on 1000 pseudo-random triples.
+    """Spot-check the field axioms on 1000 pseudo-random triples, then the
+    integer vector arithmetic the engines run (`primitive` and
+    `linalg._clear`) against `Fraction` arithmetic on 200 sparse vectors.
 
     Raises InternalCheckError on any violation; used by the CLI
     --field-check flag and by the test suite.
     """
     import random
 
+    from . import linalg
     from .errors import InternalCheckError
 
     rng = random.Random(seed)
@@ -196,3 +199,28 @@ def field_self_check(field: Field, seed: int = 0) -> None:
             checks.append(gcd(f.numerator, f.denominator) == 1)
         if not all(checks):
             raise InternalCheckError(f"field axiom violation for {field} on {(a, b, c)}")
+
+    def rand_vector():
+        # a sparse integer vector with nonzero entries, as the engines keep them
+        return {k: rng.randrange(1, p) if p else rng.randint(1, 50) * rng.choice((-1, 1))
+                for k in rng.sample(range(8), rng.randint(1, 5))}
+
+    for _ in range(200):
+        v, row = rand_vector(), rand_vector()
+        c = next(iter(row))
+        w = primitive(dict(row), c, p)
+        v.setdefault(c, 1)
+        cleared = dict(v)
+        scale = linalg._clear(cleared, c, w, p)
+        ratio = Fraction(v[c], w[c])
+        checks = [
+            set(w) == set(row),
+            w[c] == 1 if p else (w[c] > 0 and gcd(*w.values()) == 1),
+            all(field.of(Fraction(w[k], w[c])) == field.of(Fraction(x, row[c]))
+                for k, x in row.items()),
+            scale != 0 and 0 not in cleared.values(),
+            all(field.of(Fraction(cleared.get(j, 0), scale))
+                == field.of(v.get(j, 0) - ratio * w.get(j, 0)) for j in {*v, *w}),
+        ]
+        if not all(checks):
+            raise InternalCheckError(f"engine arithmetic violation for {field} on {(v, row)}")

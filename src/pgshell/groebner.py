@@ -163,12 +163,8 @@ def vector_degree(v: dict, ring: PolyRing, twists) -> int | None:
 CONTENT_STEPS = 8
 
 
-def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> dict:
+def reduce_vector(v, basis, lead_terms, key, ring: PolyRing) -> dict:
     """Full normal form of v against basis (first matching divisor wins).
-
-    If `quotients` is a list of dicts (one per basis element) the
-    division coefficients are accumulated into it, so that
-    v = sum_i quotients[i] * basis[i] + remainder.
 
     The terms still to divide sit in a min-heap under `key`, pushed when
     they enter the work vector; a popped term that has since cancelled
@@ -184,10 +180,8 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
     new coefficient mod p.  Over QQ, an integer basis (module_groebner's
     primitive vectors) pseudo-divides an integer v: the remainder is the
     field remainder times a nonzero rational, returned primitive.
-    `quotients` needs a monic basis.
     """
-    field = ring.field
-    p = field.characteristic
+    p = ring.field.characteristic
     integral = not p and bool(lead_terms) and type(lead_terms[0][1]) is int
     mono_div, mono_mul = ring.mono_div, ring.mono_mul
     work = dict(v)
@@ -235,9 +229,6 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, quotients=None) -> 
                     work[k2] = s
                 else:
                     del work[k2]
-            if quotients is not None:
-                qd = quotients[idx]
-                qd[q] = field.add(qd.get(q, field.zero), factor)
             break
         else:
             remainder[t] = c
@@ -410,15 +401,11 @@ class GroebnerBasis:
         self.lead_monomials = tuple(mono for (mono, _), _ in self.leads)
         self.elements = tuple(vector_component(v, 0, ring) for v in vectors)
 
-    def reduce(self, p: Polynomial, quotients=None) -> Polynomial:
-        """Remainder of full division of p by the basis.
-
-        If `quotients` is a list of dicts (one per element) the division
-        coefficients are accumulated into it, keyed by monomial.
-        """
+    def reduce(self, p: Polynomial) -> Polynomial:
+        """Remainder of full division of p by the basis."""
         if p.ring != self.ring:
             raise RingMismatchError("polynomial and basis in different rings")
-        r = reduce_vector(poly_to_vector(p), self.vectors, self.leads, self.key, self.ring, quotients)
+        r = reduce_vector(poly_to_vector(p), self.vectors, self.leads, self.key, self.ring)
         return vector_component(r, 0, self.ring)
 
     def __eq__(self, other):
@@ -462,14 +449,6 @@ def _as_gb(ideal_or_gb) -> GroebnerBasis:
 def normal_form(p: Polynomial, G) -> Polynomial:
     """Remainder of full division of p by the (reduced) basis G."""
     return _as_gb(G).reduce(p)
-
-
-def normal_form_with_quotients(p: Polynomial, G):
-    """(quotients, remainder) with p = sum q_i * G_i + remainder."""
-    gb = _as_gb(G)
-    quots = [dict() for _ in gb.vectors]
-    r = gb.reduce(p, quots)
-    return [Polynomial(gb.ring, q) for q in quots], r
 
 
 def membership(p: Polynomial, I) -> bool:

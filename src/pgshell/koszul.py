@@ -8,7 +8,10 @@ variables tensored with S/I:
 computed as exact linear algebra over the coefficient field on standard
 monomial bases of the graded pieces.  Wedge factors are indexed by
 subsets of the variables in lexicographic order; on weighted rings each
-subset contributes its total weight to the internal degree.
+subset contributes its total weight to the internal degree.  The
+differential and the comparison maps read every block through one
+memoized reader, `KoszulContext.coords`: the class of a monomial in
+(S/I)_m on that basis, from one `reduce_vector` call if not standard.
 
 Each differential d_q is eliminated once per context and (q, m) by
 `linalg.eliminate`: the image is the boundaries B_{q-1}(m), the kernel
@@ -16,7 +19,8 @@ is a basis of the cycles Z_q(m), and
 dim Tor_q = dim C_q - dim B_{q-1} - dim B_q, so neighbouring q share
 their ranks.  Representative cycles are the cycle basis vectors that
 are independent modulo B_q, and the span they build (tagged with their
-positions) reads the homology coordinates of any cycle in one reduction.
+positions, negated) reads the homology coordinates of any cycle in one
+reduction.
 
 The same chain spaces realize the comparison maps mu_q between two
 quotients S/I_W -> S/I_V, giving the resolution-free route to the
@@ -41,10 +45,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InternalCheckError
-from .groebner import groebner_basis, standard_monomials
+from .groebner import groebner_basis, reduce_vector, standard_monomials
 from .linalg import RowSpace, eliminate
 from .memo import memoized
-from .poly import Ideal, Polynomial
+from .poly import Ideal
 
 
 class KoszulContext:
@@ -65,28 +69,17 @@ class KoszulContext:
         monos = standard_monomials(self.gb, m)
         return monos, {mono: i for i, mono in enumerate(monos)}
 
-    def coords(self, p: Polynomial, m: int) -> dict:
-        """Sparse coordinates of the class of p in the standard basis of (S/I)_m."""
-        _, index = self.std_basis(m)
-        return {index[mono]: c for mono, c in self.gb.reduce(p).terms.items()}
-
     @memoized
-    def mul_var(self, i: int, m: int):
-        """Sparse columns of multiplication by z_i: (S/I)_m -> (S/I)_{m + w_i}."""
-        ring = self.ring
-        monos, _ = self.std_basis(m)
-        target = m + ring.weights[i]
-        _, t_index = self.std_basis(target)
-        one = ring.field.one
-        vi = ring.variable_mono(i)
-        cols = []
-        for mono in monos:
-            prod = ring.mono_mul(mono, vi)
-            if prod in t_index:
-                cols.append({t_index[prod]: one})
-            else:
-                cols.append(self.coords(Polynomial.from_term(ring, prod, one), target))
-        return cols
+    def coords(self, mono, m: int) -> dict:
+        """Sparse coordinates of the class of the degree-m monomial mono in
+        the standard basis of (S/I)_m; shared through the memo, do not mutate."""
+        _, index = self.std_basis(m)
+        one = self.ring.field.one
+        if mono in index:
+            return {index[mono]: one}
+        gb = self.gb
+        r = reduce_vector({(mono, 0): one}, gb.vectors, gb.leads, gb.key, self.ring)
+        return {index[t]: c for (t, _), c in r.items()}
 
     # -- Koszul chain spaces --------------------------------------------------
 
@@ -125,15 +118,14 @@ class KoszulContext:
         neg = ring.field.neg
         labels, _ = self.chain_basis(q, m)
         _, t_layout = self.chain_basis(q - 1, m)
+        variables = [ring.variable_mono(t) for t in range(ring.num_vars)]
         cols = []
         for T, mono in labels:
-            src_piece = m - sum(ring.weights[t] for t in T)
-            src = self.std_basis(src_piece)[1][mono]
             col = {}
             # dropping different factors of T lands in different blocks
             for k, t in enumerate(T):
-                off, _ = t_layout[T[:k] + T[k + 1 :]]
-                for r, c in self.mul_var(t, src_piece)[src].items():
+                off, piece = t_layout[T[:k] + T[k + 1 :]]
+                for r, c in self.coords(ring.mono_mul(mono, variables[t]), piece).items():
                     col[off + r] = c if k % 2 == 0 else neg(c)
             cols.append(col)
         return cols
@@ -159,15 +151,15 @@ class KoszulContext:
 
         The representatives are the cycle basis vectors that are
         independent modulo B_q(m), in order.  Each is added to a copy of
-        B_q(m) tagged with its position; that span, the class reader,
-        reduces a cycle to minus its homology coordinates in the tags.
+        B_q(m) tagged with minus its position; that span, the class
+        reader, reduces a cycle to its homology coordinates in the tags.
         """
         ncols = self.chain_dim(q, m)
         span = self.boundaries(q, m).untagged()
-        one = self.ring.field.one
+        minus_one = self.ring.field.of(-1)
         reps = []
         for z in self.cycles(q, m):
-            if span.add({**z, ncols + len(reps): one}):
+            if span.add({**z, ncols + len(reps): minus_one}):
                 reps.append(z)
         return reps, span
 
@@ -209,8 +201,7 @@ class TorPiece:
         rest = reader.reduce(vec)
         if any(c < ncols for c in rest):
             return None
-        neg = self.ctx.ring.field.neg
-        return {c - ncols: neg(x) for c, x in rest.items()}
+        return {c - ncols: x for c, x in rest.items()}
 
     def labels(self):
         return self.ctx.chain_basis(self.q, self.m)[0]
@@ -278,17 +269,15 @@ class TorComparison:
 
 def _chain_map_image(ctx_w: KoszulContext, ctx_v: KoszulContext, q, m, vec: dict) -> dict:
     """Image in C_q^V(m) of a chain vector of C_q^W(m), both sparse."""
-    ring = ctx_w.ring
-    field = ring.field
+    field = ctx_w.ring.field
     zero = field.zero
     labels_w, _ = ctx_w.chain_basis(q, m)
     _, layout_v = ctx_v.chain_basis(q, m)
     out = {}
     for idx, c in vec.items():
         T, mono = labels_w[idx]
-        piece = m - sum(ring.weights[t] for t in T)
-        off, _ = layout_v[T]
-        for r, x in ctx_v.coords(Polynomial.from_term(ring, mono, field.one), piece).items():
+        off, piece = layout_v[T]
+        for r, x in ctx_v.coords(mono, piece).items():
             out[off + r] = field.add(out.get(off + r, zero), field.mul(c, x))
     return out
 

@@ -35,9 +35,10 @@ from .poly import Ideal, Polynomial
 from .resolution import is_saturated
 
 
-def _reduced(ring, polys) -> Ideal:
-    """The ideal generated by `polys`, given by its reduced grevlex basis."""
-    basis = module_groebner([poly_to_vector(p) for p in polys], ring, (0,))
+def _reduced(ring, vectors) -> Ideal:
+    """The ideal generated by the rank-1 `vectors`, given by its reduced
+    grevlex basis."""
+    basis = module_groebner(vectors, ring, (0,))
     return Ideal(ring, [vector_component(v, 0, ring) for v in basis])
 
 
@@ -60,8 +61,7 @@ def ideal_quotient_saturation(I: Ideal, f: Polynomial) -> Ideal:
     parts = []
     for v in module_groebner([poly_to_vector(g) for g in I.generators], ring, (0,), key):
         k = min(m[i] for m, _ in v)
-        parts.append(Polynomial(ring, {m[:i] + (m[i] - k,) + m[i + 1:]: c
-                                       for (m, _), c in v.items()}))
+        parts.append({(m[:i] + (m[i] - k,) + m[i + 1:], 0): c for (m, _), c in v.items()})
     return _reduced(ring, parts)
 
 
@@ -78,7 +78,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     vectors = [{**poly_to_vector(f), **poly_to_vector(f, 1)} for f in I.generators]
     vectors += [poly_to_vector(g) for g in J.generators]
     basis = module_groebner(vectors, ring, (0, 0), block_key(ring, 1))
-    return _reduced(ring, [vector_component(v, 1, ring) for v in basis
+    return _reduced(ring, [{(m, 0): c for (m, _), c in v.items()} for v in basis
                            if all(p == 1 for _, p in v)])
 
 

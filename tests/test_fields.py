@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from pgshell import Field, QQ, field_self_check
+from pgshell import Field, InternalCheckError, QQ, field_self_check, linalg
 from pgshell.fields import is_prime
 
 
@@ -30,6 +30,21 @@ def test_field_axioms_rationals():
 
 def test_field_axioms_prime():
     field_self_check(Field(32003), seed=20240811)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["qq", "gf"])
+def test_field_check_covers_the_engines_row_operation(field, monkeypatch):
+    real = linalg._clear
+
+    def sign_error(v, c, row, p):
+        scale = real(v, c, row, p)
+        for j in v:
+            v[j] = (-v[j]) % p if p else -v[j]
+        return scale
+
+    monkeypatch.setattr(linalg, "_clear", sign_error)
+    with pytest.raises(InternalCheckError, match="engine arithmetic"):
+        field_self_check(field, seed=20240811)
 
 
 def test_rationals_stay_reduced():

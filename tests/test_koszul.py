@@ -9,12 +9,16 @@ from pgshell import (
     Ideal,
     Polynomial,
     betti,
+    clear_caches,
     groebner_basis,
     koszul_tor,
     minimal_resolution,
+    normal_form,
+    pgshell_report,
     rational_normal_curve,
     regularity_and_depth,
     standard_ring,
+    substitute_ideal,
 )
 from pgshell.koszul import koszul_context, lyubeznik_degrees, tor_comparison
 
@@ -137,8 +141,16 @@ def test_tor_comparison_negative_with_verified_witness(R4, zvars, twisted_cubic,
 # -- the oracle against a copy of its dense path -------------------------------
 
 
+def nf_coordinates(ctx, mono, m):
+    """Coordinates of the class of mono in (S/I)_m, from the public normal form."""
+    ring = ctx.ring
+    _, index = ctx.std_basis(m)
+    r = normal_form(Polynomial.from_term(ring, mono, ring.field.one), ctx.ideal)
+    return {index[t]: c for t, c in r.terms.items()}
+
+
 def dense_differential(ctx, q, m):
-    """Rows of d_q, filled densely from the multiplication maps."""
+    """Rows of d_q, filled densely from the normal forms of z_t * mono."""
     ring = ctx.ring
     field = ring.field
     labels, _ = ctx.chain_basis(q, m)
@@ -146,11 +158,11 @@ def dense_differential(ctx, q, m):
     rows = [[field.zero] * len(labels) for _ in t_labels]
     for col, (T, mono) in enumerate(labels):
         piece = m - sum(ring.weights[t] for t in T)
-        _, index = ctx.std_basis(piece)
         for k, t in enumerate(T):
             off, _ = t_layout[T[:k] + T[k + 1 :]]
             op = field.add if k % 2 == 0 else field.sub
-            for r, c in ctx.mul_var(t, piece)[index[mono]].items():
+            prod = ring.mono_mul(mono, ring.variable_mono(t))
+            for r, c in nf_coordinates(ctx, prod, piece + ring.weights[t]).items():
                 rows[off + r][col] = op(rows[off + r][col], c)
     return rows
 
@@ -182,7 +194,7 @@ def dense_image(ctx_w, ctx_v, q, m, vec):
             T, mono = labels_w[idx]
             piece = m - sum(ring.weights[t] for t in T)
             off, _ = layout_v[T]
-            for r, x in ctx_v.coords(Polynomial.from_term(ring, mono, field.one), piece).items():
+            for r, x in nf_coordinates(ctx_v, mono, piece).items():
                 out[off + r] = field.add(out[off + r], field.mul(c, x))
     return out
 
@@ -211,8 +223,8 @@ def dense_comparison(I_V, I_W, q, m):
     return src, tgt, mu_rows, cycle
 
 
-def _tc_case(kind):
-    ring = standard_ring(4)
+def _tc_case(kind, field=None):
+    ring = standard_ring(4, field)
     z = [Polynomial.variable(ring, i) for i in range(4)]
     quadrics = [z[0] * z[2] - z[1] * z[1], z[1] * z[3] - z[2] * z[2], z[0] * z[3] - z[1] * z[2]]
     w = [quadrics[0]] if kind == "positive" else [z[3] * quadrics[0]]
@@ -251,3 +263,47 @@ def test_oracle_matches_dense_path(name, kind):
             assert witness == cycle, (q, m)
             checked += 1
     assert checked
+
+
+# -- the one monomial reader -----------------------------------------------------
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["standard", "weighted"])
+@pytest.mark.parametrize("p", [0, 32003])
+def test_coords_is_the_normal_form(p, weighted):
+    @given(graded_ideals(Field(p), weighted))
+    def check(I):
+        ring = I.ring
+        ctx = koszul_context(I)
+        top = max(g.homogeneous_degree() for g in I.generators) + 1
+        for m in range(top + 1):
+            for mono in ring.monomials_of_degree(m):
+                assert ctx.coords(mono, m) == nf_coordinates(ctx, mono, m), (m, mono)
+
+    check()
+
+
+def _reader_pairs(field):
+    """(V, W) pairs whose Koszul blocks hold non-standard monomials: the
+    twisted cubic against z3 * (a quadric), and rnc5 after a fixed
+    invertible change of coordinates against its first three generators."""
+    rnc5 = rational_normal_curve(5, field=field).ideal
+    n = rnc5.ring.num_vars
+    # unitriangular, so invertible over every field
+    change = [[1 if j == i else (2 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
+    generic = substitute_ideal(rnc5, change)
+    return [_tc_case("z3*quadric", field), (generic, Ideal(generic.ring, generic.generators[:3]))]
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_koszul_blocks_build_no_polynomial(p, monkeypatch):
+    pairs = _reader_pairs(Field(p))
+    clear_caches()
+
+    def refuse(*args):
+        raise AssertionError("a Koszul block built a Polynomial")
+
+    monkeypatch.setattr(Polynomial, "from_term", classmethod(refuse))
+    for V, W in pairs:
+        report = pgshell_report(V, W, "both")
+        assert report.verdict == "not-pg-shell"

@@ -33,7 +33,7 @@ PUBLIC_NAMES = frozenset({
     "ideal_quotient_saturation", "invariants", "is_minimal_generator", "is_saturated",
     "koszul_tor", "lead_term_series", "lift_chain_map", "linear_substitute",
     "membership", "minimal_generators", "minimal_resolution", "normal_form",
-    "normal_form_with_quotients", "parse_source", "pgshell_check",
+    "parse_source", "pgshell_check",
     "pgshell_check_oracle", "pgshell_report", "points_on_rational_normal_curve",
     "rational_normal_curve", "regularity_and_depth", "render_ideal", "render_ring",
     "render_source", "same_ideal", "saturate_irrelevant", "scroll_surface",

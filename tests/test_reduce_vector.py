@@ -8,10 +8,10 @@ outside QQ's pseudo-division it does its arithmetic through the `Field`
 methods (`ref_arithmetic`) and divides by the lead coefficient.  While a
 test runs, every reduction the engine makes goes through both.  That
 covers the monic integer vectors of a pass over GF(p), `Fraction` inputs
-and quotients over QQ (`normal_form_with_quotients`) and the
+against the monic reduced basis over QQ (`normal_form`) and the
 fraction-free path on the integer vectors of a QQ pass, under `top_key`,
-`block_key` and `last_variable_key`.  Remainders, their key order and
-quotients must be identical.
+`block_key` and `last_variable_key`.  Remainders and their key order
+must be identical.
 """
 
 from collections import Counter
@@ -32,10 +32,11 @@ from pgshell import (
     clear_caches,
     groebner_basis,
     minimal_resolution,
+    normal_form,
 )
 from pgshell import groebner, resolution, saturation
 from pgshell.fields import primitive
-from pgshell.groebner import CONTENT_STEPS, normal_form_with_quotients
+from pgshell.groebner import CONTENT_STEPS
 from pgshell.saturation import ideal_quotient_saturation
 
 from conftest import graded_ideals
@@ -53,7 +54,7 @@ def ref_arithmetic(integral: bool, field):
     return field.zero, field.sub, field.mul
 
 
-def ref_reduce_vector(v, basis, lead_terms, key, ring, quotients=None) -> dict:
+def ref_reduce_vector(v, basis, lead_terms, key, ring) -> dict:
     """The scan loop: the largest term of the work vector, each step."""
     field = ring.field
     integral = bool(lead_terms) and ref_is_integral(lead_terms[0][1], field)
@@ -92,9 +93,6 @@ def ref_reduce_vector(v, basis, lead_terms, key, ring, quotients=None) -> dict:
                     work.pop(k2, None)
                 else:
                     work[k2] = s
-            if quotients is not None:
-                qd = quotients[idx]
-                qd[q] = field.add(qd.get(q, zero), factor)
             break
         else:
             remainder[t] = c
@@ -120,14 +118,10 @@ class Differential:
             return key
         return make_named
 
-    def __call__(self, v, basis, lead_terms, key, ring, quotients=None):
-        want_quotients = None if quotients is None else [dict(q) for q in quotients]
-        want = ref_reduce_vector(v, basis, lead_terms, key, ring, want_quotients)
-        got = self.real(v, basis, lead_terms, key, ring, quotients)
+    def __call__(self, v, basis, lead_terms, key, ring):
+        want = ref_reduce_vector(v, basis, lead_terms, key, ring)
+        got = self.real(v, basis, lead_terms, key, ring)
         assert list(got.items()) == list(want.items())
-        if quotients is not None:
-            assert [list(q.items()) for q in quotients] == \
-                [list(q.items()) for q in want_quotients]
         if ring.field.characteristic:
             arithmetic = "gf"
         elif lead_terms and ref_is_integral(lead_terms[0][1], ring.field):
@@ -136,8 +130,6 @@ class Differential:
             arithmetic = "qq-fraction"
         name = self.key_names.get(key, "other")
         self.seen[name, arithmetic] += 1
-        if quotients is not None:
-            self.seen[name, arithmetic, "quotients"] += 1
         return got
 
 
@@ -172,8 +164,8 @@ def test_reductions_match_max_scan(differential, field, weighted):
     def check(case):
         ideal, p = case
         gb = groebner_basis(ideal)
-        quotients, r = normal_form_with_quotients(p, gb)
-        assert p == sum((q * g for q, g in zip(quotients, gb.elements)), r)
+        r = normal_form(p, gb)
+        assert normal_form(p - r, gb).is_zero()
         minimal_resolution(ideal)
         for i in range(ideal.ring.num_vars):
             ideal_quotient_saturation(ideal, Polynomial.variable(ideal.ring, i))
@@ -184,8 +176,8 @@ def test_reductions_match_max_scan(differential, field, weighted):
         assert any(differential.seen[name, a] for a in arithmetic), name
     if not field.characteristic:
         assert differential.seen["top", "qq-integer"]
-    quotient_path = "gf" if field.characteristic else "qq-fraction"
-    assert differential.seen["top", quotient_path, "quotients"]
+    # normal forms against the monic reduced basis
+    assert differential.seen["top", "gf" if field.characteristic else "qq-fraction"]
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3)], ids=["standard", "weighted"])

@@ -10,6 +10,7 @@ any implementation.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from .errors import CatalogError
@@ -195,7 +196,6 @@ def complete_intersection(
             terms[mono] = ring.field.of(stream.small_coeff())
         gens.append(Polynomial(ring, terms))
     ideal = Ideal(ring, gens)
-    import math
 
     expected = {
         "dim": (num_vars - 1) - len(degrees),
@@ -227,7 +227,7 @@ def points_on_rational_normal_curve(
 ) -> CatalogEntry:
     """The vanishing ideal of `count` rational points on the degree-d curve.
 
-    Points are (s^d : s^{d-1} t : ... : t^d) for fixed parameter pairs;
+    Points are (s^d : s^{d-1} t : ... : t^d) for integer parameter pairs;
     without `params`, the first `count` of ten default pairs.  The
     kernels of the evaluation matrices, degree by degree, span the ideal;
     their minimal generating subset is verified to be saturated with the
@@ -246,19 +246,7 @@ def points_on_rational_normal_curve(
     if len(params) != count or len(set(params)) != count:
         raise CatalogError("need `count` distinct parameter pairs")
     ring = standard_ring(d + 1, field)
-    f = ring.field
-    pts = []
-    for (s, t) in params:
-        s, t = f.of(s), f.of(t)
-        coords = []
-        for k in range(d + 1):
-            v = f.one
-            for _ in range(d - k):
-                v = f.mul(v, s)
-            for _ in range(k):
-                v = f.mul(v, t)
-            coords.append(v)
-        pts.append(tuple(coords))
+    pts = [[s ** (d - k) * t**k for k in range(d + 1)] for (s, t) in params]
 
     from .linalg import eliminate
     from .resolution import betti_table, is_saturated, minimal_generators
@@ -271,17 +259,9 @@ def points_on_rational_normal_curve(
         if m > 4 * (count + d):
             raise CatalogError("point ideal did not stabilize (degenerate parameters?)")
         monos = ring.monomials_of_degree(m)
-        eval_cols = []
-        for mono in monos:
-            col = {}
-            for i, p in enumerate(pts):
-                v = f.one
-                for e, x in zip(mono, p):
-                    for _ in range(e):
-                        v = f.mul(v, x)
-                col[i] = v
-            eval_cols.append(col)
-        kernel = eliminate(eval_cols, count, f)[1]
+        # integer values, reduced by `eliminate` on entry
+        eval_cols = [{i: math.prod(map(pow, p, mono)) for i, p in enumerate(pts)} for mono in monos]
+        kernel = eliminate(eval_cols, count, ring.field)[1]
         hf_m = len(monos) - len(kernel)
         forms += [Polynomial(ring, {monos[i]: c for i, c in v.items()}) for v in kernel]
         if hf_m == count:

@@ -372,7 +372,6 @@ def tensor_resolution(I_Y: Ideal, I_Z: Ideal):
         )
 
     a, b = res_y.length, res_z.length
-    neg = ring.field.neg
 
     def block_range(q):
         return [(p, q - p) for p in range(max(0, q - b), min(a, q) + 1)]
@@ -415,7 +414,7 @@ def tensor_resolution(I_Y: Ideal, I_Z: Ideal):
                             col[(m, f_base + i2 * g_rank + j)] = c
                     if r >= 1:
                         for (m, j2), c in d_g.columns[j].items():
-                            col[(m, g_base + i * g_prev + j2)] = neg(c) if p % 2 else c
+                            col[(m, g_base + i * g_prev + j2)] = -c if p % 2 else c
                     columns.append(col)
         differentials.append(GradedMatrix(ring, modules[q], modules[q - 1], columns))
 

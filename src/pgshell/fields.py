@@ -5,7 +5,14 @@ Field elements are plain Python values -- ``Fraction`` for the rationals
 guarantees), ``int`` in ``[0, p)`` for GF(p) -- so the polynomial layer
 stays allocation-light.  A ``Field`` instance is the arithmetic context.
 
-The helpers below serve the one integer-vector path of the Groebner
+Every stored vector -- the terms of a `Polynomial`, a column of a
+`GradedMatrix`, a vector entering `linalg.RowSpace` -- takes the form
+`canonical` gives it: no zero entries, and over GF(p) every entry in
+[0, p).  So the engines compute on Python operators and leave the
+reduction to the constructor that stores the result; the `Field`
+arithmetic methods serve `Polynomial` arithmetic and `field_self_check`.
+
+The other helpers serve the one integer-vector path of the Groebner
 engine and `linalg.RowSpace` on both fields: QQ vectors are cleared of
 denominators, and `primitive` normalizes a vector at its lead entry --
 divided by its content over QQ, monic over GF(p).
@@ -131,6 +138,14 @@ class Field:
 QQ = Field(0)
 
 
+def canonical(v: dict, p: int) -> dict:
+    """A new dict holding v without its zero entries; over GF(p) (p > 0)
+    each integer entry is first reduced mod p."""
+    if p:
+        return {k: y for k, x in v.items() if (y := x % p)}
+    return {k: x for k, x in v.items() if x}
+
+
 def clear_denominators(v: dict):
     """(w, d): the integer vector w = d v, for d the least common
     denominator of the rational vector v; zero entries are dropped."""
@@ -159,7 +174,9 @@ def primitive(v: dict, lead, p: int) -> dict:
 def field_self_check(field: Field, seed: int = 0) -> None:
     """Spot-check the field axioms on 1000 pseudo-random triples, then the
     integer vector arithmetic the engines run (`primitive` and
-    `linalg._clear`) against `Fraction` arithmetic on 200 sparse vectors.
+    `linalg._clear`) against `Fraction` arithmetic on 200 sparse vectors,
+    and `canonical` against `field.of` on those vectors shifted by random
+    multiples of p, with one entry that vanishes in the field.
 
     Raises InternalCheckError on any violation; used by the CLI
     --field-check flag and by the test suite.
@@ -213,6 +230,8 @@ def field_self_check(field: Field, seed: int = 0) -> None:
         cleared = dict(v)
         scale = linalg._clear(cleared, c, w, p)
         ratio = Fraction(v[c], w[c])
+        shifted = {k: x + p * rng.randint(-3, 3) for k, x in v.items()}
+        shifted[8] = p * rng.randint(-3, 3)
         checks = [
             set(w) == set(row),
             w[c] == 1 if p else (w[c] > 0 and gcd(*w.values()) == 1),
@@ -221,6 +240,7 @@ def field_self_check(field: Field, seed: int = 0) -> None:
             scale != 0 and 0 not in cleared.values(),
             all(field.of(Fraction(cleared.get(j, 0), scale))
                 == field.of(v.get(j, 0) - ratio * w.get(j, 0)) for j in {*v, *w}),
+            canonical(shifted, p) == {k: y for k, x in shifted.items() if (y := field.of(x))},
         ]
         if not all(checks):
             raise InternalCheckError(f"engine arithmetic violation for {field} on {(v, row)}")

@@ -26,7 +26,11 @@ The same chain spaces realize the comparison maps mu_q between two
 quotients S/I_W -> S/I_V, giving the resolution-free route to the
 shell predicate; the kernel of mu_q comes from one more `eliminate`.
 Every chain vector, cycle, homology coordinate vector and column of
-mu_q is a sparse dict {index: value}.
+mu_q is a sparse dict {index: value}.  Differential columns and chain-map
+images are built on Python operators and left unreduced (over GF(p)
+negative or >= p, zero sums kept): `RowSpace` reduces every vector on
+entry.  Only the witness cycle, which is printed, is made
+`fields.canonical` here.
 
 The complex has C(N+1, q) wedge blocks in each C_q, so every variable
 that can be dropped shrinks it.  Under grevlex, when the last c
@@ -45,6 +49,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InternalCheckError
+from .fields import canonical
 from .groebner import groebner_basis, reduce_vector, standard_monomials
 from .linalg import RowSpace, eliminate
 from .memo import memoized
@@ -115,7 +120,6 @@ class KoszulContext:
     def differential(self, q: int, m: int):
         """Columns of d_q : C_q(m) -> C_{q-1}(m), as sparse {row: value} dicts."""
         ring = self.ring
-        neg = ring.field.neg
         labels, _ = self.chain_basis(q, m)
         _, t_layout = self.chain_basis(q - 1, m)
         variables = [ring.variable_mono(t) for t in range(ring.num_vars)]
@@ -126,7 +130,7 @@ class KoszulContext:
             for k, t in enumerate(T):
                 off, piece = t_layout[T[:k] + T[k + 1 :]]
                 for r, c in self.coords(ring.mono_mul(mono, variables[t]), piece).items():
-                    col[off + r] = c if k % 2 == 0 else neg(c)
+                    col[off + r] = c if k % 2 == 0 else -c
             cols.append(col)
         return cols
 
@@ -268,9 +272,8 @@ class TorComparison:
 
 
 def _chain_map_image(ctx_w: KoszulContext, ctx_v: KoszulContext, q, m, vec: dict) -> dict:
-    """Image in C_q^V(m) of a chain vector of C_q^W(m), both sparse."""
-    field = ctx_w.ring.field
-    zero = field.zero
+    """Image in C_q^V(m) of a chain vector of C_q^W(m), both sparse; its
+    sums are left unreduced, for `RowSpace` to reduce on entry."""
     labels_w, _ = ctx_w.chain_basis(q, m)
     _, layout_v = ctx_v.chain_basis(q, m)
     out = {}
@@ -278,7 +281,7 @@ def _chain_map_image(ctx_w: KoszulContext, ctx_v: KoszulContext, q, m, vec: dict
         T, mono = labels_w[idx]
         off, piece = layout_v[T]
         for r, x in ctx_v.coords(mono, piece).items():
-            out[off + r] = field.add(out.get(off + r, zero), field.mul(c, x))
+            out[off + r] = out.get(off + r, 0) + c * x
     return out
 
 
@@ -295,7 +298,6 @@ def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
     ctx_w = koszul_context(I_W)
     ctx_v = koszul_context(I_V)
     field = ctx_w.ring.field
-    zero = field.zero
     src = koszul_tor(I_W, q, m)
     tgt = koszul_tor(I_V, q, m)
     h_w = src.dimension
@@ -319,8 +321,8 @@ def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
         cycle = {}
         for k, ck in c.items():
             for i, x in src.cycle_basis[k].items():
-                cycle[i] = field.add(cycle.get(i, zero), field.mul(ck, x))
-        cycle = {i: x for i, x in cycle.items() if x}
+                cycle[i] = cycle.get(i, 0) + ck * x
+        cycle = canonical(cycle, field.characteristic)
         if ctx_w.boundaries(q, m).contains(cycle):
             raise InternalCheckError("witness cycle is a boundary on the source side")
         if not ctx_v.boundaries(q, m).contains(_chain_map_image(ctx_w, ctx_v, q, m, cycle)):

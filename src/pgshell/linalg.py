@@ -9,23 +9,25 @@ so a vector that reduces to zero in the first ncols columns leaves a
 linear relation among the tagged inputs: that is how kernels, solves
 and coordinates come out of one elimination.
 
-The rows are integer vectors on both fields, each normalized at its
-pivot by `fields.primitive`, the normalizer the Groebner engine uses:
-monic over GF(p), divided by its content with a positive pivot over QQ.
-The kernel branches on the field once per row operation, not per entry.
+Entries are reduced on entry, so callers may pass unreduced sums: over
+GF(p) a vector is made `fields.canonical` (any integers, reduced mod p,
+zeros dropped), over QQ it is cleared of denominators.  The rows are
+integer vectors on both fields, each normalized at its pivot by
+`fields.primitive`, the normalizer the Groebner engine uses: monic over
+GF(p), divided by its content with a positive pivot over QQ.  The
+kernel branches on the field once per row operation, not per entry.
 Over GF(p) a row operation computes (x - f y) % p inline.  Over QQ the
-elimination is fraction-free, like the Groebner engine's: a vector is
-cleared of denominators on entry, and a row is made primitive again
-whenever a step scaled it; clearing v at the pivot a of a row r computes
-(a v - b r) / g for b the entry of v and g = gcd(a, b), and tracks the
-scale a / g of v.
+elimination is fraction-free, like the Groebner engine's: a row is made
+primitive again whenever a step scaled it; clearing v at the pivot a of
+a row r computes (a v - b r) / g for b the entry of v and g = gcd(a, b),
+and tracks the scale a / g of v.
 `Fraction`s appear only in the values a caller reads, each canonical:
 the remainders `reduce` returns, `relations` and the rows `rref` returns.
 
 `eliminate` takes a matrix as sparse columns and returns its image and
 its canonical kernel basis from that one elimination.  Every vector in
 and out is a sparse dict; only `rref` and `determinant` take dense
-matrices (lists of row lists of Fraction or int mod p), converting each
+matrices (lists of row lists of Fractions or ints), converting each
 row on the way in.  Everything is deterministic: the pivot of a new row
 is its first nonzero column, so identical inputs give identical echelon
 forms, kernels and ranks.
@@ -36,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import Field, clear_denominators, primitive
+from .fields import Field, canonical, clear_denominators, primitive
 
 
 class RowSpace:
@@ -59,7 +61,7 @@ class RowSpace:
         """(v, d): the remainder of vec as an integer vector v over the
         denominator d (always 1 over GF(p))."""
         p, rows = self.field.characteristic, self.rows
-        v, d = ({c: x for c, x in vec.items() if x}, 1) if p else clear_denominators(vec)
+        v, d = (canonical(vec, p), 1) if p else clear_denominators(vec)
         for c in [c for c in v if c in rows]:
             d *= _clear(v, c, rows[c], p)
         return v, d
@@ -182,20 +184,20 @@ def rref(rows, field: Field):
 def determinant(rows, field: Field):
     """Exact determinant of a dense square matrix: the product of the
     pivots met while adding the rows, times the sign of the permutation
-    of pivot columns."""
+    of pivot columns, reduced once into the field."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
     span = RowSpace(n, field)
-    det = field.one
+    det = 1
     order = []
     for row in rows:
         v = span.reduce(dict(enumerate(row)))
         if not v:
             return field.zero
         p = min(v)
-        det = field.mul(det, v[p])
+        det *= v[p]
         order.append(p)
         span.add(v)
     inversions = sum(1 for i in range(n) for j in range(i) if order[j] > order[i])
-    return field.neg(det) if inversions % 2 else det
+    return field.of(-det if inversions % 2 else det)

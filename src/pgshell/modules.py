@@ -5,12 +5,15 @@ A GradedFreeModule is just its twist list: twists (d_1..d_r) mean
 convention: entry (i, j) is zero or homogeneous of degree
 source.twists[j] - target.twists[i].  Column j is the image of source
 basis vector j, kept as a module vector of the Groebner engine: a dict
-(monomial, row) -> nonzero coefficient.
+(monomial, row) -> nonzero coefficient.  The constructor normalizes
+each column by `fields.canonical`, so `compose` and the other builders
+of columns sum and negate on Python operators.
 """
 
 from __future__ import annotations
 
 from .errors import EngineError
+from .fields import canonical
 from .rings import PolyRing
 
 
@@ -45,7 +48,8 @@ class GradedMatrix:
     __slots__ = ("ring", "source", "target", "columns")
 
     def __init__(self, ring: PolyRing, source: GradedFreeModule, target: GradedFreeModule, columns):
-        columns = tuple(columns)
+        p = ring.field.characteristic
+        columns = tuple(canonical(col, p) for col in columns)
         rows = target.rank
         if len(columns) != source.rank or any(
             not 0 <= pos < rows for col in columns for (_, pos) in col
@@ -78,8 +82,6 @@ class GradedMatrix:
         """self o other (apply other first)."""
         if other.target != self.source:
             raise EngineError("composition shape mismatch")
-        field = self.ring.field
-        zero, add, mul = field.zero, field.add, field.mul
         mono_mul = self.ring.mono_mul
         out = []
         for v in other.columns:
@@ -87,11 +89,7 @@ class GradedMatrix:
             for (m, k), c in v.items():
                 for (m2, i), c2 in self.columns[k].items():
                     t = (mono_mul(m, m2), i)
-                    s = add(acc.get(t, zero), mul(c, c2))
-                    if s == zero:
-                        acc.pop(t, None)
-                    else:
-                        acc[t] = s
+                    acc[t] = acc.get(t, 0) + c * c2
             out.append(acc)
         return GradedMatrix(self.ring, other.source, self.target, out)
 

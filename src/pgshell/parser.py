@@ -235,7 +235,7 @@ class _Parser:
                 if den == 0:
                     raise SourceError("zero denominator", den_tok.line, den_tok.col)
             try:
-                coeff = field.mul(coeff, field.of(num, den))
+                coeff = field.of(sign * num, den)
             except ZeroDivisionError as e:
                 raise SourceError(str(e), tok.line, tok.col) from e
             if self.peek().kind == "*":

@@ -1,14 +1,18 @@
 """Sparse multivariate polynomials over an exact field, plus ideals.
 
 Polynomials are immutable values: a ring reference and a term map
-monomial -> nonzero coefficient.  Equality, hashing and printing go
-through a cached canonical term tuple (sorted descending in the ring
-order), so identical inputs give byte-identical output everywhere.
+monomial -> nonzero coefficient, normalized on construction by
+`fields.canonical` (zero terms dropped, GF(p) coefficients reduced mod
+p), so a caller may pass any integer coefficients.  Equality, hashing
+and printing go through a cached canonical term tuple (sorted
+descending in the ring order), so identical inputs give byte-identical
+output everywhere.
 """
 
 from __future__ import annotations
 
 from .errors import NotHomogeneousError, RingMismatchError, WeightedRingError
+from .fields import canonical
 from .rings import PolyRing
 
 
@@ -17,8 +21,7 @@ class Polynomial:
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        zero = ring.field.zero
-        self.terms = {m: c for m, c in terms.items() if c != zero}
+        self.terms = canonical(terms, ring.field.characteristic)
         self._canon = None
 
     # -- constructors ----------------------------------------------------
@@ -88,15 +91,10 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_ring(other)
-        field = self.ring.field
-        zero = field.zero
+        add, zero = self.ring.field.add, self.ring.field.zero
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = field.add(out.get(m, zero), c)
-            if s == zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            out[m] = add(out.get(m, zero), c)
         return Polynomial(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
@@ -109,7 +107,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_ring(other)
         field = self.ring.field
-        zero = field.zero
+        add, mul, zero = field.add, field.mul, field.zero
         mono_mul = self.ring.mono_mul
         out: dict = {}
         if len(self.terms) > len(other.terms):
@@ -119,11 +117,7 @@ class Polynomial:
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
                 m = mono_mul(m1, m2)
-                s = field.add(out.get(m, zero), field.mul(c1, c2))
-                if s == zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                out[m] = add(out.get(m, zero), mul(c1, c2))
         return Polynomial(self.ring, out)
 
     def scale(self, coeff) -> "Polynomial":
@@ -138,10 +132,9 @@ class Polynomial:
         if self.is_zero():
             return self
         lc = self.lead_coeff()
-        if lc == self.ring.field.one:
+        if lc == 1:
             return self
-        inv = self.ring.field.inv(lc)
-        return self.scale(inv)
+        return self.scale(self.ring.field.of(1, lc))
 
     # -- value semantics -----------------------------------------------------
 
@@ -264,11 +257,7 @@ def linear_substitute(p: Polynomial, matrix) -> Polynomial:
         raise ValueError("substitution matrix is singular")
 
     images = [
-        Polynomial(
-            ring,
-            {ring.variable_mono(j): rows[i][j] for j in range(n) if rows[i][j] != field.zero},
-        )
-        for i in range(n)
+        Polynomial(ring, {ring.variable_mono(j): x for j, x in enumerate(row)}) for row in rows
     ]
     # cache powers of each image as needed
     powers: list[list[Polynomial]] = [[Polynomial.constant(ring, 1), img] for img in images]

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import EngineError, InternalCheckError, WeightedRingError
+from .fields import canonical
 from .groebner import (
     block_key,
     groebner_basis,
@@ -99,8 +100,8 @@ class ColumnModule:
         rem = reduce_vector(u, self.basis, self.leads, self.key, ring)
         if any(p < r for (_, p) in rem):
             return None
-        neg = ring.field.neg
-        return {(m, p - r): neg(c) for (m, p), c in rem.items()}
+        x = {(m, p - r): -c for (m, p), c in rem.items()}
+        return canonical(x, ring.field.characteristic)
 
 
 @memoized

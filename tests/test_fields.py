@@ -3,9 +3,22 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pgshell import Field, InternalCheckError, QQ, field_self_check, linalg
+from pgshell import (
+    Field,
+    GradedFreeModule,
+    GradedMatrix,
+    InternalCheckError,
+    Polynomial,
+    QQ,
+    field_self_check,
+    linalg,
+    standard_ring,
+)
 from pgshell.fields import is_prime
+from pgshell.linalg import eliminate
 
 
 def test_field_kinds():
@@ -32,19 +45,81 @@ def test_field_axioms_prime():
     field_self_check(Field(32003), seed=20240811)
 
 
-@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["qq", "gf"])
-def test_field_check_covers_the_engines_row_operation(field, monkeypatch):
-    real = linalg._clear
+_real_clear = linalg._clear
 
-    def sign_error(v, c, row, p):
-        scale = real(v, c, row, p)
-        for j in v:
-            v[j] = (-v[j]) % p if p else -v[j]
-        return scale
 
-    monkeypatch.setattr(linalg, "_clear", sign_error)
+def _clear_with_sign_error(v, c, row, p):
+    scale = _real_clear(v, c, row, p)
+    for j in v:
+        v[j] = (-v[j]) % p if p else -v[j]
+    return scale
+
+
+def _canonical_without_mod(v, p):
+    return {k: x for k, x in v.items() if x}
+
+
+def _canonical_keeping_zeros(v, p):
+    return {k: x % p if p else x for k, x in v.items()}
+
+
+GF = Field(32003)
+
+
+@pytest.mark.parametrize("field, target, broken", [
+    pytest.param(QQ, "pgshell.linalg._clear", _clear_with_sign_error, id="qq"),
+    pytest.param(GF, "pgshell.linalg._clear", _clear_with_sign_error, id="gf"),
+    pytest.param(QQ, "pgshell.fields.canonical", _canonical_keeping_zeros,
+                 id="qq-canonical-keeps-zeros"),
+    pytest.param(GF, "pgshell.fields.canonical", _canonical_keeping_zeros,
+                 id="gf-canonical-keeps-zeros"),
+    pytest.param(GF, "pgshell.fields.canonical", _canonical_without_mod,
+                 id="gf-canonical-without-mod"),
+])
+def test_field_check_covers_the_engines_row_operation(field, target, broken, monkeypatch):
+    monkeypatch.setattr(target, broken)
     with pytest.raises(InternalCheckError, match="engine arithmetic"):
         field_self_check(field, seed=20240811)
+
+
+def _entries(p):
+    """Integers in [-3p, 3p] (p = 7 bounds them over QQ), multiples of p often."""
+    bound = 3 * (p or 7)
+    return st.one_of(st.integers(-bound, bound), st.integers(-3, 3).map(lambda k: k * p))
+
+
+def _reduced(v, field):
+    return {k: y for k, x in v.items() if (y := field.of(x))}
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=["qq", "gf"])
+@given(data=st.data())
+def test_stored_vectors_are_reduced_on_construction(field, data):
+    """`Polynomial`, `GradedMatrix` and `RowSpace` store what `field.of`
+    makes of unreduced integer entries, and drop the zeros."""
+    p = field.characteristic
+    ring = standard_ring(3, field)
+    monos = ring.monomials_of_degree(2)
+    terms = data.draw(st.dictionaries(st.sampled_from(monos), _entries(p)))
+    assert Polynomial(ring, terms).terms == _reduced(terms, field)
+
+    entry_keys = st.tuples(st.sampled_from(monos), st.integers(0, 1))
+    cols = data.draw(st.lists(st.dictionaries(entry_keys, _entries(p), max_size=4), max_size=3))
+    M = GradedMatrix(ring, GradedFreeModule([2] * len(cols)), GradedFreeModule([0, 0]), cols)
+    assert list(M.columns) == [_reduced(col, field) for col in cols]
+
+    vectors = data.draw(st.lists(st.dictionaries(st.integers(0, 4), _entries(p)), max_size=5))
+    image, kernel = eliminate(vectors, 5, field)
+    image_r, kernel_r = eliminate([_reduced(v, field) for v in vectors], 5, field)
+    assert (image.rows, kernel) == (image_r.rows, kernel_r)
+
+
+def test_prime_field_entries_divisible_by_p_are_zero():
+    field = Field(7)
+    ring = standard_ring(3, field)
+    assert str(Polynomial.from_term(ring, (1, 0, 0), 7)) == "0"
+    image, kernel = eliminate([{0: 7}], 1, field)
+    assert (image.dim, kernel) == (0, [{0: 1}])
 
 
 def test_rationals_stay_reduced():

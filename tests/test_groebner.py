@@ -16,15 +16,18 @@ from pgshell import (
     membership,
     minimal_resolution,
     normal_form,
+    pgshell_report,
     points_on_rational_normal_curve,
     rational_normal_curve,
     same_ideal,
     scroll_surface,
     standard_ring,
     substitute_ideal,
+    tensor_resolution,
     twisted_cubic_cone_p5,
     veronese_surface,
 )
+from pgshell.linalg import determinant
 from pgshell.resolution import column_module
 
 from conftest import random_invertible
@@ -147,29 +150,42 @@ def test_all_spolys_reduce_to_zero(twisted_cubic, veronese_entry):
 
 @pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["qq", "gf"])
 def test_groebner_engine_calls_no_field_arithmetic(field, monkeypatch):
-    """The Groebner engine runs on Python operators over both fields: with
-    every `Field` arithmetic method made to raise, bases, resolutions,
-    normal forms and solves give what they gave with the methods."""
+    """The engine runs on Python operators over both fields: with every
+    `Field` arithmetic method made to raise, bases, resolutions, normal
+    forms, solves, the shell report with its witness, a tensor
+    resolution, a point ideal and a determinant give what they gave with
+    the methods.  Only `Polynomial` arithmetic, used here to build the
+    inputs, calls them."""
     rng = random.Random("no-field-arithmetic")
     entry = rational_normal_curve(4, field)
     ideal = substitute_ideal(entry.ideal, random_invertible(rng, entry.ring.num_vars, field))
     z = [Polynomial.variable(ideal.ring, i) for i in range(entry.ring.num_vars)]
     f = ideal.generators[0] * z[1] + z[2] * z[3] * z[4].scale(field.of(2, 3))
+    w2 = Ideal(ideal.ring, ideal.generators[:2])
+    cone = twisted_cubic_cone_p5(field).ideal
+    linear = Ideal(cone.ring, [Polynomial.variable(cone.ring, i) for i in (4, 5)])
+    matrix = [[field.of(rng.randint(-9, 9)) for _ in range(4)] for _ in range(4)]
 
     def results():
         res = minimal_resolution(ideal)
         d = res.differentials[1]
+        report = pgshell_report(ideal, w2, "both")
+        tensor = tensor_resolution(cone, linear)[0]
         return (groebner_basis(ideal).elements, betti(res), res.differentials,
-                normal_form(f, ideal), column_module(d).solve(d.columns[0]))
+                normal_form(f, ideal), column_module(d).solve(d.columns[0]),
+                report.verdict, report.table, report.witness,
+                betti(tensor), tensor.differentials,
+                points_on_rational_normal_curve(3, 5, field=field).ideal,
+                determinant(matrix, field))
 
     clear_caches()
     want = results()
-    assert want[3] and want[4]
+    assert want[3] and want[4] and want[7] and want[-1]
 
     def forbidden(*args):
-        raise AssertionError("Field arithmetic in the Groebner engine")
+        raise AssertionError("Field arithmetic in the engine")
 
-    for name in ("add", "sub", "mul", "div", "inv"):
+    for name in ("add", "sub", "mul", "div", "inv", "neg"):
         monkeypatch.setattr(Field, name, forbidden)
     clear_caches()
     try:

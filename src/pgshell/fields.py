@@ -10,7 +10,7 @@ Every stored vector -- the terms of a `Polynomial`, a column of a
 `canonical` gives it: no zero entries, and over GF(p) every entry in
 [0, p).  So the engines compute on Python operators and leave the
 reduction to the constructor that stores the result; the `Field`
-arithmetic methods serve `Polynomial` arithmetic and `field_self_check`.
+arithmetic methods serve only the parser's term sums and `field_self_check`.
 
 The other helpers serve the one integer-vector path of the Groebner
 engine and `linalg.RowSpace` on both fields: QQ vectors are cleared of

@@ -12,8 +12,10 @@ Grammar (whitespace insignificant, // line comments):
     factor     := IDENT ("^" INT)?
     coeff      := INT ("/" INT)?
 
-Errors carry line:column positions.  Inhomogeneous generators produce a
-warning (an error under strict mode).
+The parser sums each generator's terms into one term map (`Field.add`)
+and builds one `Polynomial` from it.  Errors carry line:column
+positions.  Inhomogeneous generators produce a warning (an error under
+strict mode).
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ def tokenize(text: str):
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], line, start_col))
             col += j - i
@@ -207,20 +209,21 @@ class _Parser:
         return name, Ideal(ring, gens, allow_inhomogeneous=True)
 
     def parse_poly(self, ring) -> Polynomial:
-        total = Polynomial.zero(ring)
-        sign = 1
-        tok = self.peek()
-        if tok.kind in "+-":
-            sign = -1 if tok.kind == "-" else 1
+        """One generator, its terms summed into one term map."""
+        field = ring.field
+        zero, terms = field.zero, {}
+        sign = -1 if self.peek().kind == "-" else 1
+        if self.peek().kind in "+-":
             self.advance()
-        total = total + self.parse_term(ring, sign)
-        while self.peek().kind in "+-":
-            op = self.advance()
-            sign = -1 if op.kind == "-" else 1
-            total = total + self.parse_term(ring, sign)
-        return total
+        while True:
+            mono, coeff = self.parse_term(ring, sign)
+            terms[mono] = field.add(terms.get(mono, zero), coeff)
+            if self.peek().kind not in "+-":
+                return Polynomial(ring, terms)
+            sign = -1 if self.advance().kind == "-" else 1
 
-    def parse_term(self, ring, sign: int) -> Polynomial:
+    def parse_term(self, ring, sign: int):
+        """(monomial, coefficient) of one signed term."""
         field = ring.field
         coeff = field.of(sign)
         tok = self.peek()
@@ -241,12 +244,12 @@ class _Parser:
             if self.peek().kind == "*":
                 self.advance()
             elif self.peek().kind != "IDENT":
-                return Polynomial.constant(ring, 1).scale(coeff)
+                return ring.one_mono, coeff
         elif tok.kind != "IDENT":
             self.fail("expected a term")
-        return self.parse_factors(ring, coeff)
+        return self.parse_factors(ring), coeff
 
-    def parse_factors(self, ring, coeff) -> Polynomial:
+    def parse_factors(self, ring) -> tuple:
         mono = list(ring.one_mono)
         count = 0
         while True:
@@ -274,7 +277,7 @@ class _Parser:
                                       nxt.line, nxt.col)
                 continue
             break
-        return Polynomial.from_term(ring, tuple(mono), coeff)
+        return tuple(mono)
 
 
 def parse_source(text: str, strict: bool = False) -> ParsedSource:

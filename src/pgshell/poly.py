@@ -3,10 +3,10 @@
 Polynomials are immutable values: a ring reference and a term map
 monomial -> nonzero coefficient, normalized on construction by
 `fields.canonical` (zero terms dropped, GF(p) coefficients reduced mod
-p), so a caller may pass any integer coefficients.  Equality, hashing
-and printing go through a cached canonical term tuple (sorted
-descending in the ring order), so identical inputs give byte-identical
-output everywhere.
+p), so a caller may pass any integer coefficients, and `+ - *` and
+`scale` run on Python operators.  Equality, hashing and printing go
+through a cached canonical term tuple (sorted descending in the ring
+order), so identical inputs give byte-identical output everywhere.
 """
 
 from __future__ import annotations
@@ -91,42 +91,32 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_ring(other)
-        add, zero = self.ring.field.add, self.ring.field.zero
+        zero = self.ring.field.zero
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = add(out.get(m, zero), c)
+            out[m] = out.get(m, zero) + c
         return Polynomial(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, {m: neg(c) for m, c in self.terms.items()})
+        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_ring(other)
-        field = self.ring.field
-        add, mul, zero = field.add, field.mul, field.zero
+        zero = self.ring.field.zero
         mono_mul = self.ring.mono_mul
         out: dict = {}
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
+        a, b = (other, self) if len(self.terms) > len(other.terms) else (self, other)
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
                 m = mono_mul(m1, m2)
-                out[m] = add(out.get(m, zero), mul(c1, c2))
+                out[m] = out.get(m, zero) + c1 * c2
         return Polynomial(self.ring, out)
 
     def scale(self, coeff) -> "Polynomial":
-        field = self.ring.field
-        if coeff == field.zero:
-            return Polynomial.zero(self.ring)
-        return Polynomial(
-            self.ring, {m: field.mul(c, coeff) for m, c in self.terms.items()}
-        )
+        return Polynomial(self.ring, {m: c * coeff for m, c in self.terms.items()})
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
@@ -237,13 +227,9 @@ class Ideal:
         return any(g.homogeneous_degree() == 0 for g in self.generators)
 
 
-def linear_substitute(p: Polynomial, matrix) -> Polynomial:
-    """Substitute z_i -> sum_j M[i][j] z_j; matrix must be invertible.
-
-    Standard grading only (a weighted ring has no linear coordinate
-    changes mixing variables of different weights).
-    """
-    ring = p.ring
+def _substitution(ring: PolyRing, matrix):
+    """`linear_substitute` as a map, the matrix checked once; it caches
+    the powers of the images of the z_i for all the polynomials it maps."""
     if not ring.standard_graded:
         raise WeightedRingError("linear substitution needs a standard-graded ring")
     n = ring.num_vars
@@ -256,27 +242,36 @@ def linear_substitute(p: Polynomial, matrix) -> Polynomial:
     if determinant(rows, field) == field.zero:
         raise ValueError("substitution matrix is singular")
 
-    images = [
-        Polynomial(ring, {ring.variable_mono(j): x for j, x in enumerate(row)}) for row in rows
-    ]
-    # cache powers of each image as needed
-    powers: list[list[Polynomial]] = [[Polynomial.constant(ring, 1), img] for img in images]
+    powers = [[Polynomial.constant(ring, 1),
+               Polynomial(ring, {ring.variable_mono(j): x for j, x in enumerate(row)})]
+              for row in rows]
 
-    def power(i, e):
-        cache = powers[i]
-        while len(cache) <= e:
-            cache.append(cache[-1] * cache[1])
-        return cache[e]
+    def substitute(p: Polynomial) -> Polynomial:
+        zero, out = field.zero, {}
+        for mono, coeff in p.sorted_terms():
+            term = Polynomial.constant(ring, coeff)
+            for cache, e in zip(powers, mono):
+                while len(cache) <= e:
+                    cache.append(cache[-1] * cache[1])
+                if e:
+                    term = term * cache[e]
+            for m, c in term.terms.items():
+                out[m] = out.get(m, zero) + c
+        return Polynomial(ring, out)
 
-    total = Polynomial.zero(ring)
-    for mono, coeff in p.sorted_terms():
-        term = Polynomial.constant(ring, 1).scale(coeff)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * power(i, e)
-        total = total + term
-    return total
+    return substitute
+
+
+def linear_substitute(p: Polynomial, matrix) -> Polynomial:
+    """Substitute z_i -> sum_j M[i][j] z_j; matrix must be invertible.
+
+    Standard grading only (a weighted ring has no linear coordinate
+    changes mixing variables of different weights).
+    """
+    return _substitution(p.ring, matrix)(p)
 
 
 def substitute_ideal(I: Ideal, matrix) -> Ideal:
-    return Ideal(I.ring, [linear_substitute(g, matrix) for g in I.generators])
+    """`linear_substitute` on every generator, checking the matrix once."""
+    substitute = _substitution(I.ring, matrix)
+    return Ideal(I.ring, [substitute(g) for g in I.generators])

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import settings
@@ -18,6 +19,16 @@ from pgshell import (
     veronese_surface,
 )
 from pgshell.groebner import poly_to_vector
+
+# On a failing example hypothesis's report hook imports its patch writer,
+# whose libcst -> mypy_extensions import warns; under `-W error` that
+# warning would end the session.  Import it here, with its warnings off.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 settings.register_profile(
     "pgshell", derandomize=True, max_examples=30, deadline=None, database=None

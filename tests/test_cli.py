@@ -288,6 +288,14 @@ def test_zz_characteristic_not_an_odd_prime_exit_2(tmp_path, capsys):
         assert f"1:13: characteristic must be an odd prime < 2^31, got {bad}" in err
 
 
+def test_non_ascii_digit_exit_2(tmp_path, capsys):
+    # a superscript two is a digit to str.isdigit, but no INT: a positioned input error
+    path = tmp_path / "superscript.ideal"
+    path.write_text("ring S = QQ[x,y];\nideal I = x^\u00b2;\n", encoding="utf-8")
+    assert run(["gb", str(path), "I"]) == (EXIT_INPUT, "")
+    assert "2:13: unexpected character '\u00b2'" in capsys.readouterr().err
+
+
 def test_non_utf8_file_exit_2(tmp_path, capsys):
     # a file that does not decode is an input error, not a crash (exit 1 is a verdict)
     path = tmp_path / "utf16.ideal"

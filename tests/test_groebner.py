@@ -27,6 +27,7 @@ from pgshell import (
     twisted_cubic_cone_p5,
     veronese_surface,
 )
+from pgshell.criteria import criteria_suite, ideal_power_plus
 from pgshell.linalg import determinant
 from pgshell.resolution import column_module
 
@@ -153,25 +154,34 @@ def test_groebner_engine_calls_no_field_arithmetic(field, monkeypatch):
     """The engine runs on Python operators over both fields: with every
     `Field` arithmetic method made to raise, bases, resolutions, normal
     forms, solves, the shell report with its witness, a tensor
-    resolution, a point ideal and a determinant give what they gave with
-    the methods.  Only `Polynomial` arithmetic, used here to build the
-    inputs, calls them."""
+    resolution, a point ideal, a determinant, `Polynomial` `+ - *` and
+    `scale`, a coordinate change, I_V^2 + I_W and the criteria suite on
+    a positive pair give what they gave with the methods.  Only the
+    parser's term sums, which this test does not run, call them."""
     rng = random.Random("no-field-arithmetic")
     entry = rational_normal_curve(4, field)
-    ideal = substitute_ideal(entry.ideal, random_invertible(rng, entry.ring.num_vars, field))
+    change = random_invertible(rng, entry.ring.num_vars, field)
+    ideal = substitute_ideal(entry.ideal, change)
     z = [Polynomial.variable(ideal.ring, i) for i in range(entry.ring.num_vars)]
-    f = ideal.generators[0] * z[1] + z[2] * z[3] * z[4].scale(field.of(2, 3))
     w2 = Ideal(ideal.ring, ideal.generators[:2])
     cone = twisted_cubic_cone_p5(field).ideal
     linear = Ideal(cone.ring, [Polynomial.variable(cone.ring, i) for i in (4, 5)])
     matrix = [[field.of(rng.randint(-9, 9)) for _ in range(4)] for _ in range(4)]
+    ci222 = complete_intersection([2, 2, 2], field=field).ideal
+    ci222_w2 = Ideal(ci222.ring, ci222.generators[:2])
 
     def results():
+        f = ideal.generators[0] * z[1] + z[2] * z[3] * z[4].scale(field.of(2, 3))
         res = minimal_resolution(ideal)
         d = res.differentials[1]
         report = pgshell_report(ideal, w2, "both")
         tensor = tensor_resolution(cone, linear)[0]
-        return (groebner_basis(ideal).elements, betti(res), res.differentials,
+        suite = criteria_suite(ci222, ci222_w2)
+        return (f, -f, f - f, f.scale(field.of(-7)) - z[0] * f, f.monic(),
+                substitute_ideal(entry.ideal, change),
+                ideal_power_plus(w2, 2, Ideal(ideal.ring, [f])),
+                (suite["observed"], suite["criteria"]),
+                groebner_basis(ideal).elements, betti(res), res.differentials,
                 normal_form(f, ideal), column_module(d).solve(d.columns[0]),
                 report.verdict, report.table, report.witness,
                 betti(tensor), tensor.differentials,
@@ -180,7 +190,10 @@ def test_groebner_engine_calls_no_field_arithmetic(field, monkeypatch):
 
     clear_caches()
     want = results()
-    assert want[3] and want[4] and want[7] and want[-1]
+    assert want[11] and want[12] and want[15] and want[-1]
+    assert want[5] == ideal and want[7][0] == "pg-shell"
+    neighbourhoods = [r for r in want[7][1] if r["criterion"].startswith("infinitesimal")]
+    assert [r["consistent"] for r in neighbourhoods] == [True, True]
 
     def forbidden(*args):
         raise AssertionError("Field arithmetic in the engine")

@@ -1,6 +1,6 @@
 import pytest
 
-from pgshell import parse_source, render_source
+from pgshell import Polynomial, parse_source, render_source
 from pgshell.catalog import build_catalog_entry
 from pgshell.errors import SourceError
 
@@ -49,6 +49,7 @@ def test_parse_zero_generator_gives_zero_ideal():
         ("ring S = QQ[z0];\nideal I = z0 + ;", 2, 14), # dangling plus
         ("ring S = QQ[x];\nideal I = x + y;", 2, 15),  # unknown variable
         ("ring S = ZZ/0[x,y];\nideal I = x;", 1, 13),  # ZZ/0 is no field (not QQ)
+        ("ring S = QQ[x,y];\nideal I = x^\u00b2;", 2, 13),  # superscript two: no ASCII digit
     ],
 )
 def test_parse_negative_cases_have_positions(source, line, col_min):
@@ -57,6 +58,29 @@ def test_parse_negative_cases_have_positions(source, line, col_min):
     assert err.value.line == line
     assert err.value.column >= col_min - 2
     assert f"{err.value.line}:" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["QQ", "ZZ/32003"])
+def test_generator_is_one_term_map(field, monkeypatch):
+    """A degree-8 generator in 6 variables (1287 terms), with repeated and
+    zero terms, parses to its summed term map without `Polynomial.__add__`."""
+    ring = parse_source(f"ring S = {field}[z0,z1,z2,z3,z4,z5];\nideal I = z0;").ring
+    monos = ring.monomials_of_degree(8)
+    assert len(monos) == 1287
+    want, parts = {}, []
+    for i, m in enumerate(monos + monos[:40]):
+        c = i % 7 - 3
+        want[m] = want.get(m, 0) + c
+        parts.append(f"{'-' if c < 0 else '+'} {abs(c)}*{ring.mono_str(m)}")
+    source = f"ring S = {field}[z0,z1,z2,z3,z4,z5];\nideal I = {' '.join(parts)};"
+
+    def forbidden(*args):
+        raise AssertionError("the parser adds polynomials")
+
+    monkeypatch.setattr(Polynomial, "__add__", forbidden)
+    (gen,) = parse_source(source).ideals["I"].generators
+    assert gen.terms == Polynomial(ring, {m: ring.field.of(c) for m, c in want.items()}).terms
+    assert gen.homogeneous_degree() == 8
 
 
 def test_zero_denominator():

@@ -3,7 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from pgshell import Field, Ideal, Polynomial, PolyRing, QQ, linear_substitute, standard_ring
+import pgshell.linalg as linalg_module
+from pgshell import (
+    QQ,
+    Field,
+    Ideal,
+    Polynomial,
+    PolyRing,
+    linear_substitute,
+    rational_normal_curve,
+    standard_ring,
+    substitute_ideal,
+)
 from pgshell.errors import NotHomogeneousError, RingMismatchError, WeightedRingError
 
 from conftest import random_invertible
@@ -104,6 +115,18 @@ def test_linear_substitute_singular_only_mod_p():
     assert linear_substitute(z, matrix) == z.scale(QQ.of(7))
     with pytest.raises(ValueError, match="singular"):
         linear_substitute(Polynomial.variable(standard_ring(3, Field(7)), 2), matrix)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(32003)], ids=["qq", "gf"])
+def test_substitute_ideal_checks_the_matrix_once(field, monkeypatch):
+    ideal = rational_normal_curve(4, field).ideal
+    matrix = random_invertible(random.Random(5), ideal.ring.num_vars, field)
+    want = [linear_substitute(g, matrix) for g in ideal.generators]
+    calls = []
+    determinant = linalg_module.determinant
+    monkeypatch.setattr(linalg_module, "determinant", lambda *a: calls.append(a) or determinant(*a))
+    assert list(substitute_ideal(ideal, matrix).generators) == want
+    assert len(ideal.generators) == 6 and len(calls) == 1
 
 
 def test_determinism_of_str(R4, zvars):

@@ -6,7 +6,11 @@ Coefficients are nonzero ratios with both signs and denominators 1..4,
 so QQ inputs are neither monic nor integral.
 """
 
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -293,3 +297,21 @@ def test_sparse_compose_matches_dense_compose():
                 assert got.columns[-1] == {}
 
         check()
+
+
+def test_failing_example_is_reported_when_warnings_are_errors(tmp_path):
+    """Under `-W error` a failing `@given` test is reported and the tests
+    after it still run: conftest.py imports hypothesis's patch writer,
+    whose import warns, before any failure needs it."""
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests), str(tests.parent / "src")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "conftest",
+         "-W", "error", "test_two.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

@@ -29,22 +29,22 @@ under the key itself.  A term is pushed when it enters the work vector
 and skipped when popped after it has cancelled, so a step costs
 O(log n), not a scan of the whole work vector.
 
-Arithmetic: one integer pass serves both fields, on Python operators,
-with no `Field` method call per coefficient.  Every vector of a pass
-has integer coefficients and is normalized at its lead term by
-`fields.primitive`, the normalizer `linalg.RowSpace` uses too: monic
-over GF(p), where each new coefficient is taken mod p; primitive (gcd
-1, positive lead coefficient) over QQ, where the pass runs
-fraction-free.  QQ inputs are cleared of denominators.  An S-polynomial
-multiplies each vector by the other's lead coefficient, both divided by
-their gcd, so a monic pair needs no scaling.  Over QQ, reduction is
-pseudo-division, which scales the work vector and the partial remainder
-by an integer before each subtraction and divides out their common
-content every few steps.  Every vector so produced is a nonzero
+Arithmetic: one integer form serves both fields, on Python operators,
+with no `Field` method call per coefficient.  Every basis vector, in a
+pass and in the reduced basis returned, has integer coefficients and is
+normalized at its lead term by `fields.primitive`, the normalizer
+`linalg.RowSpace` uses too: monic over GF(p), where each new
+coefficient is taken mod p; primitive (gcd 1, positive lead
+coefficient) over QQ.  An S-polynomial multiplies each vector by the
+other's lead coefficient, both divided by their gcd, so a monic pair
+needs no scaling.  Over QQ, `reduce_vector` clears denominators on
+entry and pseudo-divides: it scales the work vector and the partial
+remainder by an integer before each subtraction and divides out their
+common content every few steps.  Every vector so produced is a nonzero
 multiple of the one the field arithmetic would give, so pairs, zero
-reductions and kept inputs are the same.  Only the final reduced basis
-over QQ is made monic, as `Fraction` vectors; the public reductions on
-it (`GroebnerBasis.reduce`, `ColumnModule.solve`) run the same loop.
+reductions and kept inputs are the same.  `field_remainder` divides
+that multiple out for the readers of field values; printed bases are
+made monic as `Polynomial`s.
 
 Determinism: ties keep input order, and the final interreduction yields
 the reduced Groebner basis, which is unique -- so the output is
@@ -53,12 +53,11 @@ independent of generator permutation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import NotHomogeneousError, PreconditionError, RingMismatchError
-from .fields import clear_denominators, primitive
+from .fields import canonical, clear_denominators, primitive
 from .memo import memoized
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
@@ -140,12 +139,6 @@ def lead_terms(basis, key):
     return [(lt, v[lt]) for lt, v in zip(leads, basis)]
 
 
-def vector_monic(v: dict, key) -> dict:
-    """The integer vector v of a QQ pass as a monic `Fraction` vector."""
-    lc = v[vector_lead(v, key)]
-    return {t: Fraction(c, lc) for t, c in v.items()}
-
-
 def vector_degree(v: dict, ring: PolyRing, twists) -> int | None:
     """Common twisted degree of a homogeneous vector, else None."""
     if not v:
@@ -173,18 +166,17 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing) -> dict:
     remainder is built in decreasing term order.  `key` is a term key
     as this module builds them: a smaller key is a larger term.
 
-    A basis of field coefficients must be monic, as every such basis in
-    the engine is (the GF(p) basis of a pass, `GroebnerBasis.vectors`,
-    `ColumnModule.basis`): a step then subtracts c q basis[idx], for c
-    the coefficient of the term it cancels, and over GF(p) takes each
-    new coefficient mod p.  Over QQ, an integer basis (module_groebner's
-    primitive vectors) pseudo-divides an integer v: the remainder is the
-    field remainder times a nonzero rational, returned primitive.
+    The basis is one the engine keeps: integer vectors, monic over
+    GF(p) (a step subtracts c q basis[idx], for c the coefficient of the
+    term it cancels, and takes each new coefficient mod p) and primitive
+    over QQ, where v is cleared of denominators on entry and
+    pseudo-divided.  The remainder is the field remainder times a nonzero
+    scalar, normalized by `fields.primitive`; `field_remainder` reads
+    the field remainder itself.
     """
     p = ring.field.characteristic
-    integral = not p and bool(lead_terms) and type(lead_terms[0][1]) is int
     mono_div, mono_mul = ring.mono_div, ring.mono_mul
-    work = dict(v)
+    work = dict(v) if p else clear_denominators(v)[0]
     heap = [(key(t), t) for t in work]
     heapify(heap)
     remainder = {}
@@ -203,7 +195,7 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing) -> dict:
             q = mono_div(tm, gm)
             if q is None:
                 continue
-            if integral:
+            if not p:
                 # divide out the content every few steps, then scale by
                 # gc/g so that (c/g) q basis[idx] cancels t
                 steps += 1
@@ -233,16 +225,27 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing) -> dict:
         else:
             remainder[t] = c
             del work[t]
-    if integral and remainder:
+    if remainder:
         # terms leave `work` in decreasing order, so the first is the lead
         return primitive(remainder, next(iter(remainder)), p)
     return remainder
 
 
+def field_remainder(v, basis, lead_terms, key, ring: PolyRing, rank: int) -> dict:
+    """The normal form of v in field values.  v is reduced tagged with the
+    constant monomial at position `rank` (the module's rank): no lead
+    divides it, so it ends scaled by exactly the factor `reduce_vector`
+    applied to the remainder, which is then divided out."""
+    tag = (ring.one_mono, rank)
+    r = reduce_vector({**v, tag: 1}, basis, lead_terms, key, ring)
+    inverse = ring.field.of(1, r.pop(tag))
+    return canonical({t: c * inverse for t, c in r.items()}, ring.field.characteristic)
+
+
 def _spoly(f, g, ltf, ltg, ring: PolyRing):
     """S-vector scale_f qf f - scale_g qg g, which cancels the lead terms:
     each scale is the other lead coefficient divided by their gcd, so
-    both are 1 for a monic pair (over GF(p), or `Fraction` vectors)."""
+    both are 1 for a monic pair (every pair over GF(p))."""
     p = ring.field.characteristic
     (fm, _), fc = ltf
     (gm, _), gc = ltg
@@ -276,24 +279,22 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
     The free module has rank len(twists); position p has twist
     twists[p].  If `kept` is a list, the indices of the inputs that
     survive their reduction on entry are appended to it; for
-    homogeneous input they index a minimal generating subset.
+    homogeneous input they index a minimal generating subset.  The basis
+    vectors are integer, monic over GF(p) and primitive over QQ.
     """
     if key is None:
         key = top_key(ring)
-    p = ring.field.characteristic
     mono_degree = ring.mono_degree
     mono_lcm, mono_mul = ring.mono_lcm, ring.mono_mul
     mono_divides = ring.mono_divides
     mono_key = ring.mono_key
     ideal = len(twists) == 1
 
-    inputs = []  # (degree, index, vector as the pass takes it)
+    inputs = []  # (degree, index, vector)
     for idx, v in enumerate(vectors):
         if v:
-            lt = vector_lead(v, key)
-            mono, pos = lt
-            inputs.append((mono_degree(mono) + twists[pos], idx,
-                           primitive(v if p else clear_denominators(v)[0], lt, p)))
+            mono, pos = vector_lead(v, key)
+            inputs.append((mono_degree(mono) + twists[pos], idx, v))
     inputs.sort(key=lambda entry: entry[:2])
 
     basis = []
@@ -303,7 +304,6 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
 
     def insert(v):
         lt = vector_lead(v, key)
-        v = primitive(v, lt, p)
         new = len(basis)
         basis.append(v)
         leads.append((lt, v[lt]))
@@ -358,7 +358,6 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
 def _interreduce(basis, leads, key, ring: PolyRing):
     """Reduced basis: drop elements with a divisible lead, reduce the rest."""
     mono_divides = ring.mono_divides
-    p = ring.field.characteristic
     kept = []
     for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0]), reverse=True):
         m, pos = leads[i][0]
@@ -366,13 +365,9 @@ def _interreduce(basis, leads, key, ring: PolyRing):
             kept.append(i)
     # `kept` is in ascending lead order, and reducing by the others
     # leaves each lead as it is: no smaller lead divides it, and a larger
-    # lead cannot divide a smaller term.  So `out` needs no sort.
-    out = []
-    for i in kept:
-        others = [k for k in kept if k != i]
-        r = reduce_vector(basis[i], [basis[k] for k in others], [leads[k] for k in others], key, ring)
-        out.append(r if p else vector_monic(r, key))
-    return out
+    # lead cannot divide a smaller term.  So the result needs no sort.
+    return [reduce_vector(basis[i], [basis[k] for k in kept if k != i],
+                          [leads[k] for k in kept if k != i], key, ring) for i in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +375,10 @@ def _interreduce(basis, leads, key, ring: PolyRing):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis of an ideal (monic elements) and its division data.
+    """Reduced Groebner basis of an ideal (monic `elements`) and its division data.
 
-    `vectors`, `leads` and `key` are the basis as rank-1 module vectors,
-    their lead terms and the term order, as `reduce_vector` takes them.
+    `vectors`, `leads` and `key` are the basis as `module_groebner` returns
+    it (rank-1 integer vectors), their lead terms and the term order.
     `kept` indexes the generators that survived their reduction on entry
     to the Buchberger pass: for homogeneous ideals, minimal generators.
     """
@@ -399,13 +394,13 @@ class GroebnerBasis:
         self.vectors = vectors
         self.leads = lead_terms(vectors, key)
         self.lead_monomials = tuple(mono for (mono, _), _ in self.leads)
-        self.elements = tuple(vector_component(v, 0, ring) for v in vectors)
+        self.elements = tuple(vector_component(v, 0, ring).monic() for v in vectors)
 
     def reduce(self, p: Polynomial) -> Polynomial:
         """Remainder of full division of p by the basis."""
         if p.ring != self.ring:
             raise RingMismatchError("polynomial and basis in different rings")
-        r = reduce_vector(poly_to_vector(p), self.vectors, self.leads, self.key, self.ring)
+        r = field_remainder(poly_to_vector(p), self.vectors, self.leads, self.key, self.ring, 1)
         return vector_component(r, 0, self.ring)
 
     def __eq__(self, other):

@@ -11,7 +11,7 @@ subsets of the variables in lexicographic order; on weighted rings each
 subset contributes its total weight to the internal degree.  The
 differential and the comparison maps read every block through one
 memoized reader, `KoszulContext.coords`: the class of a monomial in
-(S/I)_m on that basis, from one `reduce_vector` call if not standard.
+(S/I)_m on that basis, from one `field_remainder` call if not standard.
 
 Each differential d_q is eliminated once per context and (q, m) by
 `linalg.eliminate`: the image is the boundaries B_{q-1}(m), the kernel
@@ -50,7 +50,7 @@ from itertools import combinations
 
 from .errors import InternalCheckError
 from .fields import canonical
-from .groebner import groebner_basis, reduce_vector, standard_monomials
+from .groebner import field_remainder, groebner_basis, standard_monomials
 from .linalg import RowSpace, eliminate
 from .memo import memoized
 from .poly import Ideal
@@ -83,7 +83,7 @@ class KoszulContext:
         if mono in index:
             return {index[mono]: one}
         gb = self.gb
-        r = reduce_vector({(mono, 0): one}, gb.vectors, gb.leads, gb.key, self.ring)
+        r = field_remainder({(mono, 0): one}, gb.vectors, gb.leads, gb.key, self.ring, 1)
         return {index[t]: c for (t, _), c in r.items()}
 
     # -- Koszul chain spaces --------------------------------------------------

@@ -124,6 +124,14 @@ class _Parser:
         tok = self.peek()
         raise SourceError(message, tok.line, tok.col)
 
+    def integer(self, tok: Token) -> int:
+        """The value of INT token tok; past the int-conversion limit, an input error."""
+        try:
+            return int(tok.value)
+        except ValueError as e:
+            raise SourceError(f"integer literal too long ({len(tok.value)} digits)",
+                              tok.line, tok.col) from e
+
     # -- grammar ------------------------------------------------------------
 
     def parse_file(self) -> ParsedSource:
@@ -156,7 +164,7 @@ class _Parser:
             if self.peek().kind == ":":
                 self.advance()
                 w = self.expect("INT", "weight")
-                weights.append(int(w.value))
+                weights.append(self.integer(w))
                 if weights[-1] < 1:
                     raise SourceError("weights must be positive", w.line, w.col)
             else:
@@ -176,7 +184,7 @@ class _Parser:
         if tok.value == "ZZ":
             self.expect("/")
             p = self.expect("INT", "prime characteristic")
-            q = int(p.value)
+            q = self.integer(p)
             if q:  # Field(0) is QQ, which ZZ/0 does not name
                 try:
                     return Field(q)
@@ -229,12 +237,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            num = int(tok.value)
+            num = self.integer(tok)
             den = 1
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.expect("INT", "denominator")
-                den = int(den_tok.value)
+                den = self.integer(den_tok)
                 if den == 0:
                     raise SourceError("zero denominator", den_tok.line, den_tok.col)
             try:
@@ -266,7 +274,7 @@ class _Parser:
             if self.peek().kind == "^":
                 self.advance()
                 e = self.expect("INT", "exponent")
-                exp = int(e.value)
+                exp = self.integer(e)
             mono[idx] += exp
             count += 1
             if self.peek().kind == "*":

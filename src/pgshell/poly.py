@@ -119,12 +119,10 @@ class Polynomial:
         return Polynomial(self.ring, {m: c * coeff for m, c in self.terms.items()})
 
     def monic(self) -> "Polynomial":
+        """self over its lead coefficient, in field values (Fractions over QQ)."""
         if self.is_zero():
             return self
-        lc = self.lead_coeff()
-        if lc == 1:
-            return self
-        return self.scale(self.ring.field.of(1, lc))
+        return self.scale(self.ring.field.of(1, self.lead_coeff()))
 
     # -- value semantics -----------------------------------------------------
 

@@ -21,11 +21,11 @@ from .errors import EngineError, InternalCheckError, WeightedRingError
 from .fields import canonical
 from .groebner import (
     block_key,
+    field_remainder,
     groebner_basis,
     lead_terms,
     module_groebner,
     poly_to_vector,
-    reduce_vector,
     vector_degree,
 )
 from .hilbert import HilbertSeries, artinian_reduction
@@ -69,15 +69,14 @@ def minimal_generators(I: Ideal):
 
 
 class ColumnModule:
-    """Groebner basis of (c_j ; e_j) for the columns c_j of a matrix M."""
+    """Integer Groebner basis of (c_j ; e_j) for the columns c_j of a matrix M."""
 
     __slots__ = ("matrix", "key", "basis", "leads")
 
     def __init__(self, M: GradedMatrix):
         ring = M.ring
         r = M.target.rank
-        one = ring.field.one
-        vectors = [{**col, (ring.one_mono, r + j): one} for j, col in enumerate(M.columns)]
+        vectors = [{**col, (ring.one_mono, r + j): 1} for j, col in enumerate(M.columns)]
         self.matrix = M
         self.key = block_key(ring, r)
         twists = M.target.twists + M.source.twists
@@ -97,7 +96,7 @@ class ColumnModule:
         """The vector x with M x = u (a vector of the target), or None."""
         ring = self.matrix.ring
         r = self.matrix.target.rank
-        rem = reduce_vector(u, self.basis, self.leads, self.key, ring)
+        rem = field_remainder(u, self.basis, self.leads, self.key, ring, r + len(self.matrix.columns))
         if any(p < r for (_, p) in rem):
             return None
         x = {(m, p - r): -c for (m, p), c in rem.items()}

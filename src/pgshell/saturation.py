@@ -37,9 +37,9 @@ from .resolution import is_saturated
 
 def _reduced(ring, vectors) -> Ideal:
     """The ideal generated by the rank-1 `vectors`, given by its reduced
-    grevlex basis."""
+    grevlex basis, made monic."""
     basis = module_groebner(vectors, ring, (0,))
-    return Ideal(ring, [vector_component(v, 0, ring) for v in basis])
+    return Ideal(ring, [vector_component(v, 0, ring).monic() for v in basis])
 
 
 def ideal_quotient_saturation(I: Ideal, f: Polynomial) -> Ideal:

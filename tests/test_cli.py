@@ -296,6 +296,14 @@ def test_non_ascii_digit_exit_2(tmp_path, capsys):
     assert "2:13: unexpected character '\u00b2'" in capsys.readouterr().err
 
 
+def test_overlong_coefficient_exit_2(tmp_path, capsys):
+    # past the interpreter's int-conversion limit: an input error, not exit 3
+    path = tmp_path / "long.ideal"
+    path.write_text(f"ring S = QQ[x,y];\nideal I = {'1' * 5000}*x;\n", encoding="utf-8")
+    assert run(["gb", str(path), "I"]) == (EXIT_INPUT, "")
+    assert capsys.readouterr().err == "error: 2:11: integer literal too long (5000 digits)\n"
+
+
 def test_non_utf8_file_exit_2(tmp_path, capsys):
     # a file that does not decode is an input error, not a crash (exit 1 is a verdict)
     path = tmp_path / "utf16.ideal"

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,9 +28,11 @@ from pgshell import (
     twisted_cubic_cone_p5,
     veronese_surface,
 )
+from pgshell import groebner
 from pgshell.criteria import criteria_suite, ideal_power_plus
 from pgshell.linalg import determinant
 from pgshell.resolution import column_module
+from pgshell.shell import lift_chain_map
 
 from conftest import random_invertible
 
@@ -132,7 +135,6 @@ def test_buchberger_permutation_invariance(R4, tc_quadrics):
 def test_all_spolys_reduce_to_zero(twisted_cubic, veronese_entry):
     from pgshell.groebner import (
         _spoly,
-        poly_to_vector,
         reduce_vector,
         top_key,
         vector_lead,
@@ -141,7 +143,7 @@ def test_all_spolys_reduce_to_zero(twisted_cubic, veronese_entry):
     for ideal in (twisted_cubic, veronese_entry.ideal):
         gb = groebner_basis(ideal)
         key = top_key(ideal.ring)
-        basis = [poly_to_vector(g) for g in gb.elements]
+        basis = list(gb.vectors)
         leads = [(vector_lead(v, key), v[vector_lead(v, key)]) for v in basis]
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
@@ -203,6 +205,62 @@ def test_groebner_engine_calls_no_field_arithmetic(field, monkeypatch):
     clear_caches()
     try:
         assert results() == want
+    finally:
+        clear_caches()
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                       "__mod__", "__rmod__")
+
+
+def test_qq_reductions_run_on_integers(monkeypatch):
+    """Over QQ no `Fraction` reaches `reduce_vector`'s arithmetic: every
+    basis it receives and returns has `int` coefficients, and while it
+    runs the arithmetic operators of `Fraction` raise, so its work vector,
+    cleared on entry, is integral too.  Checked through `normal_form`, a
+    minimal resolution, a chain-map lift and a Koszul oracle check."""
+    rng = random.Random("integer-reductions")
+    entry = rational_normal_curve(4, QQ)
+    ideal = substitute_ideal(entry.ideal, random_invertible(rng, entry.ring.num_vars, QQ))
+    w2 = Ideal(ideal.ring, ideal.generators[:2])
+    z = [Polynomial.variable(ideal.ring, i) for i in range(entry.ring.num_vars)]
+    f = ideal.generators[0] * z[1] + z[2] * z[3] * z[4].scale(QQ.of(2, 3))
+
+    inside = []
+    for name in FRACTION_ARITHMETIC:
+        def guarded(self, other, real=getattr(Fraction, name), name=name):
+            assert not inside, f"Fraction.{name} in reduce_vector"
+            return real(self, other)
+        monkeypatch.setattr(Fraction, name, guarded)
+
+    real_reduce = groebner.reduce_vector
+    calls = []
+
+    def checked(v, basis, leads, key, ring):
+        assert all(type(c) is int for g in basis for c in g.values())
+        assert all(type(c) is int for _, c in leads)
+        inside.append(True)
+        try:
+            r = real_reduce(v, basis, leads, key, ring)
+        finally:
+            inside.pop()
+        assert all(type(c) is int for c in r.values())
+        calls.append(v)
+        return r
+
+    monkeypatch.setattr(groebner, "reduce_vector", checked)
+    clear_caches()
+    try:
+        res_w, res_v = minimal_resolution(w2), minimal_resolution(ideal)
+        for name, step in [("normal form", lambda: normal_form(f, ideal)),
+                           ("lift", lambda: lift_chain_map(res_w, res_v)),
+                           ("oracle", lambda: pgshell_report(ideal, w2, "oracle"))]:
+            before = len(calls)
+            step()
+            assert len(calls) > before, name
+        # the Fraction inputs of normal_form and the oracle were seen
+        assert any(type(c) is Fraction for v in calls for c in v.values())
     finally:
         clear_caches()
 

@@ -2,11 +2,12 @@
 field-arithmetic engine it replaced, over QQ and over GF(p).
 
 `module_groebner` runs both fields on integer vectors normalized by
-`fields.primitive`: over QQ primitive, with pseudo-reduction, and only
-the final basis made monic; over GF(p) monic, reduced mod p inline.  The
-reference below is the engine as it was before, on the `Field` methods
-throughout (`Fraction` coefficients over QQ); on both fields the two
-must return the same reduced basis and the same kept inputs.  Over QQ,
+`fields.primitive`: over QQ primitive, with pseudo-reduction; over GF(p)
+monic, reduced mod p inline.  It returns the reduced basis in that form.
+The reference below is the engine as it was before, on the `Field`
+methods throughout (`Fraction` coefficients over QQ), returning the
+monic basis; on both fields the two must return the same reduced basis,
+up to that normalization, and the same kept inputs.  Over QQ,
 `reduce_vector` on integer vectors must return the primitive form, with
 positive lead coefficient, of the field remainder.
 """
@@ -23,8 +24,10 @@ from hypothesis import strategies as st
 from pgshell import (
     QQ,
     Field,
+    Ideal,
     Polynomial,
     complete_intersection,
+    groebner_basis,
     minimal_resolution,
     points_on_rational_normal_curve,
     rational_normal_curve,
@@ -177,15 +180,19 @@ def ref_module_groebner(vectors, ring, twists, key, kept):
 
 
 def assert_same_engine(vectors, ring, twists, key):
+    """The engine returns the reference basis in its integer form: monic
+    over GF(p), the primitive multiple with `int` coefficients over QQ."""
     kept, ref_kept = [], []
     got = module_groebner(vectors, ring, twists, key=key, kept=kept)
     want = ref_module_groebner(vectors, ring, twists, key, ref_kept)
-    assert got == want
+    if ring.field.characteristic:
+        assert got == want
+    else:
+        assert got == [integer_primitive(v, key) for v in want]
+    assert all(type(c) is int for v in got for c in v.values())
     assert kept == ref_kept
-    # the same vectors, term order included, over QQ with Fraction coefficients
+    # the same vectors, term order included
     assert [list(v) for v in got] == [list(v) for v in want]
-    if not ring.field.characteristic:
-        assert all(type(c) is Fraction for v in got for c in v.values())
     return want
 
 
@@ -242,9 +249,10 @@ def test_catalog_in_generic_coordinates(label, field):
                                     gb, key, ring)
     for M in minimal_resolution(ideal).differentials:
         r = M.target.rank
-        # the inputs of the differential's ColumnModule, under its block order
-        columns = [{**col, (ring.one_mono, r + j): ring.field.one}
-                   for j, col in enumerate(M.columns)]
+        # the inputs of the differential's ColumnModule, under its block
+        # order, in field values (syzygy columns are integer vectors)
+        columns = over(ring.field, [{**col, (ring.one_mono, r + j): 1}
+                                    for j, col in enumerate(M.columns)])
         basis = assert_same_engine(columns, ring, M.target.twists + M.source.twists,
                                    block_key(ring, r))
         # the syzygy vectors that minimal_generating_subset takes next
@@ -305,3 +313,6 @@ def test_input_scaling_is_invisible():
     key = top_key(RING)
     want = assert_same_engine([poly_to_vector(f), poly_to_vector(g)], RING, (0,), key)
     assert all(v[vector_lead(v, key)] == 1 for v in want)
+    elements = groebner_basis(Ideal(RING, [f, g])).elements
+    assert [poly_to_vector(e) for e in elements] == want
+    assert all(e.lead_coeff() == 1 and type(e.lead_coeff()) is Fraction for e in elements)

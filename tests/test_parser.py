@@ -60,6 +60,27 @@ def test_parse_negative_cases_have_positions(source, line, col_min):
     assert f"{err.value.line}:" in str(err.value)
 
 
+LONG = "1" * 5000  # past the interpreter's 4300-digit int-conversion limit
+
+
+@pytest.mark.parametrize(
+    "source, line, col",
+    [
+        (f"ring S = QQ[x,y];\nideal I = {LONG}*x;", 2, 11),    # coefficient
+        (f"ring S = QQ[x,y];\nideal I = 1/{LONG}*x;", 2, 13),  # denominator
+        (f"ring S = QQ[x,y];\nideal I = x^{LONG};", 2, 13),    # exponent
+        (f"ring S = QQ[x:{LONG},y];\nideal I = x;", 1, 15),     # weight
+        (f"ring S = ZZ/{LONG}[x,y];\nideal I = x;", 1, 13),     # characteristic
+    ],
+    ids=["coefficient", "denominator", "exponent", "weight", "characteristic"],
+)
+def test_overlong_integer_literal_is_a_source_error(source, line, col):
+    with pytest.raises(SourceError) as err:
+        parse_source(source)
+    assert (err.value.line, err.value.column) == (line, col)
+    assert err.value.message == "integer literal too long (5000 digits)"
+
+
 @pytest.mark.parametrize("field", ["QQ", "ZZ/32003"])
 def test_generator_is_one_term_map(field, monkeypatch):
     """A degree-8 generator in 6 variables (1287 terms), with repeated and

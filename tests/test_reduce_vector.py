@@ -3,15 +3,19 @@ arithmetic against the scan loop on field methods it replaced.
 
 `ref_reduce_vector` below is `reduce_vector` as it was before the heap
 and before GF(p) joined QQ's integer pass: it picks the next term, the
-largest, with `min(work, key=key)` (a smaller key is a larger term), and
-outside QQ's pseudo-division it does its arithmetic through the `Field`
-methods (`ref_arithmetic`) and divides by the lead coefficient.  While a
-test runs, every reduction the engine makes goes through both.  That
-covers the monic integer vectors of a pass over GF(p), `Fraction` inputs
-against the monic reduced basis over QQ (`normal_form`) and the
-fraction-free path on the integer vectors of a QQ pass, under `top_key`,
-`block_key` and `last_variable_key`.  Remainders and their key order
-must be identical.
+largest, with `min(work, key=key)` (a smaller key is a larger term).
+Over QQ it clears the input of denominators, as the engine does, and
+pseudo-divides; otherwise, or on request (`fractions`), it does its
+arithmetic through the `Field` methods and divides by the lead
+coefficient.  Unless `fractions` is set, the remainder is normalized by
+`fields.primitive`, as the engine returns it.  While a test runs, every
+reduction the engine makes goes through both.  That covers the monic
+integer vectors of GF(p), the primitive integer vectors of QQ, the
+`Fraction` inputs of `normal_form` and the tagged reductions of
+`field_remainder`, under `top_key`, `block_key` and `last_variable_key`.
+Remainders and their key order must be identical.  Over QQ,
+`normal_form` must also equal a `Fraction`-arithmetic reduction against
+the monic basis.
 """
 
 from collections import Counter
@@ -35,32 +39,20 @@ from pgshell import (
     normal_form,
 )
 from pgshell import groebner, resolution, saturation
-from pgshell.fields import primitive
-from pgshell.groebner import CONTENT_STEPS
+from pgshell.fields import clear_denominators, primitive
+from pgshell.groebner import CONTENT_STEPS, lead_terms, poly_to_vector
 from pgshell.saturation import ideal_quotient_saturation
 
 from conftest import graded_ideals
 
 
-def ref_is_integral(c, field) -> bool:
-    """Is c one of a QQ pass's integer coefficients?"""
-    return not field.characteristic and type(c) is int
-
-
-def ref_arithmetic(integral: bool, field):
-    """(zero, sub, mul) on integers or in the field."""
-    if integral:
-        return 0, int_sub, int_mul
-    return field.zero, field.sub, field.mul
-
-
-def ref_reduce_vector(v, basis, lead_terms, key, ring) -> dict:
+def ref_reduce_vector(v, basis, lead_terms, key, ring, fractions=False) -> dict:
     """The scan loop: the largest term of the work vector, each step."""
     field = ring.field
-    integral = bool(lead_terms) and ref_is_integral(lead_terms[0][1], field)
-    zero, sub, mul = ref_arithmetic(integral, field)
+    integral = not field.characteristic and not fractions
+    zero, sub, mul = (0, int_sub, int_mul) if integral else (field.zero, field.sub, field.mul)
     mono_div, mono_mul = ring.mono_div, ring.mono_mul
-    work = dict(v)
+    work = clear_denominators(v)[0] if integral else dict(v)
     remainder = {}
     nbasis = len(basis)
     steps = 0
@@ -97,8 +89,8 @@ def ref_reduce_vector(v, basis, lead_terms, key, ring) -> dict:
         else:
             remainder[t] = c
             del work[t]
-    if integral and remainder:
-        return primitive(remainder, next(iter(remainder)), 0)
+    if remainder and not fractions:
+        return primitive(remainder, next(iter(remainder)), field.characteristic)
     return remainder
 
 
@@ -122,12 +114,7 @@ class Differential:
         want = ref_reduce_vector(v, basis, lead_terms, key, ring)
         got = self.real(v, basis, lead_terms, key, ring)
         assert list(got.items()) == list(want.items())
-        if ring.field.characteristic:
-            arithmetic = "gf"
-        elif lead_terms and ref_is_integral(lead_terms[0][1], ring.field):
-            arithmetic = "qq-integer"
-        else:
-            arithmetic = "qq-fraction"
+        arithmetic = "gf" if ring.field.characteristic else "qq"
         name = self.key_names.get(key, "other")
         self.seen[name, arithmetic] += 1
         return got
@@ -136,8 +123,7 @@ class Differential:
 @pytest.fixture
 def differential(monkeypatch):
     d = Differential(groebner.reduce_vector)
-    for module in (groebner, resolution):
-        monkeypatch.setattr(module, "reduce_vector", d)
+    monkeypatch.setattr(groebner, "reduce_vector", d)
     monkeypatch.setattr(groebner, "top_key", d.named("top", groebner.top_key))
     monkeypatch.setattr(resolution, "block_key", d.named("block", groebner.block_key))
     monkeypatch.setattr(saturation, "last_variable_key",
@@ -166,18 +152,20 @@ def test_reductions_match_max_scan(differential, field, weighted):
         gb = groebner_basis(ideal)
         r = normal_form(p, gb)
         assert normal_form(p - r, gb).is_zero()
+        if not field.characteristic:
+            # the field remainder against the monic basis, on Fractions
+            monic = [poly_to_vector(g) for g in gb.elements]
+            want = ref_reduce_vector(poly_to_vector(p), monic, lead_terms(monic, gb.key), gb.key,
+                                     ideal.ring, fractions=True)
+            assert list(poly_to_vector(r).items()) == list(want.items())
         minimal_resolution(ideal)
         for i in range(ideal.ring.num_vars):
             ideal_quotient_saturation(ideal, Polynomial.variable(ideal.ring, i))
 
     check()
-    arithmetic = ("gf",) if field.characteristic else ("qq-integer", "qq-fraction")
+    arithmetic = "gf" if field.characteristic else "qq"
     for name in ("top", "block", "last-variable"):
-        assert any(differential.seen[name, a] for a in arithmetic), name
-    if not field.characteristic:
-        assert differential.seen["top", "qq-integer"]
-    # normal forms against the monic reduced basis
-    assert differential.seen["top", "gf" if field.characteristic else "qq-fraction"]
+        assert differential.seen[name, arithmetic], name
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3)], ids=["standard", "weighted"])

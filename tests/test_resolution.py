@@ -3,6 +3,7 @@ import io
 import pytest
 
 from pgshell import (
+    Field,
     GradedFreeModule,
     GradedMatrix,
     Ideal,
@@ -156,6 +157,44 @@ def test_syzygies_match_dense_kernels_on_random_matrices():
                     shifted = [p * Polynomial.from_term(ring, mono, field.one) for p in col]
                     span.add(dict(enumerate(embed(shifted, d, src_layout, src_dim))))
             assert span.dim == kernel_dim, (trial, d)
+
+
+@pytest.mark.parametrize("field, weights",
+                         [(QQ, (1, 1, 1)), (Field(32003), (1, 1, 1)), (QQ, (1, 2, 3))],
+                         ids=["qq", "gf", "qq-weighted"])
+def test_column_module_solve_is_exact(field, weights):
+    """For u = M x with rational x, `solve(u)` returns an x' with M x' = u
+    exactly; u plus a constant, outside the image, gives None."""
+    import random
+
+    from pgshell.resolution import column_module
+
+    rng = random.Random(f"solve/{field.characteristic}/{weights}")
+    ring = PolyRing(field, ("x", "y", "z"), weights)
+
+    def form(degree):
+        monos = ring.monomials_of_degree(degree)
+        return {m: field.of(rng.randint(-5, 5), rng.randint(1, 4))
+                for m in rng.sample(monos, min(3, len(monos)))}
+
+    def vector(twists, degree):
+        return {(m, i): c for i, t in enumerate(twists) for m, c in form(degree - t).items()}
+
+    solved = 0
+    for _ in range(20):
+        target = GradedFreeModule(rng.randint(0, 1) for _ in range(rng.randint(1, 3)))
+        source = GradedFreeModule(rng.randint(2, 3) for _ in range(rng.randint(1, 4)))
+        M = GradedMatrix(ring, source, target, [vector(target.twists, s) for s in source.twists])
+        d = max(source.twists) + rng.randint(0, 2)
+        one = GradedFreeModule((d,))
+        (u,) = M.compose(GradedMatrix(ring, one, source, [vector(source.twists, d)])).columns
+        x = column_module(M).solve(u)
+        assert x is not None
+        assert M.compose(GradedMatrix(ring, one, source, [x])).columns == (u,)
+        solved += bool(u)
+        # every entry of M lies in S_+, so no constant vector is in the image
+        assert column_module(M).solve({**u, (ring.one_mono, 0): field.one}) is None
+    assert solved > 10
 
 
 def test_minimal_resolution_shapes(twisted_cubic, ci23, rnc4_entry):

@@ -26,7 +26,6 @@ from .errors import (
 from .groebner import (
     is_minimal_generator,
     membership,
-    module_groebner,
     poly_to_vector,
     require_proper,
     same_ideal,
@@ -39,6 +38,7 @@ from .resolution import (
     FreeResolution,
     betti,
     betti_table,
+    minimal_generating_subset,
     minimal_generators,
     minimal_resolution,
     regularity_and_depth,
@@ -175,8 +175,7 @@ def part_of_minimal_generators(I_W: Ideal, I_V: Ideal) -> bool:
     """
     w_gens = minimal_generators(I_W)
     vectors = [poly_to_vector(g) for g in (*w_gens, *I_V.generators)]
-    kept: list[int] = []
-    module_groebner(vectors, I_V.ring, (0,), kept=kept)
+    kept = minimal_generating_subset(vectors, I_V.ring, (0,))
     return set(range(len(w_gens))) <= set(kept)
 
 

@@ -113,14 +113,14 @@ class Field:
         if self.characteristic == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / a
+            return 1 / Fraction(a)
         return pow(a, -1, self.characteristic)
 
     def div(self, a, b):
         if self.characteristic == 0:
             if b == 0:
                 raise ZeroDivisionError("division by zero")
-            return a / b
+            return Fraction(a) / b
         return (a * pow(b, -1, self.characteristic)) % self.characteristic
 
     # -- misc ----------------------------------------------------------------

@@ -12,14 +12,15 @@ order).  The ring's grevlex is the default order; every other order
 is a term key passed to the engine.
 
 Strategy: S-pairs sit in a heap ordered by their twisted degree, then
-by their lcm, smallest first, then by basis index.  Input vectors
-are not all loaded at the start: each enters in increasing degree of
-its lead term, once every pair of no larger degree has been processed,
-and is kept only if its normal form against the basis so far is
-nonzero.  For homogeneous input that basis is a truncated Groebner
-basis in the input's degree, so the inputs that survive form a minimal
-generating subset (La Scala-Stillman).  The product criterion is used
-for ideals only, the chain criterion always.
+by the pass's term key of (lcm, position), smallest first, then by
+basis index.  Input vectors are not all loaded at the start: each
+enters in increasing degree of its lead term, once every pair of no
+larger degree has been processed, and is kept only if its normal form
+against the basis so far is nonzero.  For homogeneous input that basis
+is a truncated Groebner basis in the input's degree, so the inputs that
+survive form a minimal generating subset, and under a block order so do
+the syzygies that enter (La Scala-Stillman; `module_groebner`).  The
+product criterion is used for ideals only, the chain criterion always.
 
 Reduction: `reduce_vector` divides the largest remaining term first.
 Every term key is one flat int tuple, memoized per term by
@@ -273,21 +274,35 @@ def _spoly(f, g, ltf, ltg, ring: PolyRing):
     return out
 
 
-def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
+def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None, syzygies=None):
     """Reduced Groebner basis of the submodule generated by `vectors`.
 
     The free module has rank len(twists); position p has twist
-    twists[p].  If `kept` is a list, the indices of the inputs that
-    survive their reduction on entry are appended to it; for
-    homogeneous input they index a minimal generating subset.  The basis
-    vectors are integer, monic over GF(p) and primitive over QQ.
+    twists[p].  The basis vectors are integer, monic over GF(p) and
+    primitive over QQ.  In one degree, pairs pop smallest (lcm, position)
+    first under `key`; under `block_key(ring, block)`, those inside the
+    block (positions >= block) pop before the others and the inputs.
+
+    If `kept` is a list, the indices of the inputs that survive their
+    reduction on entry are appended to it; for homogeneous input they
+    index a minimal generating subset.  If `syzygies` is (block, out),
+    for `key` an order in which the positions < block dominate, each
+    vector that enters led at a position >= block, from an input or a
+    pair at a position < block, is appended to `out`.  For homogeneous
+    input these minimally generate K, the part of the submodule in the
+    positions >= block (La Scala-Stillman, JSC 26, 1998).  Minimal: when
+    one of degree d enters, the basis holds a d-truncated Groebner basis
+    of S_+ K and those recorded before it in degree d; only vectors led
+    in the block reduce it, so it lies outside their span.  Generating:
+    the basis vectors led in the block are a Groebner basis of K, and
+    one from a pair inside the block lies in the span of earlier ones.
     """
     if key is None:
         key = top_key(ring)
+    block, out = syzygies or (len(twists), None)
     mono_degree = ring.mono_degree
     mono_lcm, mono_mul = ring.mono_lcm, ring.mono_mul
     mono_divides = ring.mono_divides
-    mono_key = ring.mono_key
     ideal = len(twists) == 1
 
     inputs = []  # (degree, index, vector)
@@ -299,21 +314,23 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
 
     basis = []
     leads = []
-    pairs = []  # heap of (degree, minus the lcm's key, i, j, lcm): smallest lcm first
+    pairs = []  # heap of (degree, minus the key of (lcm, position), i, j, lcm): smallest first
     pending = set()
 
-    def insert(v):
+    def insert(v, from_block):
         lt = vector_lead(v, key)
         new = len(basis)
         basis.append(v)
         leads.append((lt, v[lt]))
         mono, pos = lt
+        if pos >= block and not from_block:
+            out.append(v)
         for t in range(new):
             (mt, pt), _ = leads[t]
             if pt == pos:
                 lcm = mono_lcm(mt, mono)
-                heappush(pairs, (mono_degree(lcm) + twists[pos], tuple(-k for k in mono_key(lcm)),
-                                 t, new, lcm))
+                order = tuple(-k for k in key((lcm, pos)))
+                heappush(pairs, (mono_degree(lcm) + twists[pos], order, t, new, lcm))
                 pending.add((t, new))
 
     nxt = 0
@@ -323,7 +340,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
             nxt += 1
             r = reduce_vector(v, basis, leads, key, ring)
             if r:
-                insert(r)
+                insert(r, False)
                 if kept is not None:
                     kept.append(idx)
             continue
@@ -350,7 +367,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None):
         s = _spoly(basis[i], basis[j], leads[i], leads[j], ring)
         r = reduce_vector(s, basis, leads, key, ring)
         if r:
-            insert(r)
+            insert(r, pi >= block)
 
     return _interreduce(basis, leads, key, ring)
 

@@ -3,13 +3,11 @@
 Everything runs on the one module Groebner engine.  For a matrix M
 with columns c_1..c_s in S^r, a `ColumnModule` holds the Groebner
 basis of the vectors (c_j ; e_j) in S^r (+) S^s under a block order in
-which the first r positions dominate.  Basis elements whose first
-block vanishes generate (indeed form a Groebner basis of) the syzygy
-module, and reducing (u ; 0) solves M x = u.  Minimal generating sets
-come from a single degree-ordered Buchberger pass that keeps exactly
-the inputs not already in the span of the earlier ones, so iterating
-kernels yields the minimal resolution directly (Hilbert's bound N+1
-is asserted, never assumed).  `betti_table` resolves the cut ideal of
+which the first r positions dominate; reducing (u ; 0) solves M x = u.
+The same pass records a minimal generating set of ker M (the
+`syzygies` of `module_groebner`), so iterating kernels yields the
+minimal resolution with one pass per step (Hilbert's bound N+1 is
+asserted, never assumed).  `betti_table` resolves the cut ideal of
 `hilbert.artinian_reduction`.
 """
 
@@ -69,9 +67,9 @@ def minimal_generators(I: Ideal):
 
 
 class ColumnModule:
-    """Integer Groebner basis of (c_j ; e_j) for the columns c_j of a matrix M."""
+    """Integer Groebner basis of (c_j ; e_j), c_j the columns of M, and its recorded syzygies."""
 
-    __slots__ = ("matrix", "key", "basis", "leads")
+    __slots__ = ("matrix", "key", "basis", "leads", "syzygies")
 
     def __init__(self, M: GradedMatrix):
         ring = M.ring
@@ -80,17 +78,10 @@ class ColumnModule:
         self.matrix = M
         self.key = block_key(ring, r)
         twists = M.target.twists + M.source.twists
-        self.basis = module_groebner(vectors, ring, twists, key=self.key)
+        recorded: list[dict] = []
+        self.basis = module_groebner(vectors, ring, twists, self.key, syzygies=(r, recorded))
         self.leads = lead_terms(self.basis, self.key)
-
-    def syzygy_vectors(self):
-        """Basis elements with vanishing first block, shifted to S^s."""
-        r = self.matrix.target.rank
-        return [
-            {(m, p - r): c for (m, p), c in v.items()}
-            for v in self.basis
-            if all(p >= r for (_, p) in v)
-        ]
+        self.syzygies = [{(m, p - r): c for (m, p), c in v.items()} for v in recorded]
 
     def solve(self, u):
         """The vector x with M x = u (a vector of the target), or None."""
@@ -111,21 +102,12 @@ def column_module(M: GradedMatrix) -> ColumnModule:
 
 
 def syzygies(M: GradedMatrix) -> GradedMatrix:
-    """A minimal generating set of ker(M), as columns of a GradedMatrix.
-
-    Twists of the new source module are inferred from the homogeneous
-    column degrees; columns are sorted by degree.
-    """
+    """A minimal generating set of ker(M), the syzygies `column_module(M)`
+    records, as columns of a GradedMatrix twisted by their (non-decreasing) degrees."""
     M.validate_degrees()
-    ring = M.ring
-    s = M.source.rank
-    if s == 0:
-        return GradedMatrix(ring, GradedFreeModule(()), M.source, [])
-    syz_vectors = column_module(M).syzygy_vectors()
-    twists = M.source.twists
-    chosen = [syz_vectors[i] for i in minimal_generating_subset(syz_vectors, ring, twists)]
-    new_source = GradedFreeModule([vector_degree(v, ring, twists) for v in chosen])
-    out = GradedMatrix(ring, new_source, M.source, chosen)
+    syz = column_module(M).syzygies
+    new_source = GradedFreeModule([vector_degree(v, M.ring, M.source.twists) for v in syz])
+    out = GradedMatrix(M.ring, new_source, M.source, syz)
     out.validate_degrees()
     return out
 
@@ -378,11 +360,12 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
         img = module_groebner(res.differential(1).columns, ring, (0,))
         ok = img == groebner_basis(res.resolved).vectors
         report.add("image of d_1 is the resolved ideal", ok)
-        # exactness in the middle: Syz(d_q) inside im(d_{q+1}); the syzygy
-        # vectors of a ColumnModule already form a Groebner basis of ker d_q
+        # exactness: ker d_q (the basis's syzygy block, not the recorded syzygies) in im d_{q+1}
         modules = [column_module(res.differential(q)) for q in range(1, res.length + 1)]
         for q in range(1, res.length + 1):
-            kernel = modules[q - 1].syzygy_vectors()
+            r = modules[q - 1].matrix.target.rank
+            kernel = [{(m, p - r): c for (m, p), c in v.items()}
+                      for v in modules[q - 1].basis if all(p >= r for _, p in v)]
             if q < res.length:
                 ok = all(modules[q].solve(v) is not None for v in kernel)
                 report.add(f"exactness at F_{q}", ok)

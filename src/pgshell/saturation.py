@@ -66,8 +66,8 @@ def ideal_quotient_saturation(I: Ideal, f: Polynomial) -> Ideal:
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J: the elements (0 ; h) of a basis of the module spanned by
-    (f_i ; f_i) and (g_j ; 0), with position 0 eliminated."""
+    """I cap J: the elements (0 ; h) of the module spanned by (f_i ; f_i)
+    and (g_j ; 0), with position 0 eliminated, as recorded by its pass."""
     ring = I.ring
     if J.ring != ring:
         raise EngineError("ideals live in different rings")
@@ -77,9 +77,9 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(ring, [])
     vectors = [{**poly_to_vector(f), **poly_to_vector(f, 1)} for f in I.generators]
     vectors += [poly_to_vector(g) for g in J.generators]
-    basis = module_groebner(vectors, ring, (0, 0), block_key(ring, 1))
-    return _reduced(ring, [{(m, 0): c for (m, _), c in v.items()} for v in basis
-                           if all(p == 1 for _, p in v)])
+    h: list[dict] = []
+    module_groebner(vectors, ring, (0, 0), block_key(ring, 1), syzygies=(1, h))
+    return _reduced(ring, [{(m, 0): c for (m, _), c in v.items()} for v in h])
 
 
 def saturate_irrelevant(I: Ideal):

@@ -133,6 +133,21 @@ def test_rationals_stay_reduced():
             assert gcd(value.numerator, value.denominator) == 1
 
 
+def test_division_is_exact_on_both_fields():
+    # over QQ the quotient of two ints is a Fraction, never a float
+    cases = [(QQ.div(3, 2), Fraction(3, 2)), (QQ.inv(2), Fraction(1, 2)),
+             (QQ.div(Fraction(1, 3), 2), Fraction(1, 6)),
+             (QQ.inv(Fraction(-2, 3)), Fraction(-3, 2))]
+    for value, want in cases:
+        assert value == want and type(value) is Fraction
+    f = Field(7)
+    assert (f.div(3, 2), f.inv(2), f.div(6, 3)) == (5, 4, 2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
 def test_prime_field_representatives():
     f = Field(5)
     assert f.of(7) == 2

@@ -255,7 +255,7 @@ def test_catalog_in_generic_coordinates(label, field):
                                     for j, col in enumerate(M.columns)])
         basis = assert_same_engine(columns, ring, M.target.twists + M.source.twists,
                                    block_key(ring, r))
-        # the syzygy vectors that minimal_generating_subset takes next
+        # the syzygy part of the basis, a Groebner basis of ker M
         syz = [{(m, p - r): c for (m, p), c in v.items()} for v in basis
                if all(p >= r for (_, p) in v)]
         if syz:

@@ -1,8 +1,10 @@
 """Differential tests: the one-pass minimal generating subset against the
 greedy loop that re-runs Buchberger after every kept vector, the
-minimal generators of an ideal read from its one Groebner pass, and the
-minimal-generator tests of the shell criteria against linear algebra on
-the degree-m multiples."""
+minimal generators of an ideal read from its one Groebner pass, the
+minimal syzygies a column module's one pass records against the
+minimal generating subset of its syzygy part, and the minimal-generator
+tests of the shell criteria against linear algebra on the degree-m
+multiples."""
 
 import random
 import sys
@@ -41,6 +43,7 @@ from pgshell.groebner import (
     vector_degree,
 )
 from pgshell.linalg import RowSpace
+from pgshell.modules import GradedFreeModule, GradedMatrix
 from pgshell.resolution import column_module, minimal_generating_subset
 
 from conftest import graded_ideals, random_invertible
@@ -104,21 +107,119 @@ def test_minimal_subset_matches_reference_on_redundant_generators(build):
         assert len(got) == len(entry.ideal.generators)
 
 
+def generic(name, field):
+    """The catalog ideal `name` in seeded generic coordinates over `field`."""
+    if name == "veronese":
+        entry = veronese_surface(field)
+    else:
+        entry = rational_normal_curve(int(name.removeprefix("rnc")), field)
+    n = entry.ring.num_vars
+    return substitute_ideal(entry.ideal, random_invertible(random.Random(7), n, field))
+
+
+def syzygy_part(M):
+    """The basis vectors of M's column module led in the syzygy block, shifted to S^s."""
+    r = M.target.rank
+    return [{(m, p - r): c for (m, p), c in v.items()} for v in column_module(M).basis
+            if all(p >= r for (_, p) in v)]
+
+
 @pytest.mark.parametrize("characteristic", [0, 32003], ids=["QQ", "GF32003"])
 @pytest.mark.parametrize("name", ["rnc4", "veronese"])
 def test_minimal_subset_matches_reference_on_syzygy_vectors(name, characteristic):
-    field = Field(characteristic)
-    entry = rational_normal_curve(4, field) if name == "rnc4" else veronese_surface(field)
-    ring = entry.ring
-    moved = substitute_ideal(entry.ideal, random_invertible(random.Random(7), ring.num_vars, field))
-    res = minimal_resolution(moved)
+    res = minimal_resolution(generic(name, Field(characteristic)))
+    ring = res.ring
     for q in range(1, res.length + 1):
         d = res.differential(q)
-        vectors = column_module(d).syzygy_vectors()
+        vectors = syzygy_part(d)
         twists = d.source.twists
         got = minimal_generating_subset(vectors, ring, twists)
         assert got == reference_subset(vectors, ring, twists)
         assert len(got) == res.module(q + 1).rank
+
+
+def assert_recorded_syzygies_are_minimal(M):
+    """The syzygies recorded by M's column module lie in ker M, generate
+    the Groebner basis of ker M that the same pass returns, and are as
+    many as a minimal generating subset of it; returns their count."""
+    ring = M.ring
+    twists = M.source.twists
+    syz = column_module(M).syzygies
+    source = GradedFreeModule([vector_degree(v, ring, twists) for v in syz])
+    assert M.compose(GradedMatrix(ring, source, M.source, syz)).is_zero()
+    key = top_key(ring)
+    gb = module_groebner(syz, ring, twists, key)
+    part = syzygy_part(M)
+    assert all(not reduce_vector(v, gb, lead_terms(gb, key), key, ring) for v in part)
+    assert len(syz) == len(minimal_generating_subset(part, ring, twists))
+    return len(syz)
+
+
+def weighted_ideal(field):
+    """Three seeded forms of weighted degree 3, 4 and 4 on weights (1, 1, 2, 3)."""
+    ring = PolyRing(field, ("x", "y", "z", "w"), (1, 1, 2, 3))
+    rng = random.Random(11)
+    gens = []
+    for d in (3, 4, 4):
+        monos = rng.sample(ring.monomials_of_degree(d), 3)
+        gens.append(Polynomial(ring, {m: field.of(rng.randint(1, 5)) for m in monos}))
+    return Ideal(ring, gens)
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["rnc4", "veronese", "rnc5", "weighted"])
+def test_recorded_syzygies_are_minimal_on_resolutions(name, characteristic):
+    field = Field(characteristic)
+    res = minimal_resolution(weighted_ideal(field) if name == "weighted" else generic(name, field))
+    for q in range(1, res.length + 1):
+        assert assert_recorded_syzygies_are_minimal(res.differential(q)) == res.module(q + 1).rank
+
+
+def random_matrix(rng, field):
+    """A small homogeneous matrix: random forms, zero entries and columns,
+    and scaled copies of earlier columns, so that some inputs reduce to
+    syzygies on entry."""
+    weights = rng.choice([(1, 1, 1), (1, 1, 2)])
+    ring = PolyRing(field, ("x", "y", "z"), weights)
+    target = GradedFreeModule(rng.randint(0, 1) for _ in range(rng.randint(1, 3)))
+
+    def vector(degree):
+        v = {}
+        for i, t in enumerate(target.twists):
+            monos = ring.monomials_of_degree(degree - t)
+            if monos and rng.random() < 0.75:
+                for m in rng.sample(monos, min(2, len(monos))):
+                    v[m, i] = field.of(rng.randint(-3, 3))
+        return v
+
+    twists, columns = [], []
+    for _ in range(rng.randint(1, 5)):
+        degree = rng.randint(1, 3)
+        col = vector(degree)
+        same = [c for c, t in zip(columns, twists) if t == degree]
+        if same and rng.random() < 0.3:
+            col = {k: rng.randint(1, 3) * x for k, x in rng.choice(same).items()}
+        twists.append(degree)
+        columns.append(col)
+    return GradedMatrix(ring, GradedFreeModule(twists), target, columns)
+
+
+@pytest.mark.parametrize("characteristic", [0, 7, 32003], ids=["QQ", "GF7", "GF32003"])
+def test_recorded_syzygies_are_minimal_on_random_matrices(characteristic):
+    rng = random.Random(f"recorded-syzygies/{characteristic}")
+    counts = [assert_recorded_syzygies_are_minimal(random_matrix(rng, Field(characteristic)))
+              for _ in range(60)]
+    assert sum(counts) > 60
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003], ids=["QQ", "GF32003"])
+def test_minimal_resolution_runs_one_pass_per_differential(monkeypatch, characteristic):
+    calls = count_engine_calls(monkeypatch)
+    ideal = generic("rnc4", Field(characteristic))
+    clear_caches()
+    res = minimal_resolution(ideal)
+    # the ideal's basis, then one column module per differential
+    assert len(calls) == res.length + 1
 
 
 @pytest.mark.parametrize("characteristic", [0, 32003], ids=["QQ", "GF32003"])
@@ -134,7 +235,8 @@ def test_minimal_generators_match_reference(build, characteristic):
         assert minimal_generators(ideal) == want
 
 
-def test_minimal_generators_reuse_the_groebner_pass(monkeypatch, twisted_cubic, zvars):
+def count_engine_calls(monkeypatch):
+    """A list that grows by one for each `module_groebner` call."""
     calls = []
     engine = groebner.module_groebner
 
@@ -146,6 +248,11 @@ def test_minimal_generators_reuse_the_groebner_pass(monkeypatch, twisted_cubic, 
     for name, module in list(sys.modules.items()):
         if name.startswith("pgshell") and getattr(module, "module_groebner", None) is engine:
             monkeypatch.setattr(module, "module_groebner", counted)
+    return calls
+
+
+def test_minimal_generators_reuse_the_groebner_pass(monkeypatch, twisted_cubic, zvars):
+    calls = count_engine_calls(monkeypatch)
     clear_caches()
     gens = list(twisted_cubic.generators)
     ideal = Ideal(twisted_cubic.ring, gens + [zvars[0] * gens[1]])

@@ -25,6 +25,7 @@ from pgshell import (
     verify_complex,
 )
 import pgshell.hilbert as hilbert_module
+import pgshell.resolution as resolution_module
 from pgshell.cli import EXIT_INTERNAL, run_command
 from pgshell.errors import (
     EngineError,
@@ -311,6 +312,33 @@ def test_verify_complex_negative_control_nonminimal(R4, zvars):
 def test_verify_complex_negative_control_not_exact(R4, zvars):
     checks = {c["name"]: c["ok"] for c in verify_complex(not_exact_fake(R4, zvars)).checks}
     assert checks["composition d_1.d_2 = 0"]
+    assert not checks["exactness at F_1"]
+    assert checks["kernel of d_2 vanishes"]
+
+
+def test_verify_complex_exactness_catches_a_dropped_syzygy(monkeypatch, twisted_cubic):
+    """Mutant: every column module loses its last recorded syzygy, so d_2
+    of the twisted cubic gets one column of two.  The exactness check
+    reads ker d_1 off the column module's basis, which the mutant leaves
+    whole, so it reports the missing syzygy."""
+    engine = resolution_module.module_groebner
+
+    def dropping(*args, **kwargs):
+        basis = engine(*args, **kwargs)
+        recorded = kwargs.get("syzygies", (0, []))[1]
+        if recorded:
+            recorded.pop()
+        return basis
+
+    clear_caches()
+    with monkeypatch.context() as mp:
+        mp.setattr(resolution_module, "module_groebner", dropping)
+        res = minimal_resolution(twisted_cubic)
+        checks = {c["name"]: c["ok"] for c in verify_complex(res).checks}
+    clear_caches()
+    assert [m.rank for m in res.modules] == [1, 3, 1]
+    assert checks["composition d_1.d_2 = 0"]
+    assert checks["image of d_1 is the resolved ideal"]
     assert not checks["exactness at F_1"]
     assert checks["kernel of d_2 vanishes"]
 

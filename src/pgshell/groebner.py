@@ -32,10 +32,10 @@ O(log n), not a scan of the whole work vector.
 
 Arithmetic: one integer form serves both fields, on Python operators,
 with no `Field` method call per coefficient.  Every basis vector, in a
-pass and in the reduced basis returned, has integer coefficients and is
-normalized at its lead term by `fields.primitive`, the normalizer
-`linalg.RowSpace` uses too: monic over GF(p), where each new
-coefficient is taken mod p; primitive (gcd 1, positive lead
+pass and in the reduced basis of `groebner_basis`, has integer
+coefficients and is normalized at its lead term by `fields.primitive`,
+the normalizer `linalg.RowSpace` uses too: monic over GF(p), where each
+new coefficient is taken mod p; primitive (gcd 1, positive lead
 coefficient) over QQ.  An S-polynomial multiplies each vector by the
 other's lead coefficient, both divided by their gcd, so a monic pair
 needs no scaling.  Over QQ, `reduce_vector` clears denominators on
@@ -47,9 +47,10 @@ reductions and kept inputs are the same.  `field_remainder` divides
 that multiple out for the readers of field values; printed bases are
 made monic as `Polynomial`s.
 
-Determinism: ties keep input order, and the final interreduction yields
-the reduced Groebner basis, which is unique -- so the output is
-independent of generator permutation.
+Determinism: ties keep input order.  Only `groebner_basis` interreduces
+a pass's basis, to the reduced basis, which is unique and so independent
+of generator permutation.  The other callers read kept inputs, recorded
+syzygies or normal forms, the last the same against any Groebner basis.
 """
 
 from __future__ import annotations
@@ -275,7 +276,8 @@ def _spoly(f, g, ltf, ltg, ring: PolyRing):
 
 
 def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None, syzygies=None):
-    """Reduced Groebner basis of the submodule generated by `vectors`.
+    """A Groebner basis of the submodule generated by `vectors`, as the pass
+    leaves it: minimal for homogeneous input, its tails not reduced.
 
     The free module has rank len(twists); position p has twist
     twists[p].  The basis vectors are integer, monic over GF(p) and
@@ -369,11 +371,12 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None, syzygi
         if r:
             insert(r, pi >= block)
 
-    return _interreduce(basis, leads, key, ring)
+    return basis
 
 
-def _interreduce(basis, leads, key, ring: PolyRing):
-    """Reduced basis: drop elements with a divisible lead, reduce the rest."""
+def _interreduce(basis, key, ring: PolyRing):
+    """Reduced basis from any Groebner basis: drop divisible leads, reduce the rest."""
+    leads = lead_terms(basis, key)
     mono_divides = ring.mono_divides
     kept = []
     for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0]), reverse=True):
@@ -394,8 +397,8 @@ def _interreduce(basis, leads, key, ring: PolyRing):
 class GroebnerBasis:
     """Reduced Groebner basis of an ideal (monic `elements`) and its division data.
 
-    `vectors`, `leads` and `key` are the basis as `module_groebner` returns
-    it (rank-1 integer vectors), their lead terms and the term order.
+    `vectors`, `leads` and `key` are the interreduced basis of a pass (rank-1
+    integer vectors), their lead terms and the term order.
     `kept` indexes the generators that survived their reduction on entry
     to the Buchberger pass: for homogeneous ideals, minimal generators.
     """
@@ -442,8 +445,8 @@ def groebner_basis(I: Ideal) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal, cached by value, from one pass."""
     key = top_key(I.ring)
     kept: list[int] = []
-    vectors = module_groebner([poly_to_vector(g) for g in I.generators], I.ring, (0,), key, kept)
-    return GroebnerBasis(I.ring, vectors, key, kept)
+    basis = module_groebner([poly_to_vector(g) for g in I.generators], I.ring, (0,), key, kept)
+    return GroebnerBasis(I.ring, _interreduce(basis, key, I.ring), key, kept)
 
 
 def require_proper(I: Ideal, name: str):

@@ -24,9 +24,10 @@ from .groebner import (
     lead_terms,
     module_groebner,
     poly_to_vector,
+    vector_component,
     vector_degree,
 )
-from .hilbert import HilbertSeries, artinian_reduction
+from .hilbert import HilbertSeries, artinian_reduction, lead_term_series
 from .memo import memoized
 from .modules import GradedFreeModule, GradedMatrix
 from .poly import Ideal
@@ -288,10 +289,14 @@ def is_saturated(I: Ideal) -> bool:
 
 
 def betti_table(I: Ideal) -> BettiTable:
-    """The Betti table of S/I, read off the minimal resolution of its
-    Artinian reduction: the cut variables are regular on S/I, so the
-    table is the same, computed in fewer variables."""
-    return betti(minimal_resolution(artinian_reduction(I)[1][0]))
+    """The Betti table of S/I, read off the minimal resolution of its Artinian
+    reduction (the cut variables are regular on S/I, so the table is the same)
+    and checked against the Hilbert numerator of the cut ideal's lead terms."""
+    cut = artinian_reduction(I)[1][0]
+    table = betti(minimal_resolution(cut))
+    if table.hilbert_series(cut.ring).numerator != lead_term_series(groebner_basis(cut)).numerator:
+        raise InternalCheckError(f"the Betti table of {cut} disagrees with its Hilbert series")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +361,10 @@ def verify_complex(res: FreeResolution) -> ComplexReport:
 
     composite_ok = all(c["ok"] for c in report.checks if c["name"].startswith("composition"))
     if composite_ok and res.modules[0].rank > 0:
-        # image of d_1 equals the resolved ideal
-        img = module_groebner(res.differential(1).columns, ring, (0,))
-        ok = img == groebner_basis(res.resolved).vectors
+        # image of d_1 is the resolved ideal: same reduced basis (a fake d_1 may be inhomogeneous)
+        image = Ideal(ring, [vector_component(c, 0, ring) for c in res.differential(1).columns],
+                      allow_inhomogeneous=True)
+        ok = groebner_basis(image) == groebner_basis(res.resolved)
         report.add("image of d_1 is the resolved ideal", ok)
         # exactness: ker d_q (the basis's syzygy block, not the recorded syzygies) in im d_{q+1}
         modules = [column_module(res.differential(q)) for q in range(1, res.length + 1)]

@@ -1,10 +1,10 @@
 """Quotients by powers of a variable, intersections, and saturation at S_+.
 
 Both constructions run on the one module Groebner engine and return the
-reduced grevlex basis of the result.  (I : z_i^inf) follows
-Bayer-Stillman: under grevlex with z_i last, z_i divides the lead term
-of a form only if it divides the form, so the reduced basis of I, each
-element divided by its largest power of z_i, is a basis of the quotient.
+reduced grevlex basis of the result, from `groebner_basis`.  (I : z_i^inf)
+follows Bayer-Stillman: under grevlex with z_i last, z_i divides the lead
+term of a form only if it divides the form, so any Groebner basis of I in
+that order, each element divided by its largest power of z_i, spans it.
 I cap J is generated by the sums sum_i s_i f_i over the syzygies (s ; t)
 of [f_1..f_a | g_1..g_b], read off a rank-2 module with one position
 eliminated.
@@ -26,6 +26,7 @@ from __future__ import annotations
 from .errors import EngineError, NotHomogeneousError, PreconditionError
 from .groebner import (
     block_key,
+    groebner_basis,
     last_variable_key,
     module_groebner,
     poly_to_vector,
@@ -35,15 +36,8 @@ from .poly import Ideal, Polynomial
 from .resolution import is_saturated
 
 
-def _reduced(ring, vectors) -> Ideal:
-    """The ideal generated by the rank-1 `vectors`, given by its reduced
-    grevlex basis, made monic."""
-    basis = module_groebner(vectors, ring, (0,))
-    return Ideal(ring, [vector_component(v, 0, ring).monic() for v in basis])
-
-
 def ideal_quotient_saturation(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f^inf) for a variable f = c*z_i: the reduced basis of I under
+    """(I : f^inf) for a variable f = c*z_i: any Groebner basis of I under
     the z_i-last order, each element divided by its largest power of z_i."""
     if f.is_zero():
         raise EngineError("cannot saturate by the zero polynomial")
@@ -61,8 +55,8 @@ def ideal_quotient_saturation(I: Ideal, f: Polynomial) -> Ideal:
     parts = []
     for v in module_groebner([poly_to_vector(g) for g in I.generators], ring, (0,), key):
         k = min(m[i] for m, _ in v)
-        parts.append({(m[:i] + (m[i] - k,) + m[i + 1:], 0): c for (m, _), c in v.items()})
-    return _reduced(ring, parts)
+        parts.append({m[:i] + (m[i] - k,) + m[i + 1:]: c for (m, _), c in v.items()})
+    return Ideal(ring, groebner_basis(Ideal(ring, [Polynomial(ring, t) for t in parts])).elements)
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -79,7 +73,8 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     vectors += [poly_to_vector(g) for g in J.generators]
     h: list[dict] = []
     module_groebner(vectors, ring, (0, 0), block_key(ring, 1), syzygies=(1, h))
-    return _reduced(ring, [{(m, 0): c for (m, _), c in v.items()} for v in h])
+    parts = [vector_component(v, 1, ring) for v in h]
+    return Ideal(ring, groebner_basis(Ideal(ring, parts)).elements)
 
 
 def saturate_irrelevant(I: Ideal):

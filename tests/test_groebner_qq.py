@@ -3,11 +3,12 @@ field-arithmetic engine it replaced, over QQ and over GF(p).
 
 `module_groebner` runs both fields on integer vectors normalized by
 `fields.primitive`: over QQ primitive, with pseudo-reduction; over GF(p)
-monic, reduced mod p inline.  It returns the reduced basis in that form.
-The reference below is the engine as it was before, on the `Field`
-methods throughout (`Fraction` coefficients over QQ), returning the
-monic basis; on both fields the two must return the same reduced basis,
-up to that normalization, and the same kept inputs.  Over QQ,
+monic, reduced mod p inline.  It returns its pass's basis in that form,
+and `_interreduce` makes it the reduced basis.  The reference below is
+the engine on the `Field` methods throughout (`Fraction` coefficients
+over QQ), with monic vectors; on both fields the two must return the
+same pass basis and the same reduced basis, up to that normalization,
+and the same kept inputs.  Over QQ,
 `reduce_vector` on integer vectors must return the primitive form, with
 positive lead coefficient, of the field remainder.
 """
@@ -38,6 +39,7 @@ from pgshell import (
     veronese_surface,
 )
 from pgshell.groebner import (
+    _interreduce,
     block_key,
     module_groebner,
     poly_to_vector,
@@ -108,6 +110,8 @@ def ref_spoly(f, g, ltf, ltg, ring):
 
 
 def ref_module_groebner(vectors, ring, twists, key, kept):
+    """The pass's basis, monic, in insertion order; pairs pop in the
+    engine's order, by degree, then smallest (lcm, position) under `key`."""
     field = ring.field
     ideal = len(twists) == 1
     inputs = []
@@ -129,9 +133,9 @@ def ref_module_groebner(vectors, ring, twists, key, kept):
             (mt, pt), _ = leads[t]
             if pt == pos:
                 lcm_ = ring.mono_lcm(mt, mono)
-                # smallest lcm first: minus its key, a smaller key being a larger monomial
+                # smallest (lcm, position) first: minus its key, a smaller key a larger term
                 heappush(pairs, (ring.mono_degree(lcm_) + twists[pos],
-                                 tuple(-k for k in ring.mono_key(lcm_)), t, new, lcm_))
+                                 tuple(-k for k in key((lcm_, pos))), t, new, lcm_))
                 pending.add((t, new))
 
     nxt = 0
@@ -160,7 +164,13 @@ def ref_module_groebner(vectors, ring, twists, key, kept):
                        ring)
         if r:
             insert(r)
+    return basis
 
+
+def ref_interreduce(basis, key, ring):
+    """The reduced basis, monic, smallest lead first."""
+    field = ring.field
+    leads = [(vector_lead(v, key), v[vector_lead(v, key)]) for v in basis]
     minimal = []
     for i in sorted(range(len(basis)), key=lambda i: key(leads[i][0]), reverse=True):
         m, p = leads[i][0]
@@ -180,20 +190,29 @@ def ref_module_groebner(vectors, ring, twists, key, kept):
 
 
 def assert_same_engine(vectors, ring, twists, key):
-    """The engine returns the reference basis in its integer form: monic
-    over GF(p), the primitive multiple with `int` coefficients over QQ."""
+    """The engine's pass basis and its interreduction are the reference's
+    pass basis and reduced basis, in the integer form; returns the
+    reference's reduced basis."""
     kept, ref_kept = [], []
     got = module_groebner(vectors, ring, twists, key=key, kept=kept)
     want = ref_module_groebner(vectors, ring, twists, key, ref_kept)
+    assert kept == ref_kept
+    assert_integer_form(got, want, ring, key)
+    want = ref_interreduce(want, key, ring)
+    assert_integer_form(_interreduce(got, key, ring), want, ring, key)
+    return want
+
+
+def assert_integer_form(got, want, ring, key):
+    """got is want in the engine's integer form: monic over GF(p), the
+    primitive multiple with `int` coefficients over QQ."""
     if ring.field.characteristic:
         assert got == want
     else:
         assert got == [integer_primitive(v, key) for v in want]
     assert all(type(c) is int for v in got for c in v.values())
-    assert kept == ref_kept
     # the same vectors, term order included
     assert [list(v) for v in got] == [list(v) for v in want]
-    return want
 
 
 def integer_primitive(v, key):

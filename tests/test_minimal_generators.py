@@ -33,7 +33,10 @@ from pgshell import (
 )
 from pgshell.criteria import part_of_minimal_generators
 from pgshell.errors import NotHomogeneousError
+from pgshell.fields import canonical
 from pgshell.groebner import (
+    _interreduce,
+    _spoly,
     is_minimal_generator,
     lead_terms,
     module_groebner,
@@ -44,7 +47,7 @@ from pgshell.groebner import (
 )
 from pgshell.linalg import RowSpace
 from pgshell.modules import GradedFreeModule, GradedMatrix
-from pgshell.resolution import column_module, minimal_generating_subset
+from pgshell.resolution import ColumnModule, column_module, minimal_generating_subset
 
 from conftest import graded_ideals, random_invertible
 
@@ -210,6 +213,53 @@ def test_recorded_syzygies_are_minimal_on_random_matrices(characteristic):
     counts = [assert_recorded_syzygies_are_minimal(random_matrix(rng, Field(characteristic)))
               for _ in range(60)]
     assert sum(counts) > 60
+
+
+def assert_pass_basis_contract(M, rng):
+    """The basis of M's column module, as its pass leaves it, is a minimal
+    Groebner basis, and solving against it or its interreduction agrees."""
+    ring = M.ring
+    module = ColumnModule(M)
+    basis, leads, key = module.basis, module.leads, module.key
+    for i, ((mi, pi), _) in enumerate(leads):
+        for j, ((mj, pj), _) in enumerate(leads):
+            if i != j and pi == pj:
+                assert not ring.mono_divides(mi, mj)
+                s = _spoly(basis[i], basis[j], leads[i], leads[j], ring)
+                assert not reduce_vector(s, basis, leads, key, ring)
+    # a combination of the columns in one degree, then a random target vector there
+    target = M.target.twists
+    degree = max(target + M.source.twists) + 1
+    image = {}
+    for t, col in zip(M.source.twists, M.columns):
+        for q in rng.sample(ring.monomials_of_degree(degree - t), 1 if degree > t else 0):
+            c = ring.field.of(rng.randint(1, 5))
+            for (m, p), a in col.items():
+                k = (ring.mono_mul(q, m), p)
+                image[k] = image.get(k, 0) + c * a
+    other = {(m, p): ring.field.of(rng.randint(-3, 3)) for p, t in enumerate(target)
+             for m in ring.monomials_of_degree(degree - t)[:2]}
+    us = [*M.columns, *(canonical(v, ring.field.characteristic) for v in (image, other))]
+    want = [module.solve(u) for u in us]
+    module.basis = _interreduce(basis, key, ring)
+    module.leads = lead_terms(module.basis, key)
+    assert [module.solve(u) for u in us] == want
+    return sum(x is not None for x in want)
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003], ids=["QQ", "GF32003"])
+def test_pass_basis_is_a_minimal_groebner_basis(characteristic):
+    """The basis a pass returns, not interreduced, is a minimal Groebner basis
+    and solves as its interreduction does: on the differentials of catalog
+    ideals in generic coordinates, one on a weighted ring, and on seeded
+    random matrices."""
+    field = Field(characteristic)
+    rng = random.Random(f"pass-basis/{characteristic}")
+    ideals = [generic(name, field) for name in ("rnc4", "veronese")] + [weighted_ideal(field)]
+    matrices = [d for I in ideals for d in minimal_resolution(I).differentials]
+    matrices += [random_matrix(rng, field) for _ in range(40)]
+    solved = [assert_pass_basis_contract(M, rng) for M in matrices]
+    assert sum(solved) > len(matrices)
 
 
 @pytest.mark.parametrize("characteristic", [0, 32003], ids=["QQ", "GF32003"])

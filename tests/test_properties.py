@@ -39,7 +39,7 @@ from pgshell import (
     render_source,
     standard_ring,
 )
-from pgshell.groebner import module_groebner, standard_monomials
+from pgshell.groebner import _interreduce, module_groebner, standard_monomials, top_key
 
 from conftest import dense_matrix
 
@@ -215,13 +215,20 @@ def twisted_vectors(draw, ring):
 
 
 def test_module_groebner_independent_of_input_order():
+    """The reduced basis of a pass does not depend on the input order; the
+    pass's own basis may."""
     for ring in RINGS:
+        key = top_key(ring)
+
+        def reduced(vectors):
+            return _interreduce(module_groebner(vectors, ring, TWISTS, key), key, ring)
+
         @given(st.lists(twisted_vectors(ring), min_size=1, max_size=4),
                st.randoms(use_true_random=False))
         def check(vectors, rnd):
             shuffled = list(vectors)
             rnd.shuffle(shuffled)
-            assert module_groebner(shuffled, ring, TWISTS) == module_groebner(vectors, ring, TWISTS)
+            assert reduced(shuffled) == reduced(vectors)
 
         check()
 

@@ -12,6 +12,7 @@ from pgshell import (
     QQ,
     artinian_reduction,
     betti,
+    betti_table,
     clear_caches,
     invariants,
     is_saturated,
@@ -316,11 +317,8 @@ def test_verify_complex_negative_control_not_exact(R4, zvars):
     assert checks["kernel of d_2 vanishes"]
 
 
-def test_verify_complex_exactness_catches_a_dropped_syzygy(monkeypatch, twisted_cubic):
-    """Mutant: every column module loses its last recorded syzygy, so d_2
-    of the twisted cubic gets one column of two.  The exactness check
-    reads ker d_1 off the column module's basis, which the mutant leaves
-    whole, so it reports the missing syzygy."""
+def drop_last_syzygy(mp):
+    """Mutant: every column module loses its last recorded syzygy."""
     engine = resolution_module.module_groebner
 
     def dropping(*args, **kwargs):
@@ -330,9 +328,17 @@ def test_verify_complex_exactness_catches_a_dropped_syzygy(monkeypatch, twisted_
             recorded.pop()
         return basis
 
+    mp.setattr(resolution_module, "module_groebner", dropping)
+
+
+def test_verify_complex_exactness_catches_a_dropped_syzygy(monkeypatch, twisted_cubic):
+    """Under the dropped-syzygy mutant, d_2 of the twisted cubic gets one
+    column of two.  The exactness check reads ker d_1 off the column
+    module's basis, which the mutant leaves whole, so it reports the
+    missing syzygy."""
     clear_caches()
     with monkeypatch.context() as mp:
-        mp.setattr(resolution_module, "module_groebner", dropping)
+        drop_last_syzygy(mp)
         res = minimal_resolution(twisted_cubic)
         checks = {c["name"]: c["ok"] for c in verify_complex(res).checks}
     clear_caches()
@@ -341,6 +347,27 @@ def test_verify_complex_exactness_catches_a_dropped_syzygy(monkeypatch, twisted_
     assert checks["image of d_1 is the resolved ideal"]
     assert not checks["exactness at F_1"]
     assert checks["kernel of d_2 vanishes"]
+
+
+def test_betti_table_catches_a_dropped_syzygy(monkeypatch, twisted_cubic, tmp_path, capsys):
+    """Under the dropped-syzygy mutant, the Betti table of the twisted cubic
+    no longer sums to its Hilbert numerator, so `betti_table` raises and the
+    betti command exits 3."""
+    path = tmp_path / "tc.ideal"
+    path.write_text(render_source(twisted_cubic.ring, {"I": twisted_cubic}))
+    clear_caches()
+    try:
+        with monkeypatch.context() as mp:
+            drop_last_syzygy(mp)
+            with pytest.raises(InternalCheckError, match="disagrees with its Hilbert series"):
+                betti_table(twisted_cubic)
+            clear_caches()
+            assert run_command(["betti", str(path), "I"], out=io.StringIO()) == EXIT_INTERNAL
+            assert "disagrees with its Hilbert series" in capsys.readouterr().err
+    finally:
+        # the mutant's resolutions must not outlive the test
+        clear_caches()
+    assert betti_table(twisted_cubic).entries == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
 
 
 def test_verify_complex_betti_oracle_rows_follow_the_unit_entry_scan(R4, zvars, twisted_cubic):

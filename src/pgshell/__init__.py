@@ -48,6 +48,7 @@ _EXPORTS = {
         "GroebnerBasis",
         "groebner_basis",
         "is_minimal_generator",
+        "is_saturated",
         "membership",
         "normal_form",
         "same_ideal",
@@ -64,7 +65,6 @@ _EXPORTS = {
         "FreeResolution",
         "betti",
         "betti_table",
-        "is_saturated",
         "minimal_generators",
         "minimal_resolution",
         "regularity_and_depth",

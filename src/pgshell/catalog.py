@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import CatalogError
 from .fields import Field
-from .groebner import groebner_basis
+from .groebner import groebner_basis, is_saturated
 from .hilbert import lead_term_series
 from .poly import Ideal, Polynomial
 from .rings import PolyRing, standard_ring
@@ -249,7 +249,7 @@ def points_on_rational_normal_curve(
     pts = [[s ** (d - k) * t**k for k in range(d + 1)] for (s, t) in params]
 
     from .linalg import eliminate
-    from .resolution import betti_table, is_saturated, minimal_generators
+    from .resolution import betti_table, minimal_generators
 
     forms = []
     m = 0

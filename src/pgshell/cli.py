@@ -11,9 +11,9 @@ error (one stderr line, no traceback); a reader that closes stdout early
 changes neither the exit code nor stderr.
 
 Each handler imports the engine modules it runs, so a command loads only
-what it uses: `gb` never compiles the resolution code, `pgshell`
-never compiles the criteria suite, and `pgshell --method oracle` on a
-pair with a variable to cut (c >= 1) compiles no resolution code.
+what it uses: `gb` never compiles the resolution code, `pgshell` never
+compiles the criteria suite, and `saturate` and `pgshell --method oracle`
+compile it only for the Betti fallback of `groebner.is_saturated`.
 """
 
 from __future__ import annotations
@@ -92,22 +92,11 @@ def _field_mode(ring) -> str:
 
 
 def _saturation_warnings(names, ideals) -> list:
-    from .hilbert import artinian_reduction
+    from .groebner import is_saturated
 
-    # a variable regular on both quotients makes both saturated; the
-    # oracle route reads the same cut of the pair
-    if artinian_reduction(*ideals)[0]:
-        return []
-    from .resolution import is_saturated
-
-    out = []
-    for name, ideal in zip(names, ideals):
-        if not is_saturated(ideal):
-            out.append(
-                f"ideal {name} is not saturated at the irrelevant ideal; "
-                f"the verdict refers to the ideal as given (run `saturate` to fix)"
-            )
-    return out
+    return [f"ideal {name} is not saturated at the irrelevant ideal; "
+            f"the verdict refers to the ideal as given (run `saturate` to fix)"
+            for name, ideal in zip(names, ideals) if not is_saturated(ideal)]
 
 
 # Handlers: (args, parsed source, *picked ideals) -> (payload, human lines,

@@ -9,7 +9,8 @@ minimal-generator test (is a form, or a set of forms, independent
 modulo S_+ I?), syzygies (via an elimination block order on an
 extended module), chain-map lifting and saturation (via a z_i-last
 order).  The ring's grevlex is the default order; every other order
-is a term key passed to the engine.
+is a term key passed to the engine.  The lead monomials of the reduced
+basis certify saturation at S_+ (`is_saturated`).
 
 Strategy: S-pairs sit in a heap ordered by their twisted degree, then
 by the pass's term key of (lcm, position), smallest first, then by
@@ -473,6 +474,23 @@ def membership(p: Polynomial, I) -> bool:
 
 def same_ideal(I: Ideal, J: Ideal) -> bool:
     return groebner_basis(I).elements == groebner_basis(J).elements
+
+
+def is_saturated(I: Ideal) -> bool:
+    """I = (I : S_+^inf)?  For proper I iff depth S/I >= 1, as S_+ is the
+    only graded maximal ideal, for positive weights too.  A variable that
+    divides no lead monomial of the reduced basis is regular on S/in(I),
+    and depth S/I >= depth S/in(I), as Betti numbers only grow under
+    passage to in(I); Bayer-Stillman's trailing-variable cut is one case.
+    Otherwise depth S/I >= 1 iff pd S/I <= N on the Betti table.
+    """
+    I.require_homogeneous()
+    n = I.ring.num_vars
+    if len({i for m in groebner_basis(I).lead_monomials for i in range(n) if m[i]}) < n:
+        return True
+    from .resolution import betti_table
+
+    return betti_table(I).max_q() < n
 
 
 def standard_monomials(gb: GroebnerBasis, m: int) -> list:

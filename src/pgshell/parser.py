@@ -14,14 +14,14 @@ Grammar (whitespace insignificant, // line comments):
 
 The parser sums each generator's terms into one term map (`Field.add`)
 and builds one `Polynomial` from it.  Errors carry line:column
-positions.  Inhomogeneous generators produce a warning (an error under
-strict mode).
+positions.  Weights and exponents are at most 2^31 - 1, the bound on p.
+Inhomogeneous generators produce a warning (an error under strict mode).
 """
 
 from __future__ import annotations
 
 from .errors import SourceError
-from .fields import Field
+from .fields import MAX_CHARACTERISTIC, Field
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
 
@@ -165,8 +165,8 @@ class _Parser:
                 self.advance()
                 w = self.expect("INT", "weight")
                 weights.append(self.integer(w))
-                if weights[-1] < 1:
-                    raise SourceError("weights must be positive", w.line, w.col)
+                if not 1 <= weights[-1] < MAX_CHARACTERISTIC:
+                    raise SourceError("a weight must be from 1 to 2^31 - 1", w.line, w.col)
             else:
                 weights.append(1)
             if self.peek().kind == ",":
@@ -270,12 +270,14 @@ class _Parser:
             if tok.value not in ring.names:
                 raise SourceError(f"unknown variable {tok.value!r}", tok.line, tok.col)
             idx = ring.names.index(tok.value)
-            exp = 1
+            exp, at = 1, tok
             if self.peek().kind == "^":
                 self.advance()
-                e = self.expect("INT", "exponent")
-                exp = self.integer(e)
+                at = self.expect("INT", "exponent")
+                exp = self.integer(at)
             mono[idx] += exp
+            if mono[idx] >= MAX_CHARACTERISTIC:
+                raise SourceError(f"the exponent of {tok.value} exceeds 2^31 - 1", at.line, at.col)
             count += 1
             if self.peek().kind == "*":
                 self.advance()

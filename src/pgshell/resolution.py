@@ -8,7 +8,7 @@ The same pass records a minimal generating set of ker M (the
 `syzygies` of `module_groebner`), so iterating kernels yields the
 minimal resolution with one pass per step (Hilbert's bound N+1 is
 asserted, never assumed).  `betti_table` resolves the cut ideal of
-`hilbert.artinian_reduction`.
+`hilbert.artinian_reduction`; it is `groebner.is_saturated`'s fallback.
 """
 
 from __future__ import annotations
@@ -272,20 +272,6 @@ def regularity_and_depth(B: BettiTable, ring: PolyRing) -> tuple:
     depth = ring.num_vars - pd
     reg_r = B.regularity()
     return (reg_r, reg_r + 1, pd, depth)
-
-
-def is_saturated(I: Ideal) -> bool:
-    """I = (I : S_+^inf)?  For proper I iff depth S/I >= 1; this holds
-    for positive weights too, S_+ being the only graded maximal ideal.
-
-    When `artinian_reduction` certifies a trailing variable regular on
-    S/I, depth S/I >= 1 and no resolution is built.  Otherwise nothing
-    is cut, and the answer is pd S/I <= N on the Betti table of I itself
-    (Auslander-Buchsbaum).
-    """
-    if artinian_reduction(I)[0]:
-        return True
-    return betti_table(I).max_q() < I.ring.num_vars
 
 
 def betti_table(I: Ideal) -> BettiTable:

@@ -13,9 +13,9 @@ The saturation at the irrelevant ideal is the intersection over all
 variables, cap_i (I : z_i^inf), taken once: that intersection already
 equals (I : S_+^inf).  Composing the single-variable saturations
 instead would wrongly delete components lying inside coordinate
-hyperplanes.  Whether I is saturated at all is read off its Artinian
-cut, or else its Betti table (`resolution.is_saturated`), so the sweep
-runs only on ideals that do change.
+hyperplanes.  Whether I is saturated at all is read off the lead
+monomials of its reduced basis, or else its Betti table
+(`groebner.is_saturated`), so the sweep runs only on ideals that change.
 
 All three are graded operations and raise NotHomogeneousError on an
 inhomogeneous ideal or polynomial.
@@ -27,13 +27,13 @@ from .errors import EngineError, NotHomogeneousError, PreconditionError
 from .groebner import (
     block_key,
     groebner_basis,
+    is_saturated,
     last_variable_key,
     module_groebner,
     poly_to_vector,
     vector_component,
 )
 from .poly import Ideal, Polynomial
-from .resolution import is_saturated
 
 
 def ideal_quotient_saturation(I: Ideal, f: Polynomial) -> Ideal:

@@ -18,7 +18,8 @@ Both routes run on the Artinian reduction of
 every quotient are cut, which changes no Betti number and no cell of
 mu_q.  A cell is {tor_W, tor_V, injective}: the dimensions of the two
 Tor pieces in degree m and whether mu_q is injective there.  The oracle
-route never compiles `resolution`: only the chain route imports it.
+route never compiles `resolution` or `modules`: only the chain route
+imports them.
 
 Every route ends in one certificate, `_certify`: the first failing cell
 of its table, and for the chain route with the spot check every q = 1
@@ -43,10 +44,10 @@ from .groebner import groebner_basis, membership, require_proper
 from .hilbert import artinian_reduction
 from .koszul import koszul_tor, lyubeznik_degrees, tor_comparison
 from .linalg import eliminate
-from .modules import GradedMatrix
 from .poly import Ideal
 
 if TYPE_CHECKING:
+    from .modules import GradedMatrix
     from .resolution import FreeResolution
 
 PG_SHELL = "pg-shell"
@@ -88,6 +89,8 @@ class ChainMap:
     def map(self, q: int) -> GradedMatrix:
         if q < len(self.maps):
             return self.maps[q]
+        from .modules import GradedMatrix
+
         src = self.source.module(q)
         return GradedMatrix(self.source.ring, src, self.target.module(q), [{}] * src.rank)
 
@@ -101,6 +104,7 @@ class ChainMap:
 
 def lift_chain_map(res_W: FreeResolution, res_V: FreeResolution) -> ChainMap:
     """Inductive degree-0 lift of S/I_W ->> S/I_V over minimal resolutions."""
+    from .modules import GradedMatrix
     from .resolution import column_module
 
     if res_W.ring != res_V.ring:

@@ -11,6 +11,7 @@ import pytest
 
 from pgshell import (
     Ideal,
+    Polynomial,
     clear_caches,
     groebner_basis,
     minimal_resolution,
@@ -141,7 +142,7 @@ def test_precheck_keeps_input_errors(weighted_file, capsys):
 
 
 def test_commands_run_no_elimination(corpus_file, tmp_path, monkeypatch, capsys):
-    # saturated input: the pre-check and the catalog check read the resolution
+    # saturated input: the pre-check and the catalog check compute no saturation
     from pgshell import saturation
 
     def refuse(*args):
@@ -177,15 +178,31 @@ def test_oracle_and_saturate_build_no_resolution(corpus_file, tmp_path):
 
 def test_precheck_reads_the_cut_of_the_pair(tmp_path):
     # z4 is regular on rnc 4, z3 and z4 on its first two quadrics: the
-    # pre-check and the oracle share the pair's cut (c = 1), so the run
-    # builds the bases of V, W2 and their two cut ideals, and none of W2
-    # cut by two variables
+    # pre-check reads the bases of V and W2 and cuts nothing, and the
+    # oracle cuts the pair (c = 1), so the run builds the bases of V, W2
+    # and their two cut ideals, and none of W2 cut by two variables
     V = rational_normal_curve(4).ideal
     path = tmp_path / "rnc4.ideal"
     path.write_text(render_source(V.ring, {"V": V, "W2": Ideal(V.ring, V.generators[:2])}))
     clear_caches()
     assert run(["pgshell", str(path), "V", "W2", "--method", "oracle"])[0] == EXIT_NEGATIVE
     assert groebner_basis.cache_info().misses == 4
+
+
+def test_precheck_cuts_nothing_and_resolves_nothing(tmp_path):
+    # N = z4 * (a quadric of rnc 4): z4 divides its lead, so the pair has
+    # nothing to cut (c = 0), but z3 divides no lead of N and z4 none of
+    # V; so the pre-check needs no resolution, and the oracle only the
+    # bases of V and N
+    V = rational_normal_curve(4).ideal
+    N = Ideal(V.ring, [V.generators[0] * Polynomial.variable(V.ring, 4)])
+    path = tmp_path / "rnc4.ideal"
+    path.write_text(render_source(V.ring, {"V": V, "N": N}))
+    clear_caches()
+    code, payload = run_json(["pgshell", str(path), "V", "N", "--method", "oracle"])
+    assert (code, payload["warnings"]) == (EXIT_NEGATIVE, [])
+    assert groebner_basis.cache_info().misses == 2
+    assert minimal_resolution.cache_info().misses == 0
 
 
 def test_invariants_human_json_agreement(corpus_file):
@@ -318,14 +335,35 @@ def test_non_utf8_file_exit_2(tmp_path, capsys):
     ["betti", "I"],
     ["hilbert", "I", "--max", "2"],
 ])
-def test_unexpected_error_exit_3(tmp_path, capsys, argv):
-    # an exponent too large for a list length raises OverflowError deep in
-    # the engine: that is a crash, which must not read as a verdict (exit 1)
-    path = tmp_path / "overflow.ideal"
-    path.write_text("ring S = QQ[x,y,z]; ideal I = x^99999999999999999999*y; ideal J = x*y;")
+def test_unexpected_error_exit_3(tmp_path, capsys, monkeypatch, argv):
+    # an exception that is no EngineError deep in the engine is a crash,
+    # which must not read as a verdict (exit 1); every command below
+    # reaches the Buchberger pass through `groebner_basis`
+    import pgshell.groebner
+
+    def crash(*args, **kwargs):
+        raise OverflowError("the engine crashed")
+
+    path = tmp_path / "crash.ideal"
+    path.write_text("ring S = QQ[x,y,z]; ideal I = x^2*y; ideal J = x*y;")
+    clear_caches()
+    monkeypatch.setattr(pgshell.groebner, "module_groebner", crash)
     assert run([argv[0], str(path), *argv[1:]]) == (EXIT_INTERNAL, "")
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: OverflowError: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == "internal error: OverflowError: the engine crashed\n"
+
+
+@pytest.mark.parametrize("source, where", [
+    ("ring S = QQ[x,y,z]; ideal I = x^99999999999999999999*y; ideal J = x*y;",
+     "1:33: the exponent of x exceeds 2^31 - 1"),
+    ("ring S = QQ[x:99999999999999999999,y]; ideal I = x*y, y^2;",
+     "1:15: a weight must be from 1 to 2^31 - 1"),
+], ids=["exponent", "weight"])
+def test_weight_and_exponent_bound_exit_2(tmp_path, capsys, source, where):
+    # past 2^31 - 1 a weight or exponent is a positioned input error, not a crash
+    path = tmp_path / "overflow.ideal"
+    path.write_text(source)
+    assert run(["betti", str(path), "I"]) == (EXIT_INPUT, "")
+    assert capsys.readouterr().err == f"error: {where}\n"
 
 
 def test_hilbert_deep_staircase(tmp_path, capsys):

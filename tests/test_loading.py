@@ -74,7 +74,8 @@ FOOTPRINTS = [
      {"koszul", "linalg", "shell", "criteria", "saturation", "catalog"}),
     (["pgshell", "V", "W"], {"shell"}, {"criteria", "saturation", "catalog"}),
     (["pgshell", "V", "W", "--method", "oracle"], {"shell"},
-     {"resolution", "criteria", "saturation", "catalog"}),
+     {"resolution", "modules", "criteria", "saturation", "catalog"}),
+    (["saturate", "V"], {"saturation"}, {"resolution", "hilbert", "modules", "koszul"}),
     (["invariants", "V"], {"criteria"},
      {"shell", "koszul", "linalg", "saturation", "catalog"}),
     (["criteria", "V", "W"], {"criteria"}, {"saturation", "catalog"}),

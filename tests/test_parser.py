@@ -81,6 +81,42 @@ def test_overlong_integer_literal_is_a_source_error(source, line, col):
     assert err.value.message == "integer literal too long (5000 digits)"
 
 
+TOO_BIG = "9" * 20  # fits the int-conversion limit, far past 2^31 - 1
+
+
+@pytest.mark.parametrize(
+    "source, line, col, message",
+    [
+        (f"ring S = QQ[x:{TOO_BIG},y];\nideal I = x;", 1, 15,
+         "a weight must be from 1 to 2^31 - 1"),
+        ("ring S = QQ[x:2147483648,y];\nideal I = x;", 1, 15,
+         "a weight must be from 1 to 2^31 - 1"),
+        ("ring S = QQ[x:0,y];\nideal I = x;", 1, 15, "a weight must be from 1 to 2^31 - 1"),
+        (f"ring S = QQ[x,y];\nideal I = x^{TOO_BIG}*y;", 2, 13,
+         "the exponent of x exceeds 2^31 - 1"),
+        ("ring S = QQ[x,y];\nideal I = y*x^2147483648;", 2, 15,
+         "the exponent of x exceeds 2^31 - 1"),
+        # the bound holds for the exponent of the monomial, not of one factor
+        ("ring S = QQ[x,y];\nideal I = x^2147483647*y*x;", 2, 26,
+         "the exponent of x exceeds 2^31 - 1"),
+    ],
+    ids=["weight-20-digits", "weight-2^31", "weight-0", "exponent-20-digits",
+         "exponent-2^31", "exponent-sum"],
+)
+def test_weight_and_exponent_bound(source, line, col, message):
+    # 2^31 - 1 is the bound fields.MAX_CHARACTERISTIC puts on p
+    with pytest.raises(SourceError) as err:
+        parse_source(source)
+    assert (err.value.line, err.value.column, err.value.message) == (line, col, message)
+
+
+def test_weight_and_exponent_at_the_bound():
+    ps = parse_source("ring S = QQ[x:2147483647,y];\nideal I = x^2147483647*y, y^3*y^2147483644;")
+    assert ps.ring.weights == (2147483647, 1)
+    assert [g.lead_monomial() for g in ps.ideals["I"].generators] == [(2147483647, 1),
+                                                                     (0, 2147483647)]
+
+
 @pytest.mark.parametrize("field", ["QQ", "ZZ/32003"])
 def test_generator_is_one_term_map(field, monkeypatch):
     """A degree-8 generator in 6 variables (1287 terms), with repeated and

@@ -438,32 +438,36 @@ def test_artinian_reduction_catches_a_cut_too_many(catalog_items, monkeypatch, t
     # a lead-monomial count one too high passes the Bayer-Stillman step
     # but changes the Hilbert series numerator of the cut ideal; the
     # chain route, invariants and the betti command all read the cut
+    # the memos are cleared however the test ends, so that no result of
+    # the mutant reaches a later test
     count = hilbert_module._trailing_free
     rnc4 = catalog_items["rnc4"]
     W2 = Ideal(rnc4.ring, rnc4.generators[:2])
     cases = [(I,) for I in catalog_items.values()]
     cases.append((rnc4, W2))
-    for ideals in cases:
-        clear_caches()
-        c = artinian_reduction(*ideals)[0]
-        assert c + 1 < ideals[0].ring.num_vars, ideals
-        clear_caches()
-        with monkeypatch.context() as mp:
-            mp.setattr(hilbert_module, "_trailing_free", lambda I: count(I) + 1)
-            with pytest.raises(InternalCheckError, match="Hilbert series numerator"):
-                artinian_reduction(*ideals)
     path = tmp_path / "rnc4.ideal"
     path.write_text(render_source(rnc4.ring, {"I": rnc4}))
-    with monkeypatch.context() as mp:
-        mp.setattr(hilbert_module, "_trailing_free", lambda I: count(I) + 1)
-        for call in (lambda: pgshell_check(rnc4, W2), lambda: invariants(rnc4)):
+    try:
+        for ideals in cases:
             clear_caches()
-            with pytest.raises(InternalCheckError, match="Hilbert series numerator"):
-                call()
+            c = artinian_reduction(*ideals)[0]
+            assert c + 1 < ideals[0].ring.num_vars, ideals
+            clear_caches()
+            with monkeypatch.context() as mp:
+                mp.setattr(hilbert_module, "_trailing_free", lambda I: count(I) + 1)
+                with pytest.raises(InternalCheckError, match="Hilbert series numerator"):
+                    artinian_reduction(*ideals)
+        with monkeypatch.context() as mp:
+            mp.setattr(hilbert_module, "_trailing_free", lambda I: count(I) + 1)
+            for call in (lambda: pgshell_check(rnc4, W2), lambda: invariants(rnc4)):
+                clear_caches()
+                with pytest.raises(InternalCheckError, match="Hilbert series numerator"):
+                    call()
+            clear_caches()
+            assert run_command(["betti", str(path), "I"], out=io.StringIO()) == EXIT_INTERNAL
+            assert "Hilbert series numerator" in capsys.readouterr().err
+    finally:
         clear_caches()
-        assert run_command(["betti", str(path), "I"], out=io.StringIO()) == EXIT_INTERNAL
-        assert "Hilbert series numerator" in capsys.readouterr().err
-    clear_caches()
 
 
 def test_weighted_resolution():

@@ -7,10 +7,15 @@ from pgshell import (
     Ideal,
     Polynomial,
     PolyRing,
+    artinian_reduction,
+    betti_table,
+    clear_caches,
     groebner_basis,
     ideal_intersection,
     ideal_quotient_saturation,
     is_saturated,
+    minimal_resolution,
+    rational_normal_curve,
     same_ideal,
     saturate_irrelevant,
     standard_ring,
@@ -216,6 +221,35 @@ def test_is_saturated_matches_elimination(p, weighted):
         assert is_saturated(I) != fixpoint_saturation(I)[1]
 
     check()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["standard", "weighted"])
+@pytest.mark.parametrize("p", [0, 32003])
+def test_is_saturated_matches_betti(p, weighted):
+    # the lead-monomial certificate against depth S/I >= 1, i.e. pd S/I <= N
+    # (Auslander-Buchsbaum); on z_last * I the last variable divides every
+    # lead, so nothing can be cut (c = 0), while another may divide none
+    @given(graded_ideals(Field(p), weighted), st.booleans())
+    def check(I, times_last):
+        ring = I.ring
+        if times_last:
+            z = Polynomial.variable(ring, ring.num_vars - 1)
+            I = Ideal(ring, [g * z for g in I.generators])
+        assert is_saturated(I) == (betti_table(I).max_q() < ring.num_vars)
+
+    check()
+
+
+def test_is_saturated_reads_only_the_basis():
+    # N = z4 * (a quadric of rnc 4): z4 divides its lead, so there is no
+    # trailing variable to cut, but z3 divides no lead
+    V = rational_normal_curve(4).ideal
+    N = Ideal(V.ring, [V.generators[0] * Polynomial.variable(V.ring, 4)])
+    clear_caches()
+    assert is_saturated(N)
+    assert groebner_basis.cache_info().misses == 1
+    assert artinian_reduction.cache_info().misses == 0
+    assert minimal_resolution.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["standard", "weighted"])

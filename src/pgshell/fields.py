@@ -14,8 +14,11 @@ arithmetic methods serve only the parser's term sums and `field_self_check`.
 
 The other helpers serve the one integer-vector path of the Groebner
 engine and `linalg.RowSpace` on both fields: QQ vectors are cleared of
-denominators, and `primitive` normalizes a vector at its lead entry --
-divided by its content over QQ, monic over GF(p).
+denominators, `primitive` normalizes a vector at its lead entry --
+divided by its content over QQ, monic over GF(p) -- and `clear_at` is
+the one row operation, which subtracts a multiple of one integer row
+from another: `RowSpace` clears at its pivots with it, and the
+Groebner engine at the term a reducer multiple cancels.
 """
 
 from __future__ import annotations
@@ -171,10 +174,43 @@ def primitive(v: dict, lead, p: int) -> dict:
     return v if g == 1 else {k: x // g for k, x in v.items()}
 
 
+def clear_at(v: dict, c, row: dict, p: int) -> int:
+    """Clear the integer vector v at the entry c of row, in place: over
+    GF(p) (row monic at c) v -= v[c] row mod p; over QQ v = (a v - b row) / g
+    for a = row[c], b = v[c] and g = gcd(a, b).  Returns a / g, the factor
+    v was scaled by (1 over GF(p))."""
+    f = v[c]
+    get = v.get
+    if p:
+        for j, x in row.items():
+            y = (get(j, 0) - f * x) % p
+            if y:
+                v[j] = y
+            else:
+                del v[j]
+        return 1
+    a = row[c]
+    if a != 1:
+        g = gcd(a, f)
+        a //= g
+        f //= g
+    if a != 1:
+        for j in v:
+            v[j] *= a
+    for j, x in row.items():
+        y = get(j, 0) - f * x
+        if y:
+            v[j] = y
+        else:
+            del v[j]
+    return a
+
+
 def field_self_check(field: Field, seed: int = 0) -> None:
     """Spot-check the field axioms on 1000 pseudo-random triples, then the
     integer vector arithmetic the engines run (`primitive` and
-    `linalg._clear`) against `Fraction` arithmetic on 200 sparse vectors,
+    `clear_at`, the row operation of `linalg.RowSpace` and of the
+    Groebner engine) against `Fraction` arithmetic on 200 sparse vectors,
     and `canonical` against `field.of` on those vectors shifted by random
     multiples of p, with one entry that vanishes in the field.
 
@@ -183,7 +219,6 @@ def field_self_check(field: Field, seed: int = 0) -> None:
     """
     import random
 
-    from . import linalg
     from .errors import InternalCheckError
 
     rng = random.Random(seed)
@@ -228,7 +263,7 @@ def field_self_check(field: Field, seed: int = 0) -> None:
         w = primitive(dict(row), c, p)
         v.setdefault(c, 1)
         cleared = dict(v)
-        scale = linalg._clear(cleared, c, w, p)
+        scale = clear_at(cleared, c, w, p)
         ratio = Fraction(v[c], w[c])
         shifted = {k: x + p * rng.randint(-3, 3) for k, x in v.items()}
         shifted[8] = p * rng.randint(-3, 3)

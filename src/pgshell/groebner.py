@@ -37,16 +37,20 @@ pass and in the reduced basis of `groebner_basis`, has integer
 coefficients and is normalized at its lead term by `fields.primitive`,
 the normalizer `linalg.RowSpace` uses too: monic over GF(p), where each
 new coefficient is taken mod p; primitive (gcd 1, positive lead
-coefficient) over QQ.  An S-polynomial multiplies each vector by the
-other's lead coefficient, both divided by their gcd, so a monic pair
-needs no scaling.  Over QQ, `reduce_vector` clears denominators on
-entry and pseudo-divides: it scales the work vector and the partial
-remainder by an integer before each subtraction and divides out their
-common content every few steps.  Every vector so produced is a nonzero
-multiple of the one the field arithmetic would give, so pairs, zero
-reductions and kept inputs are the same.  `field_remainder` divides
-that multiple out for the readers of field values; printed bases are
-made monic as `Polynomial`s.
+coefficient) over QQ.  Every subtraction of one vector's multiple from
+another is `fields.clear_at`, `RowSpace`'s row operation, which
+`--field-check` checks: an S-polynomial clears q_f f at the lcm of the
+leads by q_g g, so each is scaled by the other's lead coefficient over
+their gcd and a monic pair needs no scaling, and a division step clears
+the work vector by q g.  A pass keeps each reducer multiple q g it
+builds, in one table that lives as long as the pass.  Over QQ,
+`reduce_vector` clears denominators on entry and pseudo-divides: each
+step scales the work vector by an integer, the partial remainder by the
+same, and every few steps both are divided by their common content.
+Every vector so produced is a nonzero multiple of the one the field
+arithmetic would give, so pairs, zero reductions and kept inputs are
+the same.  `field_remainder` divides that multiple out for the readers
+of field values; printed bases are made monic as `Polynomial`s.
 
 Determinism: ties keep input order.  Only `groebner_basis` interreduces
 a pass's basis, to the reduced basis, which is unique and so independent
@@ -60,7 +64,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import NotHomogeneousError, PreconditionError, RingMismatchError
-from .fields import canonical, clear_denominators, primitive
+from .fields import canonical, clear_at, clear_denominators, primitive
 from .memo import memoized
 from .poly import Ideal, Polynomial
 from .rings import PolyRing
@@ -159,7 +163,13 @@ def vector_degree(v: dict, ring: PolyRing, twists) -> int | None:
 CONTENT_STEPS = 8
 
 
-def reduce_vector(v, basis, lead_terms, key, ring: PolyRing) -> dict:
+def _multiple(q, v, ring: PolyRing) -> dict:
+    """The vector q v, for q a monomial."""
+    mono_mul = ring.mono_mul
+    return {(mono_mul(q, m), pos): c for (m, pos), c in v.items()}
+
+
+def reduce_vector(v, basis, lead_terms, key, ring: PolyRing, multiples=None) -> dict:
     """Full normal form of v against basis (first matching divisor wins).
 
     The terms still to divide sit in a min-heap under `key`, pushed when
@@ -170,15 +180,21 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing) -> dict:
     as this module builds them: a smaller key is a larger term.
 
     The basis is one the engine keeps: integer vectors, monic over
-    GF(p) (a step subtracts c q basis[idx], for c the coefficient of the
-    term it cancels, and takes each new coefficient mod p) and primitive
-    over QQ, where v is cleared of denominators on entry and
-    pseudo-divided.  The remainder is the field remainder times a nonzero
-    scalar, normalized by `fields.primitive`; `field_remainder` reads
-    the field remainder itself.
+    GF(p) and primitive over QQ, where v is cleared of denominators on
+    entry.  A step clears the work vector at the term it cancels by the
+    reducer multiple q basis[idx], with `fields.clear_at`, the row
+    operation of `linalg.RowSpace`; over QQ that pseudo-divides, so the
+    partial remainder is scaled by the factor it returns, and every
+    CONTENT_STEPS steps both are divided by their common content.  The
+    remainder is the field remainder times a nonzero scalar, normalized
+    by `fields.primitive`; `field_remainder` reads the field remainder
+    itself.  `multiples` maps (idx, q) to q basis[idx]: `module_groebner`
+    keeps one per pass, so that each multiple is built once in a pass.
     """
     p = ring.field.characteristic
-    mono_div, mono_mul = ring.mono_div, ring.mono_mul
+    mono_div = ring.mono_div
+    if multiples is None:
+        multiples = {}
     work = dict(v) if p else clear_denominators(v)[0]
     heap = [(key(t), t) for t in work]
     heapify(heap)
@@ -187,47 +203,34 @@ def reduce_vector(v, basis, lead_terms, key, ring: PolyRing) -> dict:
     steps = 0
     while work:
         t = heappop(heap)[1]
-        c = work.get(t)
-        if c is None:
+        if t not in work:
             continue
         tm, tp = t
         for idx in range(nbasis):
-            (gm, gp), gc = lead_terms[idx]
+            (gm, gp), _ = lead_terms[idx]
             if gp != tp:
                 continue
             q = mono_div(tm, gm)
             if q is None:
                 continue
-            if not p:
-                # divide out the content every few steps, then scale by
-                # gc/g so that (c/g) q basis[idx] cancels t
-                steps += 1
-                d = gcd(*work.values(), *remainder.values()) if steps % CONTENT_STEPS == 0 else 1
-                c //= d
-                g = gcd(c, gc)
-                factor, scale = c // g, gc // g
-                if d != 1 or scale != 1:
-                    work = {k: x // d * scale for k, x in work.items()}
-                    remainder = {k: x // d * scale for k, x in remainder.items()}
-            else:
-                factor = c
-            for (m2, p2), c2 in basis[idx].items():
-                k2 = (mono_mul(q, m2), p2)
-                old = work.get(k2)
-                if old is None:
-                    heappush(heap, (key(k2), k2))
-                    old = 0
-                s = old - factor * c2
-                if p:
-                    s %= p
-                if s:
-                    work[k2] = s
-                else:
-                    del work[k2]
+            row = multiples.get((idx, q))
+            if row is None:
+                row = multiples[idx, q] = _multiple(q, basis[idx], ring)
+            for k in row:
+                if k not in work:
+                    heappush(heap, (key(k), k))
+            steps += 1
+            if not p and steps % CONTENT_STEPS == 0:
+                d = gcd(*work.values(), *remainder.values())
+                if d != 1:
+                    work = {k: x // d for k, x in work.items()}
+                    remainder = {k: x // d for k, x in remainder.items()}
+            scale = clear_at(work, t, row, p)
+            if scale != 1:
+                remainder = {k: x * scale for k, x in remainder.items()}
             break
         else:
-            remainder[t] = c
-            del work[t]
+            remainder[t] = work.pop(t)
     if remainder:
         # terms leave `work` in decreasing order, so the first is the lead
         return primitive(remainder, next(iter(remainder)), p)
@@ -247,32 +250,14 @@ def field_remainder(v, basis, lead_terms, key, ring: PolyRing, rank: int) -> dic
 
 def _spoly(f, g, ltf, ltg, ring: PolyRing):
     """S-vector scale_f qf f - scale_g qg g, which cancels the lead terms:
-    each scale is the other lead coefficient divided by their gcd, so
-    both are 1 for a monic pair (every pair over GF(p))."""
-    p = ring.field.characteristic
-    (fm, _), fc = ltf
-    (gm, _), gc = ltg
+    qf f cleared at their lcm by qg g (`fields.clear_at`), so each scale
+    is the other lead coefficient divided by their gcd, and both are 1
+    for a monic pair (every pair over GF(p))."""
+    (fm, pos), _ = ltf
+    (gm, _), _ = ltg
     lcm = ring.mono_lcm(fm, gm)
-    qf = ring.mono_div(lcm, fm)
-    qg = ring.mono_div(lcm, gm)
-    if fc == gc:
-        scale_f = scale_g = 1
-    else:
-        d = gcd(fc, gc)
-        scale_f, scale_g = gc // d, fc // d
-    mono_mul = ring.mono_mul
-    out: dict = {}
-    for (m, pos), c in f.items():
-        out[mono_mul(qf, m), pos] = scale_f * c
-    for (m, pos), c in g.items():
-        k = (mono_mul(qg, m), pos)
-        s = out.get(k, 0) - scale_g * c
-        if p:
-            s %= p
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+    out = _multiple(ring.mono_div(lcm, fm), f, ring)
+    clear_at(out, (lcm, pos), _multiple(ring.mono_div(lcm, gm), g, ring), ring.field.characteristic)
     return out
 
 
@@ -319,6 +304,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None, syzygi
     leads = []
     pairs = []  # heap of (degree, minus the key of (lcm, position), i, j, lcm): smallest first
     pending = set()
+    multiples = {}  # (index, q) -> q basis[index]: valid while the basis only grows
 
     def insert(v, from_block):
         lt = vector_lead(v, key)
@@ -341,7 +327,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None, syzygi
         if nxt < len(inputs) and (not pairs or inputs[nxt][0] < pairs[0][0]):
             _, idx, v = inputs[nxt]
             nxt += 1
-            r = reduce_vector(v, basis, leads, key, ring)
+            r = reduce_vector(v, basis, leads, key, ring, multiples)
             if r:
                 insert(r, False)
                 if kept is not None:
@@ -368,7 +354,7 @@ def module_groebner(vectors, ring: PolyRing, twists, key=None, kept=None, syzygi
         if skip:
             continue
         s = _spoly(basis[i], basis[j], leads[i], leads[j], ring)
-        r = reduce_vector(s, basis, leads, key, ring)
+        r = reduce_vector(s, basis, leads, key, ring, multiples)
         if r:
             insert(r, pi >= block)
 

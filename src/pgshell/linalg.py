@@ -14,13 +14,14 @@ GF(p) a vector is made `fields.canonical` (any integers, reduced mod p,
 zeros dropped), over QQ it is cleared of denominators.  The rows are
 integer vectors on both fields, each normalized at its pivot by
 `fields.primitive`, the normalizer the Groebner engine uses: monic over
-GF(p), divided by its content with a positive pivot over QQ.  The
-kernel branches on the field once per row operation, not per entry.
-Over GF(p) a row operation computes (x - f y) % p inline.  Over QQ the
-elimination is fraction-free, like the Groebner engine's: a row is made
-primitive again whenever a step scaled it; clearing v at the pivot a of
-a row r computes (a v - b r) / g for b the entry of v and g = gcd(a, b),
-and tracks the scale a / g of v.
+GF(p), divided by its content with a positive pivot over QQ.  The row
+operation is `fields.clear_at`, the one the Groebner engine's division
+step runs too; it branches on the field once per row operation, not per
+entry.  Over GF(p) it computes (x - f y) % p.  Over QQ the elimination
+is fraction-free: clearing v at the pivot a of a row r computes
+(a v - b r) / g for b the entry of v and g = gcd(a, b), and returns the
+scale a / g of v, which `_reduced` tracks; a row is made primitive
+again whenever a step scaled it.
 `Fraction`s appear only in the values a caller reads, each canonical:
 the remainders `reduce` returns, `relations` and the rows `rref` returns.
 
@@ -36,9 +37,8 @@ forms, kernels and ranks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .fields import Field, canonical, clear_denominators, primitive
+from .fields import Field, canonical, clear_at, clear_denominators, primitive
 
 
 class RowSpace:
@@ -63,7 +63,7 @@ class RowSpace:
         p, rows = self.field.characteristic, self.rows
         v, d = (canonical(vec, p), 1) if p else clear_denominators(vec)
         for c in [c for c in v if c in rows]:
-            d *= _clear(v, c, rows[c], p)
+            d *= clear_at(v, c, rows[c], p)
         return v, d
 
     def _values(self, v, d):
@@ -94,7 +94,7 @@ class RowSpace:
             v = primitive(v, pivot, p)
         rows = self.rows
         for q in [q for q, row in rows.items() if pivot in row]:
-            if _clear(rows[q], pivot, v, p) != 1:
+            if clear_at(rows[q], pivot, v, p) != 1:
                 rows[q] = primitive(rows[q], q, p)
         rows[pivot] = v
         return True
@@ -109,38 +109,6 @@ class RowSpace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-
-def _clear(v: dict, c, row: dict, p: int) -> int:
-    """Clear the integer vector v at the pivot c of row, in place: over
-    GF(p) (row monic) v -= v[c] row mod p; over QQ v = (a v - b row) / g
-    for a = row[c], b = v[c] and g = gcd(a, b).  Returns a / g, the factor
-    v was scaled by (1 over GF(p))."""
-    f = v[c]
-    get = v.get
-    if p:
-        for j, x in row.items():
-            y = (get(j, 0) - f * x) % p
-            if y:
-                v[j] = y
-            else:
-                del v[j]
-        return 1
-    a = row[c]
-    if a != 1:
-        g = gcd(a, f)
-        a //= g
-        f //= g
-    if a != 1:
-        for j in v:
-            v[j] *= a
-    for j, x in row.items():
-        y = get(j, 0) - f * x
-        if y:
-            v[j] = y
-        else:
-            del v[j]
-    return a
 
 
 def eliminate(columns, nrows: int, field: Field):

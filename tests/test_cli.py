@@ -22,6 +22,8 @@ import pgshell.cli as cli_module
 from pgshell.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK, render_betti, run_command
 from pgshell.resolution import BettiTable
 
+from test_fields import clear_at_with_sign_error
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
@@ -444,10 +446,30 @@ def test_input_errors_exit_2(corpus_file, tmp_path):
     assert code == EXIT_INPUT
 
 
-def test_field_check_flag(corpus_file):
-    code, text = run(["gb", corpus_file, "V", "--field-check"])
-    assert code == EXIT_OK
-    assert "field check: ok" in text
+@pytest.fixture(scope="module")
+def gf_corpus_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli-gf") / "corpus.ideal"
+    path.write_text(CORPUS_SRC.replace("QQ[", "ZZ/32003["))
+    return str(path)
+
+
+def test_field_check_flag(corpus_file, gf_corpus_file):
+    for path in (corpus_file, gf_corpus_file):
+        code, text = run(["gb", path, "V", "--field-check"])
+        assert code == EXIT_OK
+        assert "field check: ok" in text
+
+
+@pytest.mark.parametrize("field", ["qq", "gf"])
+def test_field_check_flag_catches_a_broken_row_operation(field, corpus_file, gf_corpus_file,
+                                                         monkeypatch, capsys):
+    path = gf_corpus_file if field == "gf" else corpus_file
+    monkeypatch.setattr("pgshell.fields.clear_at", clear_at_with_sign_error)
+    code, text = run(["gb", path, "V", "--field-check"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INTERNAL and text == ""
+    assert len(err) == 1 and err[0].startswith(
+        "internal check failure: engine arithmetic violation"), err
 
 
 def test_byte_identical_invocations(corpus_file):

@@ -13,10 +13,13 @@ from pgshell import (
     InternalCheckError,
     Polynomial,
     QQ,
+    clear_caches,
     field_self_check,
-    linalg,
+    groebner_basis,
+    rational_normal_curve,
     standard_ring,
 )
+from pgshell import fields, groebner, linalg
 from pgshell.fields import is_prime
 from pgshell.linalg import eliminate
 
@@ -45,11 +48,11 @@ def test_field_axioms_prime():
     field_self_check(Field(32003), seed=20240811)
 
 
-_real_clear = linalg._clear
+_real_clear_at = fields.clear_at
 
 
-def _clear_with_sign_error(v, c, row, p):
-    scale = _real_clear(v, c, row, p)
+def clear_at_with_sign_error(v, c, row, p):
+    scale = _real_clear_at(v, c, row, p)
     for j in v:
         v[j] = (-v[j]) % p if p else -v[j]
     return scale
@@ -67,8 +70,8 @@ GF = Field(32003)
 
 
 @pytest.mark.parametrize("field, target, broken", [
-    pytest.param(QQ, "pgshell.linalg._clear", _clear_with_sign_error, id="qq"),
-    pytest.param(GF, "pgshell.linalg._clear", _clear_with_sign_error, id="gf"),
+    pytest.param(QQ, "pgshell.fields.clear_at", clear_at_with_sign_error, id="qq"),
+    pytest.param(GF, "pgshell.fields.clear_at", clear_at_with_sign_error, id="gf"),
     pytest.param(QQ, "pgshell.fields.canonical", _canonical_keeping_zeros,
                  id="qq-canonical-keeps-zeros"),
     pytest.param(GF, "pgshell.fields.canonical", _canonical_keeping_zeros,
@@ -80,6 +83,32 @@ def test_field_check_covers_the_engines_row_operation(field, target, broken, mon
     monkeypatch.setattr(target, broken)
     with pytest.raises(InternalCheckError, match="engine arithmetic"):
         field_self_check(field, seed=20240811)
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["qq", "gf"])
+def test_both_eliminations_run_the_checked_row_operation(field, monkeypatch):
+    """`RowSpace` and `reduce_vector` (with the S-vectors) subtract rows
+    only through `fields.clear_at`, the function `field_self_check`
+    checks, so --field-check covers both eliminations."""
+    assert groebner.clear_at is fields.clear_at and linalg.clear_at is fields.clear_at
+    calls = {}
+
+    def counted(module):
+        def clear_at(v, c, row, p):
+            calls[module] = calls.get(module, 0) + 1
+            return _real_clear_at(v, c, row, p)
+        return clear_at
+
+    monkeypatch.setattr(groebner, "clear_at", counted("groebner"))
+    monkeypatch.setattr(linalg, "clear_at", counted("linalg"))
+    ideal = rational_normal_curve(4, field).ideal
+    clear_caches()
+    try:
+        assert len(groebner_basis(ideal).elements) == 6
+    finally:
+        clear_caches()
+    eliminate([{0: 2, 1: 3}, {0: 4, 1: 1}, {0: 1, 1: 5}], 2, field)
+    assert calls.get("groebner", 0) > 0 and calls.get("linalg", 0) > 0
 
 
 def _entries(p):

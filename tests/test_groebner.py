@@ -237,12 +237,12 @@ def test_qq_reductions_run_on_integers(monkeypatch):
     real_reduce = groebner.reduce_vector
     calls = []
 
-    def checked(v, basis, leads, key, ring):
+    def checked(v, basis, leads, key, ring, multiples=None):
         assert all(type(c) is int for g in basis for c in g.values())
         assert all(type(c) is int for _, c in leads)
         inside.append(True)
         try:
-            r = real_reduce(v, basis, leads, key, ring)
+            r = real_reduce(v, basis, leads, key, ring, multiples)
         finally:
             inside.pop()
         assert all(type(c) is int for c in r.values())

@@ -70,6 +70,9 @@ FOOTPRINTS = [
     (["gb", "V"], {"groebner"},
      {"resolution", "hilbert", "koszul", "linalg", "shell", "criteria", "saturation",
       "catalog"}),
+    # the field self-check runs the engines' one row operation, which
+    # lives in `fields`, so it loads no elimination module
+    (["gb", "V", "--field-check"], {"groebner"}, {"linalg", "resolution", "koszul"}),
     (["betti", "V"], {"resolution"},
      {"koszul", "linalg", "shell", "criteria", "saturation", "catalog"}),
     (["pgshell", "V", "W"], {"shell"}, {"criteria", "saturation", "catalog"}),

@@ -18,6 +18,7 @@ Remainders and their key order must be identical.  Over QQ,
 the monic basis.
 """
 
+import random
 from collections import Counter
 from itertools import combinations
 from math import gcd
@@ -37,13 +38,16 @@ from pgshell import (
     groebner_basis,
     minimal_resolution,
     normal_form,
+    rational_normal_curve,
+    substitute_ideal,
 )
 from pgshell import groebner, resolution, saturation
 from pgshell.fields import clear_denominators, primitive
 from pgshell.groebner import CONTENT_STEPS, lead_terms, poly_to_vector
+from pgshell.resolution import betti_table
 from pgshell.saturation import ideal_quotient_saturation
 
-from conftest import graded_ideals
+from conftest import dense_determinant, graded_ideals
 
 
 def ref_reduce_vector(v, basis, lead_terms, key, ring, fractions=False) -> dict:
@@ -110,9 +114,9 @@ class Differential:
             return key
         return make_named
 
-    def __call__(self, v, basis, lead_terms, key, ring):
+    def __call__(self, v, basis, lead_terms, key, ring, multiples=None):
         want = ref_reduce_vector(v, basis, lead_terms, key, ring)
-        got = self.real(v, basis, lead_terms, key, ring)
+        got = self.real(v, basis, lead_terms, key, ring, multiples)
         assert list(got.items()) == list(want.items())
         arithmetic = "gf" if ring.field.characteristic else "qq"
         name = self.key_names.get(key, "other")
@@ -166,6 +170,51 @@ def test_reductions_match_max_scan(differential, field, weighted):
     arithmetic = "gf" if field.characteristic else "qq"
     for name in ("top", "block", "last-variable"):
         assert differential.seen[name, arithmetic], name
+
+
+def resolve_generic_coordinates(label, n):
+    """The coordinate change the resolve-generic benchmark workload
+    applies to the ideal `label` in n variables: the first draw of
+    entries in [-3, 3] from the stream named after it that is invertible
+    over QQ and over GF(32003)."""
+    rng = random.Random(f"resolve-generic/{label}")
+    while True:
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if all(dense_determinant([[f.of(x) for x in row] for row in m], f) != f.zero
+               for f in (QQ, Field(32003))):
+            return m
+
+
+def test_each_reducer_multiple_is_built_once_per_pass(monkeypatch):
+    """A pass builds each reducer multiple q basis[idx] once, in its table
+    of multiples: `betti_table` of rnc6 in generic coordinates over
+    GF(32003) makes at most 30,000 monomial products (183,121 when every
+    division step built its own multiple), in exactly 457 reductions."""
+    field = Field(32003)
+    ideal = substitute_ideal(rational_normal_curve(6, field).ideal,
+                             resolve_generic_coordinates("rnc6", 7))
+    calls = Counter()
+    real_mul, real_reduce = PolyRing.mono_mul, groebner.reduce_vector
+
+    def mono_mul(a, b):
+        calls["mono_mul"] += 1
+        return real_mul(a, b)
+
+    def reduce_vector(*args):
+        calls["reduce_vector"] += 1
+        return real_reduce(*args)
+
+    monkeypatch.setattr(PolyRing, "mono_mul", staticmethod(mono_mul))
+    monkeypatch.setattr(groebner, "reduce_vector", reduce_vector)
+    clear_caches()
+    try:
+        table = betti_table(ideal)
+    finally:
+        clear_caches()
+    assert table.entries == {(0, 0): 1, (1, 2): 15, (2, 3): 40, (3, 4): 45, (4, 5): 24,
+                             (5, 6): 5}
+    assert calls["mono_mul"] <= 30_000
+    assert calls["reduce_vector"] == 457
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3)], ids=["standard", "weighted"])

@@ -337,11 +337,14 @@ def test_verify_complex_exactness_catches_a_dropped_syzygy(monkeypatch, twisted_
     module's basis, which the mutant leaves whole, so it reports the
     missing syzygy."""
     clear_caches()
-    with monkeypatch.context() as mp:
-        drop_last_syzygy(mp)
-        res = minimal_resolution(twisted_cubic)
-        checks = {c["name"]: c["ok"] for c in verify_complex(res).checks}
-    clear_caches()
+    try:
+        with monkeypatch.context() as mp:
+            drop_last_syzygy(mp)
+            res = minimal_resolution(twisted_cubic)
+            checks = {c["name"]: c["ok"] for c in verify_complex(res).checks}
+    finally:
+        # the mutant's resolutions must not outlive the test
+        clear_caches()
     assert [m.rank for m in res.modules] == [1, 3, 1]
     assert checks["composition d_1.d_2 = 0"]
     assert checks["image of d_1 is the resolved ideal"]

@@ -285,6 +285,8 @@ def points_on_rational_normal_curve(
 
 
 def hyperplane(num_vars: int = 4, field: Field | None = None) -> CatalogEntry:
+    if num_vars < 2:
+        raise CatalogError(f"variable count must be at least 2, got {num_vars}")
     ring = standard_ring(num_vars, field)
     ideal = Ideal(ring, [Polynomial.variable(ring, 0)])
     return CatalogEntry(

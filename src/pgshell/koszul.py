@@ -18,19 +18,19 @@ Each differential d_q is eliminated once per context and (q, m) by
 is a basis of the cycles Z_q(m), and
 dim Tor_q = dim C_q - dim B_{q-1} - dim B_q, so neighbouring q share
 their ranks.  Representative cycles are the cycle basis vectors that
-are independent modulo B_q, and the span they build (tagged with their
-positions, negated) reads the homology coordinates of any cycle in one
-reduction.
+are independent modulo B_q.
 
 The same chain spaces realize the comparison maps mu_q between two
 quotients S/I_W -> S/I_V, giving the resolution-free route to the
-shell predicate; the kernel of mu_q comes from one more `eliminate`.
-Every chain vector, cycle, homology coordinate vector and column of
-mu_q is a sparse dict {index: value}.  Differential columns and chain-map
-images are built on Python operators and left unreduced (over GF(p)
-negative or >= p, zero sums kept): `RowSpace` reduces every vector on
-entry.  Only the witness cycle, which is printed, is made
-`fields.canonical` here.
+shell predicate.  A source class is in ker mu_q exactly when its image
+is a boundary of the target, so the target builds no homology: the
+images of the source representatives, tagged with their positions, are
+added to a copy of B_q^V, and the relations they leave are the kernel.
+Every chain vector, cycle and kernel vector is a sparse dict
+{index: value}.  Differential columns and chain-map images are built
+on Python operators and left unreduced (over GF(p) negative or >= p,
+zero sums kept): `RowSpace` reduces every vector on entry.  Only the
+witness cycle, which is printed, is made `fields.canonical` here.
 
 The complex has C(N+1, q) wedge blocks in each C_q, so every variable
 that can be dropped shrinks it.  Under grevlex, when the last c
@@ -150,22 +150,23 @@ class KoszulContext:
         return self._eliminated(q, m)[1]
 
     @memoized
-    def homology(self, q: int, m: int):
-        """(representative cycles, class reader) of H_q(m).
-
-        The representatives are the cycle basis vectors that are
-        independent modulo B_q(m), in order.  Each is added to a copy of
-        B_q(m) tagged with minus its position; that span, the class
-        reader, reduces a cycle to its homology coordinates in the tags.
-        """
-        ncols = self.chain_dim(q, m)
+    def homology(self, q: int, m: int) -> list:
+        """Representative cycles of H_q(m): the cycle basis vectors that are
+        independent modulo B_q(m), in order."""
         span = self.boundaries(q, m).untagged()
-        minus_one = self.ring.field.of(-1)
-        reps = []
+        return [z for z in self.cycles(q, m) if span.add(z)]
+
+    def is_cycle(self, q: int, m: int, vec: dict) -> bool:
+        """Whether the sparse chain vector vec of C_q(m) is a cycle: it is
+        exactly when vec equals the sum of vec[j] z_j over the canonical
+        cycle basis, z_j the vector with its own index (its largest key) j."""
+        rest = dict(vec)
         for z in self.cycles(q, m):
-            if span.add({**z, ncols + len(reps): minus_one}):
-                reps.append(z)
-        return reps, span
+            c = vec.get(max(z))
+            if c:
+                for i, x in z.items():
+                    rest[i] = rest.get(i, 0) - c * x
+        return not canonical(rest, self.ring.field.characteristic)
 
 
 @memoized
@@ -184,28 +185,15 @@ class TorPiece:
         self.m = m
         self.dimension = dimension
 
-    def _homology(self):
-        reps, reader = self.ctx.homology(self.q, self.m)
+    @property
+    def cycle_basis(self):
+        """Representative cycles, sparse vectors over the chain basis."""
+        reps = self.ctx.homology(self.q, self.m)
         if len(reps) != self.dimension:
             raise InternalCheckError(
                 f"cycle extraction found {len(reps)} classes, expected {self.dimension}"
             )
-        return reps, reader
-
-    @property
-    def cycle_basis(self):
-        """Representative cycles, sparse vectors over the chain basis."""
-        return self._homology()[0]
-
-    def class_coordinates(self, vec: dict):
-        """Sparse coordinates of the class of a cycle on `cycle_basis`, or
-        None when the sparse chain vector vec is not a cycle."""
-        reader = self._homology()[1]
-        ncols = reader.ncols
-        rest = reader.reduce(vec)
-        if any(c < ncols for c in rest):
-            return None
-        return {c - ncols: x for c, x in rest.items()}
+        return reps
 
     def labels(self):
         return self.ctx.chain_basis(self.q, self.m)[0]
@@ -252,21 +240,17 @@ def _lyubeznik_walk(I: Ideal) -> dict:
 
 
 class TorComparison:
-    """The induced map mu_q on degree-m Koszul Tor of S/I_W -> S/I_V.
+    """The induced map mu_q on degree-m Koszul Tor of S/I_W -> S/I_V:
+    the dimensions of both sides, whether mu_q is injective, and a
+    witness kernel class when it is not."""
 
-    `matrix` holds the sparse columns of mu_q, one per source class.
-    """
+    __slots__ = ("q", "m", "dim_source", "dim_target", "injective", "witness")
 
-    __slots__ = (
-        "q", "m", "dim_source", "dim_target", "matrix", "injective", "witness"
-    )
-
-    def __init__(self, q, m, dim_source, dim_target, matrix, injective, witness):
+    def __init__(self, q, m, dim_source, dim_target, injective, witness):
         self.q = q
         self.m = m
         self.dim_source = dim_source
         self.dim_target = dim_target
-        self.matrix = matrix
         self.injective = injective
         self.witness = witness
 
@@ -289,9 +273,12 @@ def _chain_map_image(ctx_w: KoszulContext, ctx_v: KoszulContext, q, m, vec: dict
 def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
     """mu_q in degree m for the surjection S/I_W ->> S/I_V (I_W <= I_V).
 
-    The matrix is written in the homology representative bases of both
-    sides; its columns are read off one reduction per source cycle
-    against the target's cycle span.  When not injective, a witness
+    A source class [z] is in ker mu_q exactly when its image is a
+    boundary of the target, so the target contributes only B_q^V(m): the
+    images of the source representatives z_k, tagged e_{n+k} for n the
+    dimension of C_q^V(m), are added to a copy of it, and the relations
+    that span leaves are the canonical kernel basis of mu_q (1 at its own
+    index, zero at the other free ones).  When not injective, a witness
     kernel class of the source Tor is extracted and re-verified: nonzero
     as a W-class, mapped into the boundaries on the V side.
     """
@@ -299,28 +286,29 @@ def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
     ctx_v = koszul_context(I_V)
     field = ctx_w.ring.field
     src = koszul_tor(I_W, q, m)
-    tgt = koszul_tor(I_V, q, m)
     h_w = src.dimension
-    h_v = tgt.dimension
+    h_v = koszul_tor(I_V, q, m).dimension
     if h_w == 0:
-        return TorComparison(q, m, 0, h_v, [], True, None)
+        return TorComparison(q, m, 0, h_v, True, None)
 
-    mu_cols = []
-    for z in src.cycle_basis:
-        x = tgt.class_coordinates(_chain_map_image(ctx_w, ctx_v, q, m, z))
-        if x is None:
+    n = ctx_v.chain_dim(q, m)
+    span = ctx_v.boundaries(q, m).untagged()
+    reps = src.cycle_basis
+    for k, z in enumerate(reps):
+        image = _chain_map_image(ctx_w, ctx_v, q, m, z)
+        if not ctx_v.is_cycle(q, m, image):
             raise InternalCheckError(
                 f"image of a Koszul cycle is not a cycle class at (q={q}, m={m})"
             )
-        mu_cols.append(x)
-    kernel = eliminate(mu_cols, h_v, field)[1]
+        span.add({**image, n + k: field.one})
+    kernel = [{c - n: x for c, x in rel.items()} for rel in span.relations]
 
     witness = None
     if kernel:
         c = kernel[0]
         cycle = {}
         for k, ck in c.items():
-            for i, x in src.cycle_basis[k].items():
+            for i, x in reps[k].items():
                 cycle[i] = cycle.get(i, 0) + ck * x
         cycle = canonical(cycle, field.characteristic)
         if ctx_w.boundaries(q, m).contains(cycle):
@@ -334,4 +322,4 @@ def tor_comparison(I_V: Ideal, I_W: Ideal, q: int, m: int) -> TorComparison:
             "cycle": cycle,
             "labels": src.labels(),
         }
-    return TorComparison(q, m, h_w, h_v, mu_cols, not kernel, witness)
+    return TorComparison(q, m, h_w, h_v, not kernel, witness)

@@ -14,7 +14,7 @@ from pgshell import (
     rational_normal_curve,
     standard_ring,
 )
-from pgshell.catalog import build_catalog_entry
+from pgshell.catalog import build_catalog_entry, hyperplane
 from pgshell.errors import CatalogError
 
 
@@ -178,6 +178,13 @@ def test_points_on_rnc_rejects_parameters_below_one(d, count, bad):
     # d = 0 gave the zero ideal of one point in P^0; count = 0 an unsaturated ideal
     with pytest.raises(CatalogError, match=f"^{bad}$"):
         points_on_rational_normal_curve(d, count)
+
+
+@pytest.mark.parametrize("num_vars", [1, 0, -1])
+def test_hyperplane_rejects_fewer_than_two_variables(num_vars):
+    # (z0) in QQ[z0] is the empty scheme, of degree 0, not a hyperplane of degree 1
+    with pytest.raises(CatalogError, match=f"^variable count must be at least 2, got {num_vars}$"):
+        hyperplane(num_vars)
 
 
 def test_points_entry(points5_entry):

@@ -297,6 +297,12 @@ def test_catalog_points_rnc_parameters_below_one_exit_2(capsys):
         assert f"error: {bad} must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_catalog_hyperplane_fewer_than_two_variables_exit_2(capsys):
+    for bad in ("0", "1"):
+        assert run(["catalog", "hyperplane", bad]) == (EXIT_INPUT, "")
+        assert f"error: variable count must be at least 2, got {bad}" in capsys.readouterr().err
+
+
 def test_zz_characteristic_not_an_odd_prime_exit_2(tmp_path, capsys):
     # ZZ/0 is not QQ: it fails like any other ZZ/p that names no field
     path = tmp_path / "zz.ideal"

@@ -20,7 +20,11 @@ from pgshell import (
     standard_ring,
     substitute_ideal,
 )
-from pgshell.koszul import koszul_context, lyubeznik_degrees, tor_comparison
+from pgshell import koszul
+from pgshell.errors import InternalCheckError
+from pgshell.hilbert import artinian_reduction
+from pgshell.koszul import KoszulContext, koszul_context, lyubeznik_degrees, tor_comparison
+from pgshell.shell import pgshell_check_oracle
 
 from conftest import dense_nullspace, dense_rank, dense_solve, dense_vector, graded_ideals
 
@@ -205,7 +209,7 @@ def dense(vectors, n, field):
 
 
 def dense_comparison(I_V, I_W, q, m):
-    """(source reps, target reps, mu rows, witness cycle or None)."""
+    """(source reps, target reps, kernel of mu, witness cycle or None)."""
     ctx_w, ctx_v = koszul_context(I_W), koszul_context(I_V)
     field = ctx_w.ring.field
     src = dense_cycle_basis(ctx_w, q, m)
@@ -220,7 +224,7 @@ def dense_comparison(I_V, I_W, q, m):
         cycle = [field.zero] * ctx_w.chain_dim(q, m)
         for ck, z in zip(kernel[0], src):
             cycle = [field.add(a, field.mul(ck, b)) for a, b in zip(cycle, z)]
-    return src, tgt, mu_rows, cycle
+    return src, tgt, kernel, cycle
 
 
 def _tc_case(kind, field=None):
@@ -231,8 +235,8 @@ def _tc_case(kind, field=None):
     return Ideal(ring, quadrics), Ideal(ring, w)
 
 
-def _rnc4_case(kind):
-    entry = rational_normal_curve(4, field=Field(32003))
+def _rnc4_case(kind, field):
+    entry = rational_normal_curve(4, field=field)
     ring, v = entry.ring, entry.ideal
     if kind == "W2":
         w = [g for g in v.generators if g.homogeneous_degree() == 2][:2]
@@ -241,28 +245,144 @@ def _rnc4_case(kind):
     return v, Ideal(ring, w)
 
 
+_DENSE_CASES = {
+    "tc": _tc_case,
+    "rnc4-gf": lambda kind: _rnc4_case(kind, Field(32003)),
+    "rnc4-qq": lambda kind: _rnc4_case(kind, Field(0)),
+}
+
+
 @pytest.mark.parametrize("name, kind", [
     ("tc", "positive"), ("tc", "z3*quadric"), ("rnc4-gf", "W2"), ("rnc4-gf", "N"),
+    ("rnc4-qq", "W2"),
 ])
 def test_oracle_matches_dense_path(name, kind):
-    I_V, I_W = (_tc_case if name == "tc" else _rnc4_case)(kind)
+    I_V, I_W = _DENSE_CASES[name](kind)
     checked = 0
     for q in range(1, I_W.ring.num_vars + 1):
         for m in lyubeznik_degrees(I_W, q):
             if koszul_tor(I_W, q, m).dimension == 0:
                 continue
-            src, tgt, mu_rows, cycle = dense_comparison(I_V, I_W, q, m)
+            src, tgt, kernel, cycle = dense_comparison(I_V, I_W, q, m)
             field = I_W.ring.field
             n_w, n_v = koszul_context(I_W).chain_dim(q, m), koszul_context(I_V).chain_dim(q, m)
             assert dense(koszul_tor(I_W, q, m).cycle_basis, n_w, field) == src, (q, m)
             assert dense(koszul_tor(I_V, q, m).cycle_basis, n_v, field) == tgt, (q, m)
             comp = tor_comparison(I_V, I_W, q, m)
-            mu = dense(comp.matrix, len(tgt), field)
-            assert [list(row) for row in zip(*mu)] == mu_rows, (q, m)
+            assert comp.injective == (not kernel), (q, m)
             witness = comp.witness and dense_vector(comp.witness["cycle"], n_w, field)
             assert witness == cycle, (q, m)
             checked += 1
     assert checked
+
+
+# -- the comparison's internal checks, each reached by a mutant ------------------
+
+
+def test_cycle_extraction_catches_a_dropped_representative(twisted_cubic, monkeypatch):
+    real = KoszulContext.homology
+    monkeypatch.setattr(KoszulContext, "homology", lambda self, q, m: real(self, q, m)[1:])
+    try:
+        with pytest.raises(InternalCheckError,
+                           match="^cycle extraction found 1 classes, expected 2$"):
+            koszul_tor(twisted_cubic, 2, 3).cycle_basis
+    finally:
+        clear_caches()
+
+
+def test_comparison_catches_an_image_that_is_not_a_cycle(twisted_cubic, tc_quadrics, monkeypatch):
+    real = koszul._chain_map_image
+
+    def noisy(ctx_w, ctx_v, q, m, vec):
+        # e_j, for the first chain basis vector j that d_q does not kill
+        j = next(j for j, col in enumerate(ctx_v.differential(q, m)) if any(col.values()))
+        out = real(ctx_w, ctx_v, q, m, vec)
+        out[j] = out.get(j, 0) + 1
+        return out
+
+    clear_caches()  # a memoized comparison would skip the mutant
+    monkeypatch.setattr(koszul, "_chain_map_image", noisy)
+    try:
+        w = Ideal(twisted_cubic.ring, [tc_quadrics[0]])
+        with pytest.raises(InternalCheckError,
+                           match=r"^image of a Koszul cycle is not a cycle class at \(q=1, m=2\)$"):
+            tor_comparison(twisted_cubic, w, 1, 2)
+    finally:
+        clear_caches()
+
+
+def test_comparison_catches_a_witness_that_is_a_source_boundary(
+    twisted_cubic, tc_quadrics, monkeypatch
+):
+    # the first representative becomes a boundary of d_{q+1}: a cycle whose
+    # image is a target boundary, so it is a kernel class but not a Tor class
+    real = KoszulContext.homology
+
+    def with_a_boundary(self, q, m):
+        return [self.differential(q + 1, m)[0], *real(self, q, m)[1:]]
+
+    clear_caches()
+    monkeypatch.setattr(KoszulContext, "homology", with_a_boundary)
+    try:
+        w = Ideal(twisted_cubic.ring, [tc_quadrics[0]])
+        with pytest.raises(InternalCheckError,
+                           match="^witness cycle is a boundary on the source side$"):
+            tor_comparison(twisted_cubic, w, 1, 2)
+    finally:
+        clear_caches()
+
+
+def test_comparison_catches_a_witness_image_that_is_no_boundary(
+    twisted_cubic, tc_quadrics, monkeypatch
+):
+    # (1, 2) is injective: every image read as zero inside the loop makes a
+    # false kernel, and the witness's real image is then no target boundary
+    w = Ideal(twisted_cubic.ring, [tc_quadrics[0]])
+    clear_caches()
+    real = koszul._chain_map_image
+    in_loop = [koszul_tor(w, 1, 2).dimension]
+
+    def zero_in_loop(*args):
+        if in_loop[0]:
+            in_loop[0] -= 1
+            return {}
+        return real(*args)
+
+    monkeypatch.setattr(koszul, "_chain_map_image", zero_in_loop)
+    try:
+        with pytest.raises(InternalCheckError,
+                           match="^witness image is not a boundary on the target side$"):
+            tor_comparison(twisted_cubic, w, 1, 2)
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_comparison_builds_no_target_homology(p, monkeypatch):
+    # ker mu_q is read against the target's boundaries only: every homology
+    # built belongs to a source, the full W or the W of the cut pair
+    field = Field(p)
+    pairs = [_tc_case("positive", field), _tc_case("z3*quadric", field), _rnc4_case("W2", field)]
+    clear_caches()
+    built = set()
+    real = KoszulContext.homology
+
+    def counted(self, q, m):
+        built.add(self.ideal)
+        return real(self, q, m)
+
+    monkeypatch.setattr(KoszulContext, "homology", counted)
+    try:
+        sources = set()
+        for V, W in pairs:
+            sources |= {W, artinian_reduction(V, W)[1][1]}
+            pgshell_check_oracle(V, W)
+            for q in range(1, W.ring.num_vars + 1):
+                for m in lyubeznik_degrees(W, q):
+                    tor_comparison(V, W, q, m)
+        assert built and built <= sources
+    finally:
+        clear_caches()
 
 
 # -- the one monomial reader -----------------------------------------------------

@@ -50,6 +50,7 @@ _EXPORTS = {
         "is_minimal_generator",
         "is_saturated",
         "membership",
+        "minimal_generators",
         "normal_form",
         "same_ideal",
     ),
@@ -65,7 +66,6 @@ _EXPORTS = {
         "FreeResolution",
         "betti",
         "betti_table",
-        "minimal_generators",
         "minimal_resolution",
         "regularity_and_depth",
         "syzygies",

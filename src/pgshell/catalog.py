@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import CatalogError
 from .fields import Field
-from .groebner import groebner_basis, is_saturated
+from .groebner import groebner_basis, minimal_generators
 from .hilbert import lead_term_series
 from .poly import Ideal, Polynomial
 from .rings import PolyRing, standard_ring
@@ -229,9 +229,12 @@ def points_on_rational_normal_curve(
 
     Points are (s^d : s^{d-1} t : ... : t^d) for integer parameter pairs;
     without `params`, the first `count` of ten default pairs.  The
-    kernels of the evaluation matrices, degree by degree, span the ideal;
-    their minimal generating subset is verified to be saturated with the
-    expected constant Hilbert polynomial.
+    kernels of the evaluation matrices, degree by degree, span the ideal,
+    and the ranks of those matrices are the points' Hilbert function.
+    The minimal generating subset of the kernels lies in the ideal I_X of
+    the points, so it is I_X exactly when S/I and S/I_X have the same
+    Hilbert function; that is checked on the lead-term series of its
+    Groebner basis, with no resolution.
     """
     if d < 1:
         raise CatalogError(f"curve degree must be at least 1, got {d}")
@@ -249,39 +252,39 @@ def points_on_rational_normal_curve(
     pts = [[s ** (d - k) * t**k for k in range(d + 1)] for (s, t) in params]
 
     from .linalg import eliminate
-    from .resolution import betti_table, minimal_generators
 
     forms = []
-    m = 0
-    reached = None
-    while True:
-        m += 1
+    # ranks[m] = dim_k (S/I_X)_m, the rank of evaluation in degree m.  It
+    # stays at `count` once it gets there, and I_X is generated in degrees
+    # up to one past that (the Castelnuovo-Mumford regularity of points)
+    ranks = [1]
+    while ranks[-2:] != [count, count]:
+        m = len(ranks)
         if m > 4 * (count + d):
             raise CatalogError("point ideal did not stabilize (degenerate parameters?)")
         monos = ring.monomials_of_degree(m)
         # integer values, reduced by `eliminate` on entry
         eval_cols = [{i: math.prod(map(pow, p, mono)) for i, p in enumerate(pts)} for mono in monos]
         kernel = eliminate(eval_cols, count, ring.field)[1]
-        hf_m = len(monos) - len(kernel)
+        ranks.append(len(monos) - len(kernel))
         forms += [Polynomial(ring, {monos[i]: c for i, c in v.items()}) for v in kernel]
-        if hf_m == count:
-            if reached is not None and reached == m - 1:
-                break
-            reached = m
 
     ideal = Ideal(ring, minimal_generators(Ideal(ring, forms)))
-    entry = CatalogEntry(
+    # I lies in I_X, so equal Hilbert functions make I = I_X.  From degree
+    # deg K - N on, the values of S/I are its Hilbert polynomial, so the
+    # degree and the values up to `top` cover every degree
+    series = lead_term_series(groebner_basis(ideal))
+    top = max(len(ranks), len(series.numerator))
+    if (series.dimension_degree() != (0, count)
+            or series.values(top) != ranks + [count] * (top + 1 - len(ranks))):
+        raise CatalogError("point ideal does not have the Hilbert function of the points")
+    return CatalogEntry(
         f"points{count}-rnc{d}",
         ring,
         ideal,
         {"dim": 0, "degree": count, "depth": 1, "is_ACM": True},
         notes=f"{count} rational points on the degree-{d} rational normal curve",
     )
-    if not is_saturated(ideal):
-        raise CatalogError("point ideal came out unsaturated")
-    if betti_table(ideal).dimension_degree(ring) != (0, count):
-        raise CatalogError("point ideal has the wrong Hilbert polynomial")
-    return entry
 
 
 def hyperplane(num_vars: int = 4, field: Field | None = None) -> CatalogEntry:

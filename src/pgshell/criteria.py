@@ -26,9 +26,9 @@ from .errors import (
 from .groebner import (
     is_minimal_generator,
     membership,
+    minimal_generators,
     poly_to_vector,
     require_proper,
-    same_ideal,
 )
 from .memo import memoized
 from .modules import GradedFreeModule, GradedMatrix
@@ -39,7 +39,6 @@ from .resolution import (
     betti,
     betti_table,
     minimal_generating_subset,
-    minimal_generators,
     minimal_resolution,
     regularity_and_depth,
     verify_complex,
@@ -286,10 +285,10 @@ def criteria_suite(I_V: Ideal, I_W: Ideal) -> dict:
 
     # V cut out of an ACM W by a regular sequence of hypersurfaces
     if inv_v.depth >= 2 and inv_w.is_ACM:
+        # I_W lies in I_V, so I_W + (extras) holds every minimal generator
+        # of I_V and is I_V
         extras = [g for g in minimal_generators(I_V) if not membership(g, I_W)]
-        gens_match = same_ideal(Ideal(I_V.ring, I_W.generators + tuple(extras)), I_V)
-        codim_drop = inv_v.dim == inv_w.dim - len(extras)
-        if gens_match and codim_drop and extras:
+        if extras and inv_v.dim == inv_w.dim - len(extras):
             record(
                 "regular-section-of-acm",
                 True,

@@ -494,6 +494,13 @@ def standard_monomials(gb: GroebnerBasis, m: int) -> list:
     ]
 
 
+def minimal_generators(I: Ideal):
+    """Minimal generating subset of the given generator list, as kept by
+    the one Buchberger pass of `groebner_basis(I)`."""
+    I.require_homogeneous()
+    return [I.generators[i] for i in groebner_basis(I).kept]
+
+
 def is_minimal_generator(F: Polynomial, I: Ideal) -> bool:
     """Is F part of a minimal generating system of I?
 

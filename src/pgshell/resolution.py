@@ -22,6 +22,7 @@ from .groebner import (
     field_remainder,
     groebner_basis,
     lead_terms,
+    minimal_generators,
     module_groebner,
     poly_to_vector,
     vector_component,
@@ -54,13 +55,6 @@ def minimal_generating_subset(vectors, ring: PolyRing, twists):
     kept: list[int] = []
     module_groebner(vectors, ring, twists, kept=kept)
     return kept
-
-
-def minimal_generators(I: Ideal):
-    """Minimal generating subset of the given generator list, as kept by
-    the one Buchberger pass of `groebner_basis(I)`."""
-    I.require_homogeneous()
-    return [I.generators[i] for i in groebner_basis(I).kept]
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +224,9 @@ def minimal_resolution(I: Ideal) -> FreeResolution:
     f0 = GradedFreeModule((0,))
     if not I.generators:
         return FreeResolution(ring, [f0], [], I)
+    # in the order the pass keeps them, which is by degree
     gens = minimal_generators(I)
     degs = [g.homogeneous_degree() for g in gens]
-    # degree, then smallest lead first (minus its key), as the S-pair heap
-    order = sorted(range(len(gens)), key=lambda i: (
-        degs[i], tuple(-k for k in ring.mono_key(gens[i].lead_monomial()))))
-    gens = [gens[i] for i in order]
-    degs = [degs[i] for i in order]
     f1 = GradedFreeModule(degs)
     d1 = GradedMatrix(ring, f1, f0, [poly_to_vector(g) for g in gens])
     modules = [f0, f1]

@@ -6,14 +6,18 @@ from pgshell import (
     Polynomial,
     SplitMix64,
     betti,
+    clear_caches,
     complete_intersection,
     determinantal_minors,
+    groebner_basis,
     invariants,
+    lead_term_series,
     minimal_resolution,
     points_on_rational_normal_curve,
     rational_normal_curve,
     standard_ring,
 )
+from pgshell import catalog
 from pgshell.catalog import build_catalog_entry, hyperplane
 from pgshell.errors import CatalogError
 
@@ -191,6 +195,57 @@ def test_points_entry(points5_entry):
     inv = invariants(points5_entry.ideal)
     assert (inv.dim, inv.degree, inv.depth) == (0, 5, 1)
     assert inv.is_ACM and inv.nondegenerate
+
+
+def test_points_check_resolves_nothing():
+    # the ideal is checked against the points' Hilbert function on the
+    # lead-term series of its Groebner basis, not off a minimal resolution
+    clear_caches()
+    points_on_rational_normal_curve(3, 5)
+    assert minimal_resolution.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("characteristic", [0, 32003])
+@pytest.mark.parametrize("d, count, num_gens", [(4, 9, 10), (5, 9, 12), (5, 10, 11)])
+def test_points_with_no_regular_variable_finish(d, count, num_gens, characteristic):
+    # no variable is regular on these points, which made the old
+    # saturation check resolve the ideal
+    entry = points_on_rational_normal_curve(d, count, field=Field(characteristic))
+    assert len(entry.ideal.generators) == num_gens
+    assert lead_term_series(groebner_basis(entry.ideal)).dimension_degree() == (0, count)
+
+
+# (d, count, index of the generator dropped): without the last quadric of
+# 5 points the degree becomes 6, while without the third quadric of 6
+# points it stays 6, and only the values in degree 2 differ
+@pytest.mark.parametrize("d, count, dropped", [(3, 5, 4), (4, 6, 2)])
+def test_points_check_catches_a_missing_generator(monkeypatch, d, count, dropped):
+    # without one minimal generator the ideal is smaller than I_X, so its
+    # quotient is larger in that generator's degree
+    keep = catalog.minimal_generators
+    monkeypatch.setattr(catalog, "minimal_generators",
+                        lambda I: [g for i, g in enumerate(keep(I)) if i != dropped])
+    try:
+        with pytest.raises(CatalogError, match="Hilbert function of the points"):
+            points_on_rational_normal_curve(d, count)
+    finally:
+        clear_caches()
+
+
+def test_points_check_catches_an_unsaturated_ideal(monkeypatch):
+    # S_+ I_X has the Hilbert polynomial of I_X, but not its values
+    keep = catalog.minimal_generators
+
+    def times_variables(I):
+        z = [Polynomial.variable(I.ring, i) for i in range(I.ring.num_vars)]
+        return [g * x for g in keep(I) for x in z]
+
+    monkeypatch.setattr(catalog, "minimal_generators", times_variables)
+    try:
+        with pytest.raises(CatalogError, match="Hilbert function of the points"):
+            points_on_rational_normal_curve(3, 5)
+    finally:
+        clear_caches()
 
 
 def test_points_need_distinct_params():

@@ -100,6 +100,20 @@ def test_command_loads_only_its_modules(corpus_file, argv, loads, skips):
     assert not skips & set(loaded), loaded
 
 
+def test_points_catalog_loads_no_resolution():
+    # the points catalog checks its ideal on a lead-term series
+    code = (
+        "import io, json, sys\n"
+        "from pgshell.cli import run_command\n"
+        "code = run_command(['catalog', 'points-rnc', '3', '5'], out=io.StringIO())\n"
+        f"print(json.dumps([code, {LOADED}]))\n"
+    )
+    exit_code, loaded = fresh(code)
+    assert exit_code == cli.EXIT_OK
+    assert {"catalog", "hilbert"} <= set(loaded), loaded
+    assert not {"resolution", "modules", "koszul"} & set(loaded), loaded
+
+
 def test_help_compiles_no_catalog():
     code = (
         "import contextlib, io, json, sys\n"

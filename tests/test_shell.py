@@ -22,6 +22,7 @@ from pgshell import (
     pgshell_check,
     pgshell_check_oracle,
     pgshell_report,
+    rational_normal_curve,
     tensor_resolution,
 )
 import pgshell.criteria as criteria_module
@@ -367,6 +368,19 @@ def test_criteria_suite_ci_quadric_factor(ci23):
     assert by_name["complete-intersection-subset"]["predicted"] == PG_SHELL
     assert by_name["regular-section-of-acm"]["applicable"]
     assert by_name["regular-section-of-acm"]["predicted"] == PG_SHELL
+
+
+def test_regular_section_criterion_builds_no_basis_of_its_own():
+    # I_W lies in I_V, so I_W plus the minimal generators of I_V outside
+    # it is I_V, and the criterion compares no further ideal: the suite
+    # builds the bases of V, of W and of V's cut only
+    V = rational_normal_curve(4).ideal
+    W = Ideal(V.ring, list(V.generators[-2:]))
+    clear_caches()
+    suite = criteria_suite(V, W)
+    assert groebner_basis.cache_info().misses == 3
+    by_name = {r["criterion"]: r for r in suite["criteria"]}
+    assert not by_name["regular-section-of-acm"]["applicable"]
 
 
 def test_criteria_suite_points_curve(points5_entry, twisted_cubic):

@@ -255,18 +255,18 @@ def points_on_rational_normal_curve(
 
     forms = []
     # ranks[m] = dim_k (S/I_X)_m, the rank of evaluation in degree m.  It
-    # stays at `count` once it gets there, and I_X is generated in degrees
-    # up to one past that (the Castelnuovo-Mumford regularity of points)
+    # rises strictly until it reaches the number of distinct points and
+    # stays there, and I_X is generated in degrees up to one past that
+    # (the Castelnuovo-Mumford regularity of points)
     ranks = [1]
     while ranks[-2:] != [count, count]:
-        m = len(ranks)
-        if m > 4 * (count + d):
-            raise CatalogError("point ideal did not stabilize (degenerate parameters?)")
-        monos = ring.monomials_of_degree(m)
+        monos = ring.monomials_of_degree(len(ranks))
         # integer values, reduced by `eliminate` on entry
         eval_cols = [{i: math.prod(map(pow, p, mono)) for i, p in enumerate(pts)} for mono in monos]
         kernel = eliminate(eval_cols, count, ring.field)[1]
         ranks.append(len(monos) - len(kernel))
+        if ranks[-1] == ranks[-2] < count:
+            raise CatalogError(f"the parameter pairs give {ranks[-1]} distinct points, not {count}")
         forms += [Polynomial(ring, {monos[i]: c for i, c in v.items()}) for v in kernel]
 
     ideal = Ideal(ring, minimal_generators(Ideal(ring, forms)))

@@ -3,12 +3,15 @@
 One table, `COMMANDS`, names every command with its help text, its ideal
 arguments and its handler.  A handler returns a JSON-able payload, the
 human-readable lines and the exit code, and prints nothing; `run_command`
-builds the subparsers from the table, loads the source file, picks the
-named ideals, adds the keys every report shares and prints either the
-payload (--json) or the lines.  Exit codes: 0 success, 1 negative shell
-verdict, 2 input error, 3 internal-check failure or any other unexpected
-error (one stderr line, no traceback); a reader that closes stdout early
-changes neither the exit code nor stderr.
+reads the command line, loads the source file, picks the named ideals,
+adds the keys every report shares and prints either the payload (--json)
+or the lines.  A well-formed command line is read straight from the
+table; any other, help included, goes to argparse subparsers built from
+the same table, so help, usage and every error message come from
+argparse alone, and only such a command line imports it.  Exit codes:
+0 success, 1 negative shell verdict, 2 input error, 3 internal-check
+failure or any other unexpected error (one stderr line, no traceback); a
+reader that closes stdout early changes neither the exit code nor stderr.
 
 Each handler imports the engine modules it runs, so a command loads only
 what it uses: `gb` never compiles the resolution code, `pgshell` never
@@ -18,11 +21,10 @@ compile it only for the Betti fallback of `groebner.is_saturated`.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import os
 import sys
+import types
 
 from .errors import EngineError, InternalCheckError, SourceError
 from .parser import parse_source, render_ideal, render_source
@@ -230,11 +232,11 @@ def _hilbert(args, parsed, ideal):
     return payload, lines, EXIT_OK
 
 
-# name -> (help, ideal arguments, handler, further arguments as (flag, kwargs)).
-# A command with ideal arguments reads a source file, takes --strict and
-# --field-check, and reports the ideal names and the field mode; one on a
-# pair of ideals first checks that both are saturated and reports a warning
-# for each that is not.
+# name -> (help, ideal arguments, handler, further arguments as (name or
+# flag, argparse keywords)).  A command with ideal arguments reads a source
+# file, takes --strict and --field-check, and reports the ideal names and
+# the field mode; one on a pair of ideals first checks that both are
+# saturated and reports a warning for each that is not.
 COMMANDS = {
     "gb": ("reduced Groebner basis", ("ideal",), _gb, ()),
     "betti": ("Betti table of the minimal free resolution", ("ideal",), _betti, ()),
@@ -251,39 +253,110 @@ COMMANDS = {
                 (("--max", {"type": int, "required": True, "dest": "m_max"}),)),
 }
 
+# the arguments every command takes, and those of one that reads a source file
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+_SEED = ("--seed", {"type": int, "default": 1, "help": "seed for randomized checks/constructions"})
+_SOURCE = (
+    ("file", {"help": "ideal-description source file"}),
+    ("--strict", {"action": "store_true", "help": "inhomogeneous generators become errors"}),
+    ("--field-check", {"action": "store_true", "help": "self-check field axioms first"}),
+)
 
-def run_command(argv, out=None) -> int:
-    out = out if out is not None else sys.stdout
+
+def _arguments(command):
+    """The arguments of `command` as (name or flag, argparse keywords), in
+    the order of its usage line."""
+    _, ideal_args, _, further = COMMANDS[command]
+    return (_JSON, *(_SOURCE if ideal_args else ()), _SEED,
+            *((arg, {}) for arg in ideal_args), *further)
+
+
+def _read(argv):
+    """The namespace argparse builds from a plain argv, or None.
+
+    Plain is the command, then its positionals, none starting with "-",
+    then only options it declares: each switch bare, each valued option
+    followed by one of its choices or an ASCII decimal integer, each
+    required one given.  Any other argv, help and every error included,
+    is left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    args, options, positionals = {"command": argv[0]}, {}, []
+    for name, kwargs in _arguments(argv[0]):
+        if name.startswith("-"):
+            dest = kwargs.get("dest", name[2:].replace("-", "_"))
+            options[name] = dest, kwargs
+            args[dest] = kwargs.get("default", False if "action" in kwargs else None)
+        else:
+            positionals.append((name, kwargs))
+    # the positionals are the words before the first option; a trailing
+    # nargs="*" one (catalog's params) takes the words left over
+    rest = argv[1:]
+    words = next((i for i, token in enumerate(rest) if token.startswith("-")), len(rest))
+    fixed = [name for name, kwargs in positionals if "nargs" not in kwargs]
+    if words < len(fixed) or (words > len(fixed) and len(fixed) == len(positionals)):
+        return None
+    args.update(zip(fixed, rest))
+    if len(fixed) < len(positionals):
+        args[positionals[-1][0]] = list(rest[len(fixed):words])
+    given, i = set(), words
+    while i < len(rest):
+        if rest[i] not in options:
+            return None
+        dest, kwargs = options[rest[i]]
+        given.add(rest[i])
+        if "action" in kwargs:  # a switch
+            args[dest], i = True, i + 1
+            continue
+        value = rest[i + 1] if i + 1 < len(rest) else ""
+        if value in kwargs.get("choices", ()):
+            args[dest] = value
+        elif kwargs.get("type") is int and value.isascii() and value.isdigit():
+            try:
+                args[dest] = int(value)
+            except ValueError:  # past the interpreter's int-conversion limit
+                return None
+        else:
+            return None
+        i += 2
+    if any(kwargs.get("required") and flag not in given
+           for flag, (_, kwargs) in options.items()):
+        return None
+    return types.SimpleNamespace(**args)
+
+
+def _parse(argv):
+    """The namespace of argv as argparse reads it; SystemExit after help or
+    an error, which argparse prints."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pgshell",
         description="Exact graded commutative algebra: resolutions, Betti tables, shell checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
-    for name, (help_, ideal_args, _, options) in COMMANDS.items():
+    for name, (help_, *_) in COMMANDS.items():
         p = subparsers[name] = sub.add_parser(name, help=help_)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        if ideal_args:
-            p.add_argument("file", help="ideal-description source file")
-            p.add_argument("--strict", action="store_true",
-                           help="inhomogeneous generators become errors")
-            p.add_argument("--field-check", action="store_true",
-                           help="self-check field axioms first")
-        p.add_argument("--seed", type=int, default=1, help="seed for randomized checks/constructions")
-        for arg in ideal_args:
-            p.add_argument(arg)
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
+        for arg, kwargs in _arguments(name):
+            p.add_argument(arg, **kwargs)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # an unknown argument after the command is reported with its usage
+        before = argv[:argv.index(args.command)]
+        owner = parser if extras[0] in before else subparsers[args.command]
+        owner.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
-    try:
-        args, extras = parser.parse_known_args(argv)
-        if extras:
-            # an unknown argument after the command is reported with its usage
-            before = argv[:argv.index(args.command)]
-            owner = parser if extras[0] in before else subparsers[args.command]
-            owner.error(f"unrecognized arguments: {' '.join(extras)}")
-    except SystemExit as e:
-        return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
+
+def run_command(argv, out=None) -> int:
+    out = out if out is not None else sys.stdout
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _parse(argv)
+        except SystemExit as e:
+            return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
 
     _, ideal_args, handler, _ = COMMANDS[args.command]
     payload = {"schema": SCHEMA_VERSION, "command": args.command}
@@ -319,6 +392,8 @@ def run_command(argv, out=None) -> int:
     payload.update(result)
     try:
         if args.json:
+            import json
+
             print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         else:
             print(*(f"warning: {w}" for w in warnings), *lines, sep="\n", file=out)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from pgshell import (
@@ -251,6 +253,21 @@ def test_points_check_catches_an_unsaturated_ideal(monkeypatch):
 def test_points_need_distinct_params():
     with pytest.raises(CatalogError):
         points_on_rational_normal_curve(3, 2, params=[(1, 0), (1, 0)])
+
+
+@pytest.mark.parametrize("count, kwargs, distinct", [
+    # proportional pairs over QQ: (1, 1) and (2, 2) are one point
+    (6, {"params": [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 2)]}, 5),
+    # the ten default pairs meet mod 7
+    (10, {"field": Field(7)}, 8),
+])
+def test_points_from_pairs_that_meet_raise_at_the_repeated_rank(count, kwargs, distinct):
+    # the ranks rise strictly until they reach the number of distinct
+    # points, so the first repeat below `count` ends the loop
+    start = time.perf_counter()
+    with pytest.raises(CatalogError, match=f"give {distinct} distinct points, not {count}$"):
+        points_on_rational_normal_curve(3, count, **kwargs)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_build_catalog_entry_registry():

@@ -564,3 +564,26 @@ def test_atexit_handlers_run_after_main(corpus_file):
     assert proc.returncode == EXIT_NEGATIVE, proc.stderr
     assert proc.stdout.startswith("verdict: not-pg-shell")
     assert proc.stdout.endswith("\natexit handler ran\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "FILE", "V", "--seed=5"], ["gb", "FILE", "V", "--js"], ["gb", "--json", "FILE", "V"],
+    ["catalog", "rnc", "--json", "5"], ["gb", "FILE", "V", "--seed", "-3"],
+    ["gb", "FILE", "V", "--", "--json"], ["gb", "-h"], ["gb", "FILE", "V", "--max", "3"],
+    ["frobnicate"],
+], ids=" ".join)
+def test_declined_command_lines_run_as_argparse_reads_them(corpus_file, monkeypatch, capsys,
+                                                           argv):
+    # the command-table reader declines each of these, so declining every
+    # argv must change no exit code, stdout or stderr
+    argv = [corpus_file if a == "FILE" else a for a in argv]
+
+    def outcome():
+        code, text = run(argv)
+        captured = capsys.readouterr()
+        return code, text + captured.out, captured.err
+
+    assert cli_module._read(argv) is None
+    table = outcome()
+    monkeypatch.setattr(cli_module, "_read", lambda argv: None)
+    assert outcome() == table

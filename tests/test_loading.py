@@ -65,39 +65,67 @@ def test_import_pgshell_loads_no_module():
     assert fresh(f"import json, sys, pgshell; print(json.dumps({LOADED}))") == []
 
 
-# (command, modules it must load, modules it must not load)
+# the standard modules that reading a command line with argparse, or
+# printing JSON, loads; a well-formed human-output command loads none
+PARSING = {"argparse", "gettext", "locale", "json"}
+
+# (command, modules it must load, modules it must not load): pgshell's by
+# their names in the package, the standard library's by their own
 FOOTPRINTS = [
     (["gb", "V"], {"groebner"},
      {"resolution", "hilbert", "koszul", "linalg", "shell", "criteria", "saturation",
-      "catalog"}),
+      "catalog", *PARSING}),
     # the field self-check runs the engines' one row operation, which
     # lives in `fields`, so it loads no elimination module
-    (["gb", "V", "--field-check"], {"groebner"}, {"linalg", "resolution", "koszul"}),
+    (["gb", "V", "--field-check"], {"groebner"},
+     {"linalg", "resolution", "koszul", *PARSING}),
+    (["gb", "V", "--json"], {"groebner", "json"}, {"resolution", "argparse", "gettext", "locale"}),
     (["betti", "V"], {"resolution"},
-     {"koszul", "linalg", "shell", "criteria", "saturation", "catalog"}),
-    (["pgshell", "V", "W"], {"shell"}, {"criteria", "saturation", "catalog"}),
+     {"koszul", "linalg", "shell", "criteria", "saturation", "catalog", *PARSING}),
+    (["pgshell", "V", "W"], {"shell"}, {"criteria", "saturation", "catalog", *PARSING}),
     (["pgshell", "V", "W", "--method", "oracle"], {"shell"},
-     {"resolution", "modules", "criteria", "saturation", "catalog"}),
-    (["saturate", "V"], {"saturation"}, {"resolution", "hilbert", "modules", "koszul"}),
+     {"resolution", "modules", "criteria", "saturation", "catalog", *PARSING}),
+    (["saturate", "V"], {"saturation"},
+     {"resolution", "hilbert", "modules", "koszul", *PARSING}),
     (["invariants", "V"], {"criteria"},
-     {"shell", "koszul", "linalg", "saturation", "catalog"}),
-    (["criteria", "V", "W"], {"criteria"}, {"saturation", "catalog"}),
+     {"shell", "koszul", "linalg", "saturation", "catalog", *PARSING}),
+    (["criteria", "V", "W"], {"criteria"}, {"saturation", "catalog", *PARSING}),
 ]
+
+
+def loaded_by(argv):
+    """The exit code of `argv` run in a new interpreter, and the modules it
+    loaded, listed before the report's own `json` import."""
+    code = (
+        "import io, sys\n"
+        "from pgshell.cli import run_command\n"
+        "code = run_command(sys.argv[1:], out=io.StringIO())\n"
+        "loaded = [n[8:] if n.startswith('pgshell.') else n for n in sys.modules]\n"
+        "import json\n"
+        "print(json.dumps([code, loaded]))\n"
+    )
+    exit_code, loaded = fresh(code, *argv)
+    return exit_code, set(loaded)
 
 
 @pytest.mark.parametrize("argv, loads, skips", FOOTPRINTS,
                          ids=["-".join(argv) for argv, _, _ in FOOTPRINTS])
 def test_command_loads_only_its_modules(corpus_file, argv, loads, skips):
-    code = (
-        "import io, json, sys\n"
-        "from pgshell.cli import run_command\n"
-        "code = run_command(sys.argv[1:], out=io.StringIO())\n"
-        f"print(json.dumps([code, {LOADED}]))\n"
-    )
-    exit_code, loaded = fresh(code, argv[0], corpus_file, *argv[1:])
+    exit_code, loaded = loaded_by([argv[0], corpus_file, *argv[1:]])
     assert exit_code == cli.EXIT_OK, argv
-    assert loads <= set(loaded), loaded
-    assert not skips & set(loaded), loaded
+    assert loads <= loaded, loaded
+    assert not skips & loaded, loaded
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["gb", "--help"], cli.EXIT_OK),
+    (["gb", "FILE", "V", "--bogus"], cli.EXIT_INPUT),
+    (["gb", "FILE", "V", "--seed=5"], cli.EXIT_OK),
+])
+def test_help_and_declined_command_lines_load_argparse(corpus_file, argv, expected):
+    exit_code, loaded = loaded_by([corpus_file if a == "FILE" else a for a in argv])
+    assert exit_code == expected
+    assert "argparse" in loaded
 
 
 def test_points_catalog_loads_no_resolution():
